@@ -35,13 +35,11 @@ from .weights import (
     embed_tree,
     embedding_weight_delta,
     grassmann_tangent_weights,
-    weight_sign,
 )
 from .fixedgraphs import (
     DecoratedTree,
     Edge,
     UnsupportedDegreeError,
-    canonical_form,
     census_formula,
     count_by_shape,
     enumerate_fixed_graphs,
@@ -56,6 +54,7 @@ from .localization import (
     moduli_dimension,
     poincare_localization,
     stratum_family_contribution,
+    tangent_sign_counts,
     tangent_weights,
 )
 from .closedform import (

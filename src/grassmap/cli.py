@@ -17,7 +17,9 @@ Exit codes: 0 success; 1 a mathematical disagreement or failed check;
 Results of `betti` can be cached as JSON files named {k}-{n}-{d}-{method}
 under a directory given by --cache-dir or the GRASSMAP_CACHE environment
 variable; cache writes are atomic (write-then-rename) and cache hits
-reproduce byte-identical output.
+reproduce byte-identical output.  A cache file that is not valid JSON, or
+that holds another cell's or method's payload, counts as a miss and is
+recomputed and overwritten.
 """
 
 from __future__ import annotations
@@ -44,6 +46,17 @@ def _parse_span(value: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a..b, got {value!r}") from None
+
+
+def _parse_jobs(value: str) -> int:
+    """A worker count: below 1 is a usage error, above the CPU count is clamped."""
+    try:
+        jobs = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _axis_values(parser: argparse.ArgumentParser, name: str, single: int | None,
@@ -81,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     betti = subs.add_parser("betti", help="compute Poincare polynomial / Betti numbers")
     _add_cell_arguments(betti)
     betti.add_argument("--method", choices=sorted(_METHODS), default="loc")
-    betti.add_argument("--jobs", type=int, default=1, help="worker processes for the fixed-point sum")
+    betti.add_argument("--jobs", type=_parse_jobs, default=1,
+                       help="worker processes for the fixed-point sum (at most the CPU count)")
     betti.add_argument("--cache-dir", default=None, help=f"result cache directory (or ${CACHE_ENV})")
     betti.add_argument("--reports", action="store_true",
                        help="include per-fixed-point weight reports (localization only, uncached)")
@@ -95,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = subs.add_parser("verify", help="run the self-check suites")
     verify.add_argument("--suite", choices=(*sorted(_SUITES), "all"), required=True)
     verify.add_argument("--max-n", type=int, default=None, help="cap the ambient dimension of the sweep")
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--jobs", type=_parse_jobs, default=1,
+                        help="worker processes for the localization sums (at most the CPU count)")
     verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -156,11 +171,27 @@ def _cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get(CACHE_ENV) or None
 
 
-def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str, jobs: int) -> dict:
-    path = os.path.join(cache_dir, f"{k}-{n}-{d}-{method}.json")
-    if os.path.exists(path):
+def _read_cached(path: str, k: int, n: int, d: int, method: str) -> dict | None:
+    """The payload stored at `path`, or None if it is missing, unreadable as
+    JSON, or not a payload of this cell and method."""
+    try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
+    except (FileNotFoundError, ValueError):  # ValueError: truncated or undecodable
+        return None
+    if not isinstance(payload, dict):
+        return None
+    if [payload.get(key) for key in ("k", "n", "d", "method")] != [k, n, d, method]:
+        return None
+    return payload
+
+
+def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str, jobs: int) -> dict:
+    """A cache hit, or a fresh payload that atomically replaces a missing or bad entry."""
+    path = os.path.join(cache_dir, f"{k}-{n}-{d}-{method}.json")
+    payload = _read_cached(path, k, n, d, method)
+    if payload is not None:
+        return payload
     payload = _betti_payload(k, n, d, method, jobs)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")

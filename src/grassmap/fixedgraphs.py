@@ -14,7 +14,10 @@ enough to list outright:
 
 Enumeration generates labelled candidates shape by shape and deduplicates
 through a canonical form (the minimum, over all vertex orderings, of the
-relabelled encoding), so the output is deterministic and sorted.  Degrees
+relabelled encoding), so the output is deterministic and sorted.  The
+encoding compares the vertex labels before the edges, so the minimum lists
+the labels in sorted order and only orderings within runs of equal labels
+need trying: one ordering for most trees instead of up to 24.  Degrees
 4 and above are out of scope and raise UnsupportedDegreeError.
 """
 
@@ -122,24 +125,28 @@ class DecoratedTree:
             raise ValueError("vertex valence exceeds 3")
 
     def canonical_key(self) -> tuple:
-        """Isomorphism invariant: minimal encoding over all vertex orderings."""
-        count = len(self.vertices)
+        """Isomorphism invariant: minimal encoding over all vertex orderings.
+
+        Only orderings that sort the labels can be minimal, so only
+        orderings among equal labels are tried (see the module docstring).
+        """
+        label = self.vertices.__getitem__
+        order = sorted(range(len(self.vertices)), key=label)
+        runs = [tuple(run) for _, run in itertools.groupby(order, key=label)]
         best: tuple | None = None
-        for perm in itertools.permutations(range(count)):
-            verts = [None] * count
-            for old, new in enumerate(perm):
-                verts[new] = self.vertices[old]
+        for arrangement in itertools.product(*(itertools.permutations(run) for run in runs)):
+            perm = [0] * len(self.vertices)
+            for new, old in enumerate(itertools.chain.from_iterable(arrangement)):
+                perm[old] = new
             edges = tuple(
                 sorted(
                     (min(perm[e.u], perm[e.v]), max(perm[e.u], perm[e.v]), e.deg)
                     for e in self.edges
                 )
             )
-            key = (tuple(verts), edges)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        return (self.k, self.n, *best)
+            if best is None or edges < best:
+                best = edges
+        return (self.k, self.n, tuple(sorted(self.vertices)), best)
 
     def complemented(self) -> "DecoratedTree":
         """The same tree with every label replaced by its complement in {1..n}."""
@@ -174,11 +181,6 @@ class DecoratedTree:
         if "d" in data and int(data["d"]) != tree.d:
             raise ValueError("stored degree disagrees with the edge degrees")
         return tree
-
-
-def canonical_form(tree: DecoratedTree) -> tuple:
-    """Module-level alias for DecoratedTree.canonical_key."""
-    return tree.canonical_key()
 
 
 def _neighbor_labels(label: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:

@@ -28,6 +28,14 @@ Every zero introduced by the edge section weights is cancelled exactly by
 a reparametrization zero; nothing else may cancel below multiplicity 0.
 Both facts are enforced, so a miscounted family would abort loudly rather
 than skew a Betti number.
+
+The assembly exists in two forms.  `tangent_weights` builds a
+`WeightMultiset` of `Fraction` weights; it backs the per-fixed-point reports
+(`fixed_point_report`, `grassmap betti --reports`), `embedding_cross_check`
+and the tests.  `tangent_sign_counts` runs the same assembly on weights
+encoded as plain ints (see `weights`), whose signs are the weights' signs,
+and applies the same checks; the localization sum, its worker processes and
+the sub-family sums count with it.
 """
 
 from __future__ import annotations
@@ -42,8 +50,11 @@ from .weights import (
     TorusWeight,
     WeightConsistencyError,
     WeightMultiset,
+    _domain_tangent_int,
+    _edge_h0_ints,
     _iter_edge_h0,
     _iter_point_tangent,
+    _point_tangent_ints,
     _zero_weight,
     domain_tangent_weight,
     embed_tree,
@@ -90,27 +101,38 @@ def tangent_weights(tree: DecoratedTree) -> WeightMultiset:
             ws.add(domain_tangent_weight(n, edge.deg, b_u, b_v), -1)
         if valences[edge.v] == 1:
             ws.add(domain_tangent_weight(n, edge.deg, b_v, b_u), -1)
-    _validate_tangent(tree, ws)
+    _checked_sign_counts(tree, ((w.sign, mult, w) for w, mult in ws.items()))
     return ws
 
 
-def _validate_tangent(tree: DecoratedTree, ws: WeightMultiset) -> None:
-    total = 0
-    for w, mult in ws.items():
+def _checked_sign_counts(
+    tree: DecoratedTree, signed: Iterable[tuple[int, int, object]]
+) -> tuple[int, int]:
+    """(positive, negative) counts over (sign, multiplicity, weight) entries.
+
+    Raises WeightConsistencyError on a negative multiplicity, a zero weight
+    left standing, or a total that misses the moduli dimension.
+    """
+    pos = neg = 0
+    for sign, mult, w in signed:
         if mult < 0:
             raise WeightConsistencyError(
                 f"negative multiplicity {mult} for weight {w} at tree {tree.to_json_dict()}"
             )
-        if w.sign == 0:
+        if sign > 0:
+            pos += mult
+        elif sign < 0:
+            neg += mult
+        elif mult:
             raise WeightConsistencyError(
                 f"zero weight survived assembly at tree {tree.to_json_dict()}"
             )
-        total += mult
     expected = moduli_dimension(tree.k, tree.n, tree.d)
-    if total != expected:
+    if pos + neg != expected:
         raise WeightConsistencyError(
-            f"tangent dimension {total} != {expected} at tree {tree.to_json_dict()}"
+            f"tangent dimension {pos + neg} != {expected} at tree {tree.to_json_dict()}"
         )
+    return pos, neg
 
 
 @dataclass(frozen=True)
@@ -137,15 +159,56 @@ def fixed_point_report(tree: DecoratedTree) -> FixedPointReport:
     return FixedPointReport(tree=tree, weights=ws, positives=pos, negatives=neg)
 
 
-def _positive_count(tree: DecoratedTree) -> int:
-    pos, _, _ = tangent_weights(tree).sign_counts()
-    return pos
+def _int_tangent(tree: DecoratedTree) -> Counter:
+    """`tangent_weights` in the integer encoding, as signed multiplicities.
+
+    The same assembly, family by family; entries may net to 0 (dropped
+    from a WeightMultiset, kept here) and are checked by the caller.
+    """
+    n = tree.n
+    ws: Counter = Counter()
+    valences = tree.valences()
+    omegas: list[list[int]] = [[] for _ in tree.vertices]
+    removed = []
+    for edge in tree.edges:
+        shared, b_u, b_v = tree.edge_frame(edge)
+        ws.update(_edge_h0_ints(shared, b_u, b_v, edge.deg, n))
+        omega = _domain_tangent_int(n, edge.deg, b_u, b_v)  # at the u end; -omega at v
+        omegas[edge.u].append(omega)
+        omegas[edge.v].append(-omega)
+        removed.append(0)
+        if valences[edge.u] == 1:
+            removed.append(omega)
+        if valences[edge.v] == 1:
+            removed.append(-omega)
+    for idx, label in enumerate(tree.vertices):
+        v = valences[idx]
+        if v == 2:
+            ws[omegas[idx][0] + omegas[idx][1]] += 1
+        elif v == 3:
+            ws.update(omegas[idx])
+        if v >= 2:
+            for w in _point_tangent_ints(label, n):
+                ws[w] -= v - 1
+    for w in removed:
+        ws[w] -= 1
+    return ws
+
+
+def tangent_sign_counts(tree: DecoratedTree) -> tuple[int, int]:
+    """(positive, negative) tangent weight counts at a fixed tree.
+
+    Equal to the sign counts of `tangent_weights(tree)`, computed in the
+    integer encoding and held to the same checks.
+    """
+    counts = _int_tangent(tree).items()
+    return _checked_sign_counts(tree, (((w > 0) - (w < 0), mult, w) for w, mult in counts))
 
 
 def _chunk_positive_counts(trees: Iterable[DecoratedTree]) -> Counter:
     counts: Counter = Counter()
     for tree in trees:
-        counts[_positive_count(tree)] += 1
+        counts[tangent_sign_counts(tree)[0]] += 1
     return counts
 
 
@@ -244,7 +307,7 @@ def stratum_family_contribution(k: int, n: int, family: str) -> QPolynomial:
     counts: Counter = Counter()
     for tree in enumerate_fixed_graphs(k, n, 2):
         if predicate(tree):
-            counts[_positive_count(tree)] += 1
+            counts[tangent_sign_counts(tree)[0]] += 1
     return QPolynomial(dict(counts))
 
 

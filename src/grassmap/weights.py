@@ -23,6 +23,14 @@ cover carry the weights
 a multiset of size k(n-k) + d*n containing exactly one zero (c = 0 in (d),
 later cancelled by the reparametrization algebra of the edge).
 
+Each family exists twice.  `TorusWeight` and `WeightMultiset` hold weights
+with `Fraction` coefficients; that form serves the per-fixed-point reports,
+the embedding cross-check and the tests.  The localization sum only needs
+signs, so it uses the integer form: substituting a_i -> 6 * 32^(i-1) turns a
+weight into one int.  Scaling by 6 clears every denominator, every scaled
+coefficient lies in [-12, 12], and base 32 > 24 keeps the encoding injective
+with the int's sign equal to the weight's sign (`TorusWeight.encoded`).
+
 The module also provides the weight bookkeeping for the two coordinate
 inclusions that push a fixed map into a larger Grassmannian: mode "iota"
 adjoins a new ambient coordinate (labels unchanged), mode "kappa" adjoins
@@ -44,6 +52,15 @@ GrassmannPoint = tuple[int, ...]
 EmbedMode = Literal["iota", "kappa"]
 
 _ZERO = Fraction(0)
+
+# The integer encoding (module docstring).  The largest scaled coefficient,
+# 12, comes from a node-smoothing weight 2(a_t - a_h) where two unit legs
+# agree.  With digits in [-12, 12] and a base above 24 the lower digits sum to
+# less than one unit of the highest nonzero digit, which fixes the int's sign.
+WEIGHT_SCALE = 6
+MAX_SCALED_COEFF = 12
+WEIGHT_BASE = 32
+assert WEIGHT_BASE > 2 * MAX_SCALED_COEFF
 
 
 class WeightConsistencyError(ArithmeticError):
@@ -113,9 +130,6 @@ class TorusWeight:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: int | Fraction) -> "TorusWeight":
-        return TorusWeight(self.n, tuple(a / scalar for a in self.coeffs))
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -166,6 +180,20 @@ class TorusWeight:
     def __repr__(self) -> str:
         return f"TorusWeight({self.n}, {self.coeffs!r})"
 
+    def encoded(self) -> int:
+        """This weight as one int, by the substitution a_i -> 6 * WEIGHT_BASE**(i-1).
+
+        Raises WeightConsistencyError if a coefficient is not a multiple of
+        1/6 or exceeds the bound that keeps the encoding injective.
+        """
+        code = 0
+        for c in reversed(self.coeffs):
+            scaled = c * WEIGHT_SCALE
+            if scaled.denominator != 1 or abs(scaled) > MAX_SCALED_COEFF:
+                raise WeightConsistencyError(f"coefficient {c} of {self} has no int encoding")
+            code = code * WEIGHT_BASE + int(scaled)
+        return code
+
     # -- serialization ---------------------------------------------------------
 
     def to_fraction_strings(self) -> list[str]:
@@ -176,11 +204,6 @@ class TorusWeight:
     def from_fraction_strings(cls, strings: Iterable[str]) -> "TorusWeight":
         coeffs = tuple(Fraction(s) for s in strings)
         return cls(len(coeffs), coeffs)
-
-
-def weight_sign(w: TorusWeight) -> int:
-    """Sign of a weight under the ordering a_1 << a_2 << ... << a_n."""
-    return w.sign
 
 
 # Interned constructors for the handful of weight shapes the localization
@@ -251,13 +274,6 @@ class WeightMultiset:
         self._m: dict[TorusWeight, int] = {}
         for w in weights:
             self.add(w)
-
-    @classmethod
-    def from_counts(cls, counts: dict[TorusWeight, int]) -> "WeightMultiset":
-        ws = cls()
-        for w, mult in counts.items():
-            ws.add(w, mult)
-        return ws
 
     def add(self, w: TorusWeight, mult: int = 1) -> None:
         m = self._m
@@ -416,6 +432,46 @@ def edge_h0_weights(
     ws = WeightMultiset()
     ws.update(_iter_edge_h0(a_set, b_u, b_v, deg, n))
     return ws
+
+
+# -- integer families -----------------------------------------------------------
+# The weights of _iter_point_tangent, _iter_edge_h0 and domain_tangent_weight,
+# encoded as in TorusWeight.encoded but built from ints alone.  The encoding
+# is linear, and each division is exact because every encoded character is a
+# multiple of 6.
+
+
+@cache
+def _characters(n: int) -> tuple[int, ...]:
+    """Encoded a_1..a_n at indices 1..n (index 0 unused)."""
+    return (0, *(WEIGHT_SCALE * WEIGHT_BASE**i for i in range(n)))
+
+
+@cache
+def _point_tangent_ints(point: tuple[int, ...], n: int) -> tuple[int, ...]:
+    p = _characters(n)
+    return tuple(p[b] - p[a] for a in point for b in range(1, n + 1) if b not in point)
+
+
+@cache
+def _edge_h0_ints(
+    shared: tuple[int, ...], b_u: int, b_v: int, deg: int, n: int
+) -> tuple[int, ...]:
+    p = _characters(n)
+    outside = [r for r in range(1, n + 1) if r != b_u and r != b_v and r not in shared]
+    covers = [(s * p[b_u] + (deg - s) * p[b_v]) // deg for s in range(deg + 1)]
+    line = p[b_v] - p[b_u]
+    return (
+        *(p[r] - p[a] for a in shared for r in outside),
+        *(c - p[a] for a in shared for c in covers),
+        *(p[r] - c for r in outside for c in covers),
+        *(c * line // deg for c in range(-deg, deg + 1)),
+    )
+
+
+def _domain_tangent_int(n: int, deg: int, b_here: int, b_there: int) -> int:
+    p = _characters(n)
+    return (p[b_there] - p[b_here]) // deg
 
 
 # -- coordinate inclusions ----------------------------------------------------

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from grassmap.cli import main
+from grassmap.cli import _parse_jobs, main
 
 
 def run(capsys, *argv):
@@ -88,6 +88,23 @@ class TestBetti:
         expected = ",".join(str(c) for c in poincare_degree2(1, 4).coefficient_list())
         assert out.strip() == expected
 
+    @pytest.mark.parametrize("command", [["betti", "-k", "1", "-n", "2", "-d", "1"],
+                                         ["verify", "--suite", "tables"]])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_bad_jobs_is_usage_error(self, capsys, command, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--jobs", jobs])
+        assert exc.value.code == 2
+
+    def test_jobs_clamped_to_cpu_count(self, capsys):
+        cpus = os.cpu_count() or 1
+        assert _parse_jobs("1") == 1
+        assert _parse_jobs(str(cpus + 1000)) == cpus
+        # (1,3,1) has 3 fixed trees, below the 64 that start a pool
+        code, out, _ = run(capsys, "betti", "-k", "1", "-n", "3", "-d", "1",
+                           "--jobs", str(cpus + 1000), "--format", "csv")
+        assert code == 0 and out.strip() == "1,1,1"
+
 
 class TestCache:
     def test_cache_round_trip(self, capsys, tmp_path):
@@ -111,6 +128,34 @@ class TestCache:
             "--cache-dir", str(tmp_path))
         doc = json.loads((tmp_path / "1-2-3-localization.json").read_text())
         assert doc["betti"] == [1, 1, 2, 1, 1]
+
+    def test_truncated_cache_file_is_recomputed(self, capsys, tmp_path):
+        argv = ["betti", "-k", "1", "-n", "3", "-d", "2", "--format", "json",
+                "--cache-dir", str(tmp_path)]
+        _, cold, _ = run(capsys, *argv)
+        entry = tmp_path / "1-3-2-localization.json"
+        good = entry.read_bytes()
+        entry.write_bytes(good[: len(good) // 2])
+        code, warm, _ = run(capsys, *argv)
+        assert code == 0 and warm == cold
+        assert entry.read_bytes() == good
+        entry.write_bytes(b"\xff\xfe not utf-8")
+        code, warm, _ = run(capsys, *argv)
+        assert code == 0 and warm == cold
+        assert entry.read_bytes() == good
+
+    def test_mismatched_cache_file_is_recomputed(self, capsys, tmp_path):
+        argv = ["betti", "-k", "1", "-n", "3", "-d", "2", "--format", "json",
+                "--cache-dir", str(tmp_path)]
+        _, cold, _ = run(capsys, *argv)
+        entry = tmp_path / "1-3-2-localization.json"
+        good = entry.read_bytes()
+        other = json.loads(good)
+        other.update(k=9, betti=[5], poincare={"coeffs": [[0, "5"]]})
+        entry.write_text(json.dumps(other))
+        code, warm, _ = run(capsys, *argv)
+        assert code == 0 and warm == cold
+        assert entry.read_bytes() == good
 
 
 class TestGraphs:

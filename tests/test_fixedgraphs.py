@@ -1,13 +1,14 @@
+import itertools
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grassmap.fixedgraphs import (
     DecoratedTree,
     Edge,
     UnsupportedDegreeError,
-    canonical_form,
     census_formula,
     count_by_shape,
     enumerate_fixed_graphs,
@@ -18,6 +19,27 @@ from grassmap.fixedgraphs import (
 
 def tree(k, n, vertices, edges):
     return DecoratedTree(k, n, tuple(map(tuple, vertices)), tuple(Edge(*e) for e in edges))
+
+
+def exhaustive_key(t):
+    """The canonical key by brute force: the minimal encoding over every
+    vertex ordering, as DecoratedTree.canonical_key defines it."""
+    count = len(t.vertices)
+    best = None
+    for perm in itertools.permutations(range(count)):
+        verts = [None] * count
+        for old, new in enumerate(perm):
+            verts[new] = t.vertices[old]
+        edges = tuple(
+            sorted((min(perm[e.u], perm[e.v]), max(perm[e.u], perm[e.v]), e.deg) for e in t.edges)
+        )
+        key = (tuple(verts), edges)
+        if best is None or key < best:
+            best = key
+    return (t.k, t.n, *best)
+
+
+SMALL_CELLS = [(k, n, d) for n in range(2, 6) for k in range(1, n) for d in (1, 2, 3)]
 
 
 class TestDecoratedTree:
@@ -56,9 +78,9 @@ class TestDecoratedTree:
         a = tree(1, 3, [(1,), (2,), (3,)], [(0, 1, 1), (1, 2, 2)])
         b = tree(1, 3, [(3,), (2,), (1,)], [(2, 1, 1), (1, 0, 2)])
         c = tree(1, 3, [(2,), (1,), (3,)], [(1, 0, 1), (0, 2, 2)])
-        assert canonical_form(a) == canonical_form(b) == canonical_form(c)
+        assert a.canonical_key() == b.canonical_key() == c.canonical_key()
         different = tree(1, 3, [(1,), (2,), (3,)], [(0, 1, 2), (1, 2, 1)])
-        assert canonical_form(different) != canonical_form(a)
+        assert different.canonical_key() != a.canonical_key()
 
     def test_json_round_trip(self):
         t = tree(2, 4, [(1, 2), (2, 3), (2, 4)], [(0, 1, 1), (0, 2, 1)])
@@ -131,6 +153,24 @@ class TestEnumeration:
         trees = enumerate_fixed_graphs(2, 4, 3)
         keys = [t.canonical_key() for t in trees]
         assert keys == sorted(keys)
+
+    def test_canonical_key_matches_exhaustive(self):
+        for k, n, d in SMALL_CELLS:
+            for t in enumerate_fixed_graphs(k, n, d):
+                assert t.canonical_key() == exhaustive_key(t), t
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_canonical_key_ignores_relabeling(self, data):
+        k, n, d = data.draw(st.sampled_from([(1, 2, 3), (1, 3, 3), (2, 4, 2), (2, 4, 3)]))
+        t = data.draw(st.sampled_from(enumerate_fixed_graphs(k, n, d)))
+        perm = data.draw(st.permutations(range(len(t.vertices))))
+        verts = [None] * len(t.vertices)
+        for old, new in enumerate(perm):
+            verts[new] = t.vertices[old]
+        edges = data.draw(st.permutations([Edge(perm[e.u], perm[e.v], e.deg) for e in t.edges]))
+        relabeled = DecoratedTree(k, n, tuple(verts), tuple(edges))
+        assert relabeled.canonical_key() == t.canonical_key()
 
     def test_complement_bijection(self):
         for d in (1, 2, 3):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import grassmap.localization as loc
 from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs
 from grassmap.localization import (
     FAMILIES,
@@ -11,10 +12,13 @@ from grassmap.localization import (
     moduli_dimension,
     poincare_localization,
     stratum_family_contribution,
+    tangent_sign_counts,
     tangent_weights,
 )
 from grassmap.qpoly import QPolynomial, qbinomial, reverse
-from grassmap.weights import TorusWeight, WeightMultiset
+from grassmap.weights import TorusWeight, WeightConsistencyError, WeightMultiset
+
+SMALL_CELLS = [(k, n, d) for n in range(2, 6) for k in range(1, n) for d in (1, 2, 3)]
 
 
 def tree(k, n, vertices, edges):
@@ -75,6 +79,37 @@ class TestTangentWeights:
         doc = fixed_point_report(t).to_json_dict()
         assert doc["positives"] == 1 and doc["negatives"] == 1
         assert sorted(doc["weights"]) == [["-1", "1"], ["1", "-1"]]
+
+
+class TestIntegerTangent:
+    """The integer hot path against the Fraction multiset as oracle."""
+
+    def test_multiset_matches_fraction_oracle(self):
+        for k, n, d in SMALL_CELLS:
+            for t in enumerate_fixed_graphs(k, n, d):
+                oracle = tangent_weights(t)
+                fast = {w: mult for w, mult in loc._int_tangent(t).items() if mult}
+                assert fast == {w.encoded(): mult for w, mult in oracle.items()}, t
+                assert tangent_sign_counts(t) == oracle.sign_counts()[:2], t
+
+    @pytest.mark.parametrize(
+        "family,broken,message",
+        [
+            # subtract a weight no family adds
+            ("_point_tangent_ints", lambda orig: lambda *a: (*orig(*a), 1), "negative multiplicity"),
+            # add a zero that no reparametrization cancels
+            ("_edge_h0_ints", lambda orig: lambda *a: (*orig(*a), 0), "zero weight survived"),
+            # add one nonzero weight too many per edge
+            ("_edge_h0_ints", lambda orig: lambda *a: (*orig(*a), orig(*a)[0]), "tangent dimension"),
+        ],
+    )
+    def test_broken_assembly_raises(self, monkeypatch, family, broken, message):
+        monkeypatch.setattr(loc, family, broken(getattr(loc, family)))
+        t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
+        with pytest.raises(WeightConsistencyError, match=message):
+            tangent_sign_counts(t)
+        with pytest.raises(WeightConsistencyError, match=message):
+            stratum_family_contribution(2, 4, "G23_triangle")
 
 
 class TestPoincare:

@@ -11,7 +11,6 @@ from grassmap.weights import (
     embed_tree,
     embedding_weight_delta,
     grassmann_tangent_weights,
-    weight_sign,
 )
 
 
@@ -21,16 +20,15 @@ def w(*coeffs):
 
 class TestTorusWeight:
     def test_sign_follows_highest_index(self):
-        assert weight_sign(w(-1, 1)) == 1          # a2 - a1 > 0
-        assert weight_sign(w(1, -1)) == -1         # a1 - a2 < 0
-        assert weight_sign(w(5, 0, -F(1, 3))) == -1
-        assert weight_sign(w(0, 0)) == 0
+        assert w(-1, 1).sign == 1          # a2 - a1 > 0
+        assert w(1, -1).sign == -1         # a1 - a2 < 0
+        assert w(5, 0, -F(1, 3)).sign == -1
+        assert w(0, 0).sign == 0
 
     def test_algebra(self):
         assert w(1, 0) + w(0, 1) == w(1, 1)
         assert w(1, 2) - w(1, 2) == TorusWeight.zero(2)
         assert -w(1, -1) == w(-1, 1)
-        assert w(2, 4) / 2 == w(1, 2)
         assert 3 * w(1, 0) == w(3, 0)
         with pytest.raises(ValueError):
             w(1, 0) + w(1, 0, 0)
@@ -50,6 +48,17 @@ class TestTorusWeight:
         assert w(1, -1).insert_index(3) == w(1, -1, 0)
         with pytest.raises(ValueError):
             w(1, -1).insert_index(4)
+
+    def test_encoded(self):
+        assert w(1, 0, 0).encoded() == 6
+        assert w(-1, 1, 0).encoded() == 6 * 32 - 6
+        assert w(0, F(-1, 3), F(1, 2)).encoded() == 3 * 32**2 - 2 * 32
+        for v in [w(-1, 1), w(1, -1), w(2, -2, F(1, 3)), w(-2, 2, -F(1, 3)), w(0, 0)]:
+            assert (v.encoded() > 0) - (v.encoded() < 0) == v.sign
+        with pytest.raises(WeightConsistencyError):
+            w(F(1, 4), 0).encoded()  # not a multiple of 1/6
+        with pytest.raises(WeightConsistencyError):
+            w(0, 3).encoded()  # scaled coefficient 18 > 12
 
     def test_fraction_strings(self):
         v = w(-F(1, 2), F(1, 2), 0)
