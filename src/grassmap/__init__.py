@@ -49,6 +49,7 @@ from .fixedgraphs import (
 from .localization import (
     FAMILIES,
     FixedPointReport,
+    clear_poincare_cache,
     embedding_cross_check,
     fixed_point_report,
     moduli_dimension,
@@ -61,9 +62,6 @@ from .closedform import (
     ClosedFormResult,
     TheoremViolationError,
     closed_form_result,
-    poincare_degree1,
-    poincare_degree2,
-    poincare_degree3,
     poincare_grassmannian,
     repeated_leaf_family_closed_form,
     triangle_family_closed_form,

@@ -17,9 +17,12 @@ Exit codes: 0 success; 1 a mathematical disagreement or failed check;
 Results of `betti` can be cached as JSON files named {k}-{n}-{d}-{method}
 under a directory given by --cache-dir or the GRASSMAP_CACHE environment
 variable; cache writes are atomic (write-then-rename) and cache hits
-reproduce byte-identical output.  A cache file that is not valid JSON, or
-that holds another cell's or method's payload, counts as a miss and is
-recomputed and overwritten.
+reproduce byte-identical output.  A cache file that is not valid JSON,
+that holds another cell's or method's payload, or whose payload is not
+self-consistent (dimension, Betti row against the polynomial, palindromic
+row with ends 1, total against the fixed-point census) counts as a miss and
+is recomputed and overwritten.  `verify --max-n` below 2 and `--jobs` below
+1 are usage errors.
 """
 
 from __future__ import annotations
@@ -48,15 +51,24 @@ def _parse_span(value: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected a..b, got {value!r}") from None
 
 
-def _parse_jobs(value: str) -> int:
-    """A worker count: below 1 is a usage error, above the CPU count is clamped."""
+def _parse_int_at_least(value: str, low: int) -> int:
     try:
-        jobs = int(value)
+        number = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    if number < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {number}")
+    return number
+
+
+def _parse_jobs(value: str) -> int:
+    """A worker count: below 1 is a usage error, above the CPU count is clamped."""
+    return min(_parse_int_at_least(value, 1), os.cpu_count() or 1)
+
+
+def _parse_max_n(value: str) -> int:
+    """A sweep cap: below 2, the smallest ambient dimension, is a usage error."""
+    return _parse_int_at_least(value, 2)
 
 
 def _axis_values(parser: argparse.ArgumentParser, name: str, single: int | None,
@@ -108,7 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="run the self-check suites")
     verify.add_argument("--suite", choices=(*sorted(_SUITES), "all"), required=True)
-    verify.add_argument("--max-n", type=int, default=None, help="cap the ambient dimension of the sweep")
+    verify.add_argument("--max-n", type=_parse_max_n, default=None,
+                        help="cap the ambient dimension of the sweep (at least 2)")
     verify.add_argument("--jobs", type=_parse_jobs, default=1,
                         help="worker processes for the localization sums (at most the CPU count)")
     verify.set_defaults(func=cmd_verify)
@@ -171,17 +184,41 @@ def _cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get(CACHE_ENV) or None
 
 
+def _is_consistent(payload: dict, k: int, n: int, d: int, method: str) -> bool:
+    """Is `payload` a well-formed result for this cell and method?
+
+    It holds the fields `_betti_payload` writes and no others, names this
+    cell and method with the cell's dimension; `betti` is a list of dim+1
+    ints, palindromic with ends 1, summing to the cell's fixed-point census;
+    and `poincare` is the polynomial with those coefficients.
+    """
+    fields = ("k", "n", "d", "method", "dim")
+    dim = localization.moduli_dimension(k, n, d)
+    betti = payload.get("betti")
+    return (
+        [payload.get(key) for key in fields] == [k, n, d, method, dim]
+        and payload.keys() == {*fields, "poincare", "betti"}
+        and isinstance(betti, list)
+        and len(betti) == dim + 1
+        and all(type(b) is int for b in betti)
+        and betti == betti[::-1]
+        and betti[0] == 1
+        and sum(betti) == sum(fixedgraphs.census_formula(k, n, d).values())
+        # QPolynomial.to_json_dict of these coefficients, written out: a warm
+        # sweep checks every hit, and building the polynomial doubles the cost
+        and payload["poincare"] == {"coeffs": [[e, str(c)] for e, c in enumerate(betti) if c]}
+    )
+
+
 def _read_cached(path: str, k: int, n: int, d: int, method: str) -> dict | None:
     """The payload stored at `path`, or None if it is missing, unreadable as
-    JSON, or not a payload of this cell and method."""
+    JSON, or not a consistent payload of this cell and method."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except (FileNotFoundError, ValueError):  # ValueError: truncated or undecodable
         return None
-    if not isinstance(payload, dict):
-        return None
-    if [payload.get(key) for key in ("k", "n", "d", "method")] != [k, n, d, method]:
+    if not isinstance(payload, dict) or not _is_consistent(payload, k, n, d, method):
         return None
     return payload
 
@@ -364,7 +401,7 @@ def _suite_tables(max_n, jobs, lines) -> bool:
     ok = True
     for (k, n), row in _TABLE_ROWS.items():
         loc = localization.poincare_localization(k, n, 3, jobs=jobs).coefficient_list()
-        cf = closedform.poincare_degree3(k, n).coefficient_list()
+        cf = closedform.closed_form_result(k, n, 3).poincare.coefficient_list()
         ok &= _emit(lines, f"tables ({k},{n}) d=3", loc == row == cf,
                     f"loc={loc} closed={cf} expected={row}" if loc != row or cf != row else "")
     return ok

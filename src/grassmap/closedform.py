@@ -155,18 +155,6 @@ def closed_form_result(k: int, n: int, d: int) -> ClosedFormResult:
     raise ValueError(f"no closed form for degree {d} (supported: 1, 2, 3)")
 
 
-def poincare_degree1(k: int, n: int) -> QPolynomial:
-    return degree1_result(k, n).poincare
-
-
-def poincare_degree2(k: int, n: int) -> QPolynomial:
-    return degree2_result(k, n).poincare
-
-
-def poincare_degree3(k: int, n: int) -> QPolynomial:
-    return degree3_result(k, n).poincare
-
-
 # -- degree-2 sub-family forms ---------------------------------------------------
 
 

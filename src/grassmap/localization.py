@@ -31,11 +31,12 @@ than skew a Betti number.
 
 The assembly exists in two forms.  `tangent_weights` builds a
 `WeightMultiset` of `Fraction` weights; it backs the per-fixed-point reports
-(`fixed_point_report`, `grassmap betti --reports`), `embedding_cross_check`
-and the tests.  `tangent_sign_counts` runs the same assembly on weights
-encoded as plain ints (see `weights`), whose signs are the weights' signs,
-and applies the same checks; the localization sum, its worker processes and
-the sub-family sums count with it.
+(`fixed_point_report`, `grassmap betti --reports`) and is the tests' oracle.
+`tangent_sign_counts` runs the same assembly on weights encoded as plain
+ints (see `weights`), whose signs are the weights' signs, and applies the
+same checks; the localization sum, its worker processes and the sub-family
+sums count with it.  `embedding_cross_check` compares int-encoded multisets
+too: the lifted tangent is the same assembly with a lift slot.
 """
 
 from __future__ import annotations
@@ -52,13 +53,13 @@ from .weights import (
     WeightMultiset,
     _domain_tangent_int,
     _edge_h0_ints,
+    _embedding_delta_ints,
     _iter_edge_h0,
     _iter_point_tangent,
     _point_tangent_ints,
     _zero_weight,
     domain_tangent_weight,
     embed_tree,
-    embedding_weight_delta,
 )
 
 
@@ -159,11 +160,12 @@ def fixed_point_report(tree: DecoratedTree) -> FixedPointReport:
     return FixedPointReport(tree=tree, weights=ws, positives=pos, negatives=neg)
 
 
-def _int_tangent(tree: DecoratedTree) -> Counter:
+def _int_tangent(tree: DecoratedTree, m: int | None = None) -> Counter:
     """`tangent_weights` in the integer encoding, as signed multiplicities.
 
     The same assembly, family by family; entries may net to 0 (dropped
-    from a WeightMultiset, kept here) and are checked by the caller.
+    from a WeightMultiset, kept here) and are checked by the caller.  With
+    a lift slot m the result encodes `tangent_weights(tree).insert_index(m)`.
     """
     n = tree.n
     ws: Counter = Counter()
@@ -172,8 +174,8 @@ def _int_tangent(tree: DecoratedTree) -> Counter:
     removed = []
     for edge in tree.edges:
         shared, b_u, b_v = tree.edge_frame(edge)
-        ws.update(_edge_h0_ints(shared, b_u, b_v, edge.deg, n))
-        omega = _domain_tangent_int(n, edge.deg, b_u, b_v)  # at the u end; -omega at v
+        ws.update(_edge_h0_ints(shared, b_u, b_v, edge.deg, n, m))
+        omega = _domain_tangent_int(n, edge.deg, b_u, b_v, m)  # at the u end; -omega at v
         omegas[edge.u].append(omega)
         omegas[edge.v].append(-omega)
         removed.append(0)
@@ -188,11 +190,16 @@ def _int_tangent(tree: DecoratedTree) -> Counter:
         elif v == 3:
             ws.update(omegas[idx])
         if v >= 2:
-            for w in _point_tangent_ints(label, n):
+            for w in _point_tangent_ints(label, n, m):
                 ws[w] -= v - 1
     for w in removed:
         ws[w] -= 1
     return ws
+
+
+def _checked_int_counts(tree: DecoratedTree, ws: Counter) -> tuple[int, int]:
+    """`_checked_sign_counts` over int-encoded weights, whose sign is their own."""
+    return _checked_sign_counts(tree, (((w > 0) - (w < 0), mult, w) for w, mult in ws.items()))
 
 
 def tangent_sign_counts(tree: DecoratedTree) -> tuple[int, int]:
@@ -201,8 +208,7 @@ def tangent_sign_counts(tree: DecoratedTree) -> tuple[int, int]:
     Equal to the sign counts of `tangent_weights(tree)`, computed in the
     integer encoding and held to the same checks.
     """
-    counts = _int_tangent(tree).items()
-    return _checked_sign_counts(tree, (((w > 0) - (w < 0), mult, w) for w, mult in counts))
+    return _checked_int_counts(tree, _int_tangent(tree))
 
 
 def _chunk_positive_counts(trees: Iterable[DecoratedTree]) -> Counter:
@@ -213,6 +219,11 @@ def _chunk_positive_counts(trees: Iterable[DecoratedTree]) -> Counter:
 
 
 _poincare_cache: dict[tuple[int, int, int], QPolynomial] = {}
+
+
+def clear_poincare_cache() -> None:
+    """Forget every memoized `poincare_localization` result."""
+    _poincare_cache.clear()
 
 
 def poincare_localization(k: int, n: int, d: int, jobs: int = 1) -> QPolynomial:
@@ -319,8 +330,19 @@ def embedding_cross_check(tree: DecoratedTree, m: int, mode) -> bool:
 
     The direct computation on the embedded tree and the base-plus-delta
     route must agree as multisets; this is the strongest internal check the
-    weight calculus has, exercising every family jointly.
+    weight calculus has, exercising every family jointly.  Both routes run
+    in the integer encoding: the lift is `_int_tangent(tree, m)` and the
+    surplus the int form of `weights.embedding_weight_delta`.  Both
+    tangents pass the checks of `tangent_sign_counts`, and a negative
+    surplus raises WeightConsistencyError.
     """
-    direct = tangent_weights(embed_tree(tree, m, mode))
-    lifted = tangent_weights(tree).insert_index(m)
-    return direct == lifted.merged(embedding_weight_delta(tree, m, mode))
+    embedded = embed_tree(tree, m, mode)
+    direct = _int_tangent(embedded)
+    _checked_int_counts(embedded, direct)
+    lifted = _int_tangent(tree, m)
+    _checked_int_counts(tree, lifted)
+    surplus = _embedding_delta_ints(tree, m, mode)
+    if any(mult < 0 for mult in surplus.values()):
+        raise WeightConsistencyError(f"embedding surplus went negative for m={m}, mode={mode}")
+    lifted.update(surplus)
+    return direct == lifted  # a Counter compares missing entries as 0

@@ -24,23 +24,26 @@ a multiset of size k(n-k) + d*n containing exactly one zero (c = 0 in (d),
 later cancelled by the reparametrization algebra of the edge).
 
 Each family exists twice.  `TorusWeight` and `WeightMultiset` hold weights
-with `Fraction` coefficients; that form serves the per-fixed-point reports,
-the embedding cross-check and the tests.  The localization sum only needs
-signs, so it uses the integer form: substituting a_i -> 6 * 32^(i-1) turns a
+with `Fraction` coefficients; that form serves the per-fixed-point reports
+and is the tests' oracle.  The localization sum and the embedding
+cross-check use the integer form: substituting a_i -> 6 * 32^(i-1) turns a
 weight into one int.  Scaling by 6 clears every denominator, every scaled
 coefficient lies in [-12, 12], and base 32 > 24 keeps the encoding injective
 with the int's sign equal to the weight's sign (`TorusWeight.encoded`).
+Given a lift slot m, the integer families encode their weights lifted into
+n+1 characters, as `TorusWeight.insert_index(m)` would.
 
 The module also provides the weight bookkeeping for the two coordinate
 inclusions that push a fixed map into a larger Grassmannian: mode "iota"
 adjoins a new ambient coordinate (labels unchanged), mode "kappa" adjoins
 the new coordinate to the ambient space *and* to every label.  Both modes
 change the tangent weight multiset by a pure surplus (no cancellations),
-which `embedding_weight_delta` computes directly.
+which `embedding_weight_delta` computes directly, in both forms.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal
@@ -436,30 +439,42 @@ def edge_h0_weights(
 
 # -- integer families -----------------------------------------------------------
 # The weights of _iter_point_tangent, _iter_edge_h0 and domain_tangent_weight,
-# encoded as in TorusWeight.encoded but built from ints alone.  The encoding
-# is linear, and each division is exact because every encoded character is a
-# multiple of 6.
+# encoded as in TorusWeight.encoded but built from ints alone, optionally
+# lifted to slot m.  The encoding is linear, and each division is exact
+# because every encoded character is a multiple of 6.
 
 
 @cache
-def _characters(n: int) -> tuple[int, ...]:
-    """Encoded a_1..a_n at indices 1..n (index 0 unused)."""
-    return (0, *(WEIGHT_SCALE * WEIGHT_BASE**i for i in range(n)))
+def _characters(n: int, m: int | None = None) -> tuple[int, ...]:
+    """Encoded a_1..a_n at indices 1..n (index 0 unused).
+
+    With a lift slot m, a_i is read as a_{shift(i, m)} of the n+1 characters,
+    so every family below encodes `TorusWeight.insert_index(m)` of its weights.
+    """
+    if m is None:
+        return (0, *(WEIGHT_SCALE * WEIGHT_BASE**i for i in range(n)))
+    up = _characters(n + 1)
+    return (0, *(up[_shift(i, m)] for i in range(1, n + 1)))
 
 
 @cache
-def _point_tangent_ints(point: tuple[int, ...], n: int) -> tuple[int, ...]:
-    p = _characters(n)
+def _point_tangent_ints(point: tuple[int, ...], n: int, m: int | None = None) -> tuple[int, ...]:
+    p = _characters(n, m)
     return tuple(p[b] - p[a] for a in point for b in range(1, n + 1) if b not in point)
+
+
+def _covers(p: tuple[int, ...], b_u: int, b_v: int, deg: int) -> list[int]:
+    """(s/deg) a_{b_u} + ((deg-s)/deg) a_{b_v} for s = 0..deg, in table p."""
+    return [(s * p[b_u] + (deg - s) * p[b_v]) // deg for s in range(deg + 1)]
 
 
 @cache
 def _edge_h0_ints(
-    shared: tuple[int, ...], b_u: int, b_v: int, deg: int, n: int
+    shared: tuple[int, ...], b_u: int, b_v: int, deg: int, n: int, m: int | None = None
 ) -> tuple[int, ...]:
-    p = _characters(n)
+    p = _characters(n, m)
     outside = [r for r in range(1, n + 1) if r != b_u and r != b_v and r not in shared]
-    covers = [(s * p[b_u] + (deg - s) * p[b_v]) // deg for s in range(deg + 1)]
+    covers = _covers(p, b_u, b_v, deg)
     line = p[b_v] - p[b_u]
     return (
         *(p[r] - p[a] for a in shared for r in outside),
@@ -469,8 +484,8 @@ def _edge_h0_ints(
     )
 
 
-def _domain_tangent_int(n: int, deg: int, b_here: int, b_there: int) -> int:
-    p = _characters(n)
+def _domain_tangent_int(n: int, deg: int, b_here: int, b_there: int, m: int | None = None) -> int:
+    p = _characters(n, m)
     return (p[b_there] - p[b_here]) // deg
 
 
@@ -556,4 +571,42 @@ def embedding_weight_delta(tree: "DecoratedTree", m: int, mode: EmbedMode) -> We
         raise WeightConsistencyError(
             f"embedding surplus went negative for m={m}, mode={mode}"
         )
+    return delta
+
+
+def _embedding_delta_ints(tree: "DecoratedTree", m: int, mode: EmbedMode) -> Counter:
+    """`embedding_weight_delta` in the integer encoding, as signed multiplicities.
+
+    The same families in the same order; `m` and `mode` are taken as valid
+    (`embed_tree` checks them), and the caller checks that no multiplicity
+    is negative.
+    """
+    n1 = tree.n + 1
+    p = _characters(n1)
+    new = p[m]
+    delta: Counter = Counter()
+    for edge in tree.edges:
+        shared, b_u, b_v = tree.edge_frame(edge)
+        su = _shift(b_u, m)
+        sv = _shift(b_v, m)
+        covers = _covers(p, su, sv, edge.deg)
+        if mode == "iota":
+            delta.update(new - p[_shift(a, m)] for a in shared)
+            delta.update(new - c for c in covers)
+        else:
+            label_union = {m, su, sv, *(_shift(a, m) for a in shared)}
+            delta.update(p[r] - new for r in range(1, n1 + 1) if r not in label_union)
+            delta.update(c - new for c in covers)
+    valences = tree.valences()
+    for idx, label in enumerate(tree.vertices):
+        v = valences[idx]
+        if v < 2:
+            continue
+        shifted = {_shift(i, m) for i in label}
+        if mode == "iota":
+            removed = (new - p[a] for a in shifted)
+        else:
+            removed = (p[b] - new for b in range(1, n1 + 1) if b != m and b not in shifted)
+        for w in removed:
+            delta[w] -= v - 1
     return delta

@@ -11,9 +11,7 @@ import time
 from contextlib import contextmanager
 
 from grassmap.closedform import (
-    poincare_degree1,
-    poincare_degree2,
-    poincare_degree3,
+    closed_form_result,
     repeated_leaf_family_closed_form,
     triangle_family_closed_form,
     triangle_family_index_sum,
@@ -26,7 +24,7 @@ from grassmap.fixedgraphs import (
     enumerate_fixed_graphs,
 )
 from grassmap.localization import (
-    _poincare_cache,
+    clear_poincare_cache,
     embedding_cross_check,
     fixed_point_report,
     moduli_dimension,
@@ -63,12 +61,12 @@ def cells(n_max, degrees):
 def test_criterion_1_published_betti_tables():
     with criterion("1 published-betti-tables"):
         for (k, n), row in PUBLISHED_ROWS.items():
-            _poincare_cache.pop((k, n, 3), None)
+            clear_poincare_cache()
             start = time.monotonic()
             via_fixed_points = poincare_localization(k, n, 3)
             loc_elapsed = time.monotonic() - start
             start = time.monotonic()
-            via_closed_form = poincare_degree3(k, n)
+            via_closed_form = closed_form_result(k, n, 3).poincare
             closed_elapsed = time.monotonic() - start
             assert via_fixed_points.coefficient_list() == row, (k, n)
             assert via_closed_form.coefficient_list() == row, (k, n)
@@ -80,7 +78,7 @@ def test_criterion_2_master_equivalence():
     with criterion("2 localization-equals-closed-form"):
         start = time.monotonic()
         for k, n, d in SWEEP:
-            closed = poincare_degree2(k, n) if d == 2 else poincare_degree3(k, n)
+            closed = closed_form_result(k, n, d).poincare
             assert poincare_localization(k, n, d) == closed, (k, n, d)
         elapsed = time.monotonic() - start
         assert elapsed < 300.0, elapsed
@@ -178,9 +176,9 @@ def brute_force_flag_poincare(k, n):
 
 def test_criterion_9_degree_one_flag():
     with criterion("9 degree-1-flag-variety"):
-        assert poincare_degree1(2, 4) == brute_force_flag_poincare(2, 4)
+        assert closed_form_result(2, 4, 1).poincare == brute_force_flag_poincare(2, 4)
         for n in range(2, 7):
             for k in range(1, n):
-                flag = poincare_degree1(k, n)
+                flag = closed_form_result(k, n, 1).poincare
                 assert flag == brute_force_flag_poincare(k, n), (k, n)
                 assert poincare_localization(k, n, 1) == flag, (k, n)

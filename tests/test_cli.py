@@ -77,15 +77,16 @@ class TestBetti:
         assert doc["reports"][0]["tree"]["vertices"] == [[1], [2]]
 
     def test_jobs_flag(self, capsys):
-        from grassmap.closedform import poincare_degree2
-        from grassmap.localization import _poincare_cache
+        from grassmap.closedform import closed_form_result
+        from grassmap.localization import clear_poincare_cache
 
-        _poincare_cache.pop((1, 4, 2), None)  # force a fresh parallel run
+        clear_poincare_cache()  # force a fresh parallel run
         code, out, _ = run(
             capsys, "betti", "-k", "1", "-n", "4", "-d", "2", "--jobs", "2", "--format", "csv"
         )
         assert code == 0
-        expected = ",".join(str(c) for c in poincare_degree2(1, 4).coefficient_list())
+        poly = closed_form_result(1, 4, 2).poincare
+        expected = ",".join(str(c) for c in poly.coefficient_list())
         assert out.strip() == expected
 
     @pytest.mark.parametrize("command", [["betti", "-k", "1", "-n", "2", "-d", "1"],
@@ -157,6 +158,38 @@ class TestCache:
         assert code == 0 and warm == cold
         assert entry.read_bytes() == good
 
+    @pytest.mark.parametrize(
+        "field,change,row",
+        [
+            ("dim", {"dim": 6}, None),
+            ("length", {"betti": [1, 3, 4, 3, 1]}, [1, 3, 4, 3, 1]),
+            ("betti-vs-poincare", {}, [1, 3, 2, 2, 3, 1]),
+            ("palindrome", {"betti": [1, 3, 2, 3, 2, 1]}, [1, 3, 2, 3, 2, 1]),
+            ("ends", {"betti": [2, 2, 2, 2, 2, 2]}, [2, 2, 2, 2, 2, 2]),
+            ("census-total", {"betti": [1, 2, 4, 4, 2, 1]}, [1, 2, 4, 4, 2, 1]),
+            ("extra-field", {"reports": []}, None),
+            ("betti-not-ints", {"betti": [1, 2.0, 3, 3, 2.0, 1]}, None),
+            ("betti-null", {"betti": None}, None),
+        ],
+    )
+    def test_inconsistent_cache_entry_is_recomputed(self, capsys, tmp_path, field, change, row):
+        # (1,3,2) has dim 5 and betti 1,2,3,3,2,1 over 12 fixed trees; each
+        # change breaks one requirement and keeps the others; `row`, if
+        # given, is the coefficient row the stored polynomial is set to
+        argv = ["betti", "-k", "1", "-n", "3", "-d", "2", "--format", "json",
+                "--cache-dir", str(tmp_path)]
+        _, cold, _ = run(capsys, *argv)
+        entry = tmp_path / "1-3-2-localization.json"
+        good = entry.read_bytes()
+        bad = json.loads(good)
+        bad.update(change)
+        if row is not None:
+            bad["poincare"] = {"coeffs": [[e, str(c)] for e, c in enumerate(row)]}
+        entry.write_text(json.dumps(bad))
+        code, warm, _ = run(capsys, *argv)
+        assert code == 0 and warm == cold
+        assert entry.read_bytes() == good
+
 
 class TestGraphs:
     def test_count_text(self, capsys):
@@ -208,6 +241,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "families", "--max-n", "4")
         assert code == 0
         assert "INFO" in out
+
+    @pytest.mark.parametrize("max_n", ["0", "-3", "x"])
+    def test_bad_max_n_is_usage_error(self, capsys, max_n):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "census", "--max-n", max_n])
+        assert exc.value.code == 2
+        assert "--max-n" in capsys.readouterr().err
 
     def test_theorems_suite_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "theorems", "--max-n", "4")

@@ -7,9 +7,6 @@ from grassmap.closedform import (
     _D3_SPLIT,
     ClosedFormResult,
     closed_form_result,
-    poincare_degree1,
-    poincare_degree2,
-    poincare_degree3,
     poincare_grassmannian,
     repeated_leaf_family_closed_form,
     triangle_family_closed_form,
@@ -42,7 +39,7 @@ class TestNumeratorBlocks:
 
 class TestClosedForms:
     def test_degree2_projective_line(self):
-        assert poincare_degree2(1, 2) == QPolynomial({0: 1, 1: 1, 2: 1})
+        assert closed_form_result(1, 2, 2).poincare == QPolynomial({0: 1, 1: 1, 2: 1})
 
     @pytest.mark.parametrize(
         "k,n,row",
@@ -53,20 +50,20 @@ class TestClosedForms:
         ],
     )
     def test_degree3_published_rows(self, k, n, row):
-        assert poincare_degree3(k, n).coefficient_list() == row
+        assert closed_form_result(k, n, 3).poincare.coefficient_list() == row
 
     def test_structural_properties(self):
-        for d, fn in ((2, poincare_degree2), (3, poincare_degree3)):
+        for d in (2, 3):
             for n in range(2, 6):
                 for k in range(1, n):
-                    p = fn(k, n)
+                    p = closed_form_result(k, n, d).poincare
                     dim = moduli_dimension(k, n, d)
                     assert p.degree == dim
                     assert reverse(p, dim) == p
-                    assert p == fn(n - k, n)
+                    assert p == closed_form_result(n - k, n, d).poincare
 
     def test_degree1_is_flag_product(self):
-        assert poincare_degree1(2, 4) == qbinomial(4, 1) * qbinomial(3, 2)
+        assert closed_form_result(2, 4, 1).poincare == qbinomial(4, 1) * qbinomial(3, 2)
 
     def test_result_records_the_division(self):
         res = closed_form_result(1, 3, 2)
@@ -78,13 +75,13 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             closed_form_result(1, 3, 4)
         with pytest.raises(ValueError):
-            poincare_degree2(2, 2)
+            closed_form_result(2, 2, 2)
 
     def test_matches_localization_small(self):
         for n in range(2, 6):
             for k in range(1, n):
-                assert poincare_degree2(k, n) == poincare_localization(k, n, 2)
-                assert poincare_degree3(k, n) == poincare_localization(k, n, 3)
+                assert closed_form_result(k, n, 2).poincare == poincare_localization(k, n, 2)
+                assert closed_form_result(k, n, 3).poincare == poincare_localization(k, n, 3)
 
 
 class TestTriangleFamily:

@@ -4,9 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 import grassmap.localization as loc
+import grassmap.weights as weights
 from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs
 from grassmap.localization import (
     FAMILIES,
+    clear_poincare_cache,
     embedding_cross_check,
     fixed_point_report,
     moduli_dimension,
@@ -16,7 +18,13 @@ from grassmap.localization import (
     tangent_weights,
 )
 from grassmap.qpoly import QPolynomial, qbinomial, reverse
-from grassmap.weights import TorusWeight, WeightConsistencyError, WeightMultiset
+from grassmap.weights import (
+    TorusWeight,
+    WeightConsistencyError,
+    WeightMultiset,
+    embed_tree,
+    embedding_weight_delta,
+)
 
 SMALL_CELLS = [(k, n, d) for n in range(2, 6) for k in range(1, n) for d in (1, 2, 3)]
 
@@ -110,6 +118,8 @@ class TestIntegerTangent:
             tangent_sign_counts(t)
         with pytest.raises(WeightConsistencyError, match=message):
             stratum_family_contribution(2, 4, "G23_triangle")
+        with pytest.raises(WeightConsistencyError, match=message):
+            embedding_cross_check(t, 1, "iota")
 
 
 class TestPoincare:
@@ -141,9 +151,7 @@ class TestPoincare:
 
     def test_jobs_do_not_change_the_answer(self):
         serial = poincare_localization(1, 4, 2)
-        import grassmap.localization as loc
-
-        loc._poincare_cache.pop((1, 4, 2), None)
+        clear_poincare_cache()
         assert poincare_localization(1, 4, 2, jobs=2) == serial
 
 
@@ -211,3 +219,84 @@ class TestEmbeddingConsistency:
                 for m in range(1, n + 2):
                     for mode in ("iota", "kappa"):
                         assert embedding_cross_check(t, m, mode), (k, n, d, m, mode)
+
+
+def encoded(multiset):
+    return {w.encoded(): mult for w, mult in multiset.items()}
+
+
+def nonzero(counts):
+    return {w: mult for w, mult in counts.items() if mult}
+
+
+@pytest.fixture
+def fresh_int_families():
+    """Empty the memoized int families before and after a test that patches them."""
+    memos = (weights._point_tangent_ints, weights._edge_h0_ints)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+class TestIntegerEmbedding:
+    """The integer embedding cross-check against the Fraction route as oracle."""
+
+    def test_matches_fraction_oracle(self):
+        for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
+            for t in enumerate_fixed_graphs(k, n, d):
+                base = tangent_weights(t)
+                for m in range(1, n + 2):
+                    lifted = base.insert_index(m)
+                    fast_lift = loc._int_tangent(t, m)
+                    assert nonzero(fast_lift) == encoded(lifted), (t, m)
+                    for mode in ("iota", "kappa"):
+                        delta = embedding_weight_delta(t, m, mode)
+                        fast_delta = weights._embedding_delta_ints(t, m, mode)
+                        assert nonzero(fast_delta) == encoded(delta), (t, m, mode)
+                        direct = tangent_weights(embed_tree(t, m, mode))
+                        verdict = direct == lifted.merged(delta)
+                        assert embedding_cross_check(t, m, mode) == verdict, (t, m, mode)
+
+    def test_negative_surplus_raises(self, monkeypatch):
+        orig = loc._embedding_delta_ints
+
+        def overdrawn(*args):
+            surplus = orig(*args)
+            surplus.subtract({w: mult + 1 for w, mult in surplus.items()})
+            return surplus
+
+        monkeypatch.setattr(loc, "_embedding_delta_ints", overdrawn)
+        t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
+        for mode in ("iota", "kappa"):
+            with pytest.raises(WeightConsistencyError, match="surplus went negative"):
+                embedding_cross_check(t, 2, mode)
+
+    @pytest.mark.parametrize("side", ["direct", "lifted"])
+    def test_each_tangent_is_checked(self, monkeypatch, side):
+        orig = loc._int_tangent
+
+        def stray_zero(t, m=None):
+            ws = orig(t, m)
+            if (m is None) == (side == "direct"):
+                ws[0] += 1
+            return ws
+
+        monkeypatch.setattr(loc, "_int_tangent", stray_zero)
+        t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
+        with pytest.raises(WeightConsistencyError, match="zero weight survived"):
+            embedding_cross_check(t, 2, "kappa")
+
+    def test_wrong_lift_table_fails_the_check(self, monkeypatch, fresh_int_families):
+        orig = weights._characters
+
+        def last_slot_lift(n, m=None):
+            # every lift puts the new character last, whatever m asks for
+            return orig(n) if m is None else orig(n + 1)[: n + 1]
+
+        monkeypatch.setattr(weights, "_characters", last_slot_lift)
+        t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
+        for mode in ("iota", "kappa"):
+            assert not embedding_cross_check(t, 1, mode)
+            assert embedding_cross_check(t, 4, mode)  # the one slot this lift gets right
