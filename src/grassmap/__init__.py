@@ -10,7 +10,7 @@ space of degree-d (d <= 3) genus-0 stable maps to G(k, n):
 
 Both produce exact integer polynomials in q (`qpoly`), with coefficient
 of q^i the 2i-th Betti number.  The `grassmap` command line front-end
-lives in `cli`.
+lives in `cli`, and the self-check suites it runs in `checks`.
 """
 
 from .qpoly import (

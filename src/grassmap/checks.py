@@ -1,0 +1,132 @@
+"""The self-check suites, defined once for `grassmap verify` and the acceptance tests.
+
+Each suite is a generator `suite(max_n, jobs)` yielding one `(label, ok,
+detail)` per check.  `ok` is True or False, or None for an informational line
+that does not count toward the verdict; `detail` says what went wrong and is
+empty on a pass.  `max_n` caps the ambient dimension (None: the suite's own
+default cap) and `jobs` is the worker count for the localization sums.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from . import closedform, fixedgraphs, localization, qpoly
+
+Checks = Iterator[tuple[str, bool | None, str]]
+
+# Degree-3 Betti rows of the published tables, keyed by (k, n).
+PUBLISHED_ROWS = {
+    (1, 3): [1, 2, 5, 7, 9, 7, 5, 2, 1],
+    (1, 4): [1, 2, 6, 10, 17, 20, 24, 20, 17, 10, 6, 2, 1],
+    (2, 4): [1, 3, 10, 22, 41, 60, 73, 73, 60, 41, 22, 10, 3, 1],
+}
+
+# The standard sweep of (k, n, d): d=2 up to n<=7, then d=3 up to n<=6.
+SWEEP = [(k, n, d) for d, n_cap in ((2, 7), (3, 6)) for n in range(2, n_cap + 1) for k in range(1, n)]
+
+
+def _sweep(max_n: int | None) -> list[tuple[int, int, int]]:
+    return [(k, n, d) for k, n, d in SWEEP if not max_n or n <= max_n]
+
+
+def _all_degrees(cap: int) -> list[tuple[int, int, int]]:
+    """Every cell with n <= cap and d = 1..3, by n, then k, then d."""
+    return [(k, n, d) for n in range(2, cap + 1) for k in range(1, n) for d in (1, 2, 3)]
+
+
+def identities(max_n: int | None, jobs: int) -> Checks:
+    """The Gaussian-binomial identities to n<=12 and the crossing statistic to a+b<=10."""
+    for check in qpoly.verify_qbinomial_identities(max_n or 12):
+        yield f"identities {check.name} ({check.cases} cases)", check.passed, check.first_failure or ""
+    cap = max_n or 10
+    bad = [(a, b) for a in range(cap + 1) for b in range(cap + 1 - a)
+           if qpoly.partition_sum(a, b) != qpoly.qbinomial(a + b, a)]
+    yield f"identities partition-sum (a+b<={cap})", not bad, str(bad[:3]) if bad else ""
+
+
+def tables(max_n: int | None, jobs: int) -> Checks:
+    """Both routes reproduce every published row (`max_n` is ignored)."""
+    for (k, n), row in PUBLISHED_ROWS.items():
+        loc = localization.poincare_localization(k, n, 3, jobs=jobs).coefficient_list()
+        cf = closedform.closed_form_result(k, n, 3).poincare.coefficient_list()
+        ok = loc == row == cf
+        yield f"tables ({k},{n}) d=3", ok, "" if ok else f"loc={loc} closed={cf} expected={row}"
+
+
+def census(max_n: int | None, jobs: int) -> Checks:
+    """Enumerated trees per shape equal the census formula, n<=7 and d=1..3."""
+    for k, n, d in _all_degrees(max_n or 7):
+        got = fixedgraphs.count_by_shape(k, n, d)
+        want = fixedgraphs.census_formula(k, n, d)
+        yield f"census ({k},{n}) d={d}", got == want, "" if got == want else f"got={got} want={want}"
+
+
+def duality(max_n: int | None, jobs: int) -> Checks:
+    """Over the sweep, P has degree dim, is palindromic with ends 1, and P(1)
+    counts the fixed trees, both as enumerated and by the census formula."""
+    for k, n, d in _sweep(max_n):
+        p = localization.poincare_localization(k, n, d, jobs=jobs)
+        dim = localization.moduli_dimension(k, n, d)
+        trees = len(fixedgraphs.enumerate_fixed_graphs(k, n, d))
+        ok = (
+            p.degree == dim
+            and qpoly.reverse(p, dim) == p
+            and p.coefficient(0) == p.coefficient(dim) == 1
+            and p(1) == trees == sum(fixedgraphs.census_formula(k, n, d).values())
+        )
+        yield f"duality ({k},{n}) d={d}", ok, "" if ok else f"P={p} dim={dim} trees={trees}"
+
+
+def symmetry(max_n: int | None, jobs: int) -> Checks:
+    """Over the sweep, G(k,n) and G(n-k,n) give the same polynomial."""
+    for k, n, d in _sweep(max_n):
+        if 2 * k <= n:
+            ok = localization.poincare_localization(k, n, d, jobs=jobs) == \
+                localization.poincare_localization(n - k, n, d, jobs=jobs)
+            yield f"symmetry ({k},{n})<->({n-k},{n}) d={d}", ok, ""
+
+
+def embeddings(max_n: int | None, jobs: int) -> Checks:
+    """Every fixed tree with n<=5, d=1..3, embedded into every m<=n+1 both ways,
+    changes its tangent weights by exactly the predicted delta."""
+    for k, n, d in _all_degrees(max_n or 5):
+        cases = failures = 0
+        for tree in fixedgraphs.enumerate_fixed_graphs(k, n, d):
+            for m in range(1, n + 2):
+                for mode in ("iota", "kappa"):
+                    cases += 1
+                    if not localization.embedding_cross_check(tree, m, mode):
+                        failures += 1
+        ok = cases > 0 and failures == 0
+        yield f"embeddings ({k},{n}) d={d}", ok, "" if ok else f"{failures} failures in {cases} cases"
+
+
+def theorems(max_n: int | None, jobs: int) -> Checks:
+    """Over the sweep, localization equals the closed form."""
+    for k, n, d in _sweep(max_n):
+        loc = localization.poincare_localization(k, n, d, jobs=jobs)
+        yield f"theorems ({k},{n}) d={d}", loc == closedform.closed_form_result(k, n, d).poincare, ""
+
+
+def families(max_n: int | None, jobs: int) -> Checks:
+    """The degree-2 triangle family, n<=6, by index sum, closed form and
+    localization.  The repeated-leaf family is compared too, but only as
+    information (ok None): its family predicate rests on a resolved ambiguity."""
+    cap = max_n or 6
+    for n in range(3, cap + 1):
+        for k in range(2, n):
+            idx = closedform.triangle_family_index_sum(k, n)
+            cf = closedform.triangle_family_closed_form(k, n)
+            loc = localization.stratum_family_contribution(k, n, "G23_triangle")
+            yield f"families triangle ({k},{n})", idx == cf == loc, ""
+    for n in range(2, cap + 1):
+        for k in range(1, n):
+            loc = localization.stratum_family_contribution(k, n, "G12_repeated")
+            cf = closedform.repeated_leaf_family_closed_form(k, n)
+            verdict, detail = ("matches", "") if loc == cf else ("DIFFERS from", f"{loc} vs {cf}")
+            yield f"families repeated-leaf ({k},{n}) {verdict} closed form", None, detail
+
+
+SUITES = {suite.__name__: suite for suite in
+          (identities, tables, census, duality, symmetry, embeddings, theorems, families)}

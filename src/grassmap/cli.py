@@ -9,7 +9,9 @@ Three subcommands:
            in full or as a census by shape and minimal stratum;
   verify   the self-check suites (identity sweeps, published tables,
            palindromicity, complement symmetry, embedding consistency,
-           route equivalence, sub-family identities).
+           route equivalence, sub-family identities), defined in
+           `grassmap.checks`, which the acceptance tests assert too; this
+           module only renders their results.
 
 Exit codes: 0 success; 1 a mathematical disagreement or failed check;
 2 bad usage (including degrees above 3).
@@ -34,7 +36,7 @@ import sys
 import tempfile
 from typing import Sequence
 
-from . import closedform, fixedgraphs, localization, qpoly
+from . import checks, closedform, fixedgraphs, localization, qpoly
 from .fixedgraphs import UnsupportedDegreeError
 from .qpoly import QPolynomial
 from .weights import WeightConsistencyError
@@ -119,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     graphs.set_defaults(func=cmd_graphs)
 
     verify = subs.add_parser("verify", help="run the self-check suites")
-    verify.add_argument("--suite", choices=(*sorted(_SUITES), "all"), required=True)
+    verify.add_argument("--suite", choices=(*sorted(checks.SUITES), "all"), required=True)
     verify.add_argument("--max-n", type=_parse_max_n, default=None,
                         help="cap the ambient dimension of the sweep (at least 2)")
     verify.add_argument("--jobs", type=_parse_jobs, default=1,
@@ -133,10 +135,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except UnsupportedDegreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UnsupportedDegreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (closedform.TheoremViolationError, WeightConsistencyError, qpoly.DivisibilityError) as exc:
@@ -244,13 +243,20 @@ def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str, jobs: i
     return payload
 
 
-def _render_payloads(payloads: list[dict], fmt: str, out) -> None:
+def _tree_text(tree: dict, gap: str) -> str:
+    """A tree's JSON dict as `(labels) ...` and `[u-v:deg ...]`, joined by `gap`."""
+    labels = " ".join("(" + ",".join(map(str, lab)) + ")" for lab in tree["vertices"])
+    edges = " ".join(f"{e['u']}-{e['v']}:{e['deg']}" for e in tree["edges"])
+    return f"{labels}{gap}[{edges}]"
+
+
+def _render_payloads(payloads: list[dict], fmt: str) -> None:
     if fmt == "json":
         doc = payloads[0] if len(payloads) == 1 else payloads
-        print(json.dumps(doc, indent=2), file=out)
+        print(json.dumps(doc, indent=2))
     elif fmt == "csv":
         for p in payloads:
-            print(",".join(str(b) for b in p["betti"]), file=out)
+            print(",".join(str(b) for b in p["betti"]))
     else:
         for p in payloads:
             poly = QPolynomial.from_json_dict(p["poincare"])
@@ -258,10 +264,7 @@ def _render_payloads(payloads: list[dict], fmt: str, out) -> None:
             print(f"  P(q) = {poly}")
             print(f"  betti: {','.join(str(b) for b in p['betti'])}")
             for report in p.get("reports", ()):
-                tree = report["tree"]
-                labels = " ".join("(" + ",".join(map(str, lab)) + ")" for lab in tree["vertices"])
-                edges = " ".join(f"{e['u']}-{e['v']}:{e['deg']}" for e in tree["edges"])
-                print(f"  fixed point {labels} [{edges}]  "
+                print(f"  fixed point {_tree_text(report['tree'], ' ')}  "
                       f"+{report['positives']}/-{report['negatives']}")
                 for vec in report["weights"]:
                     print(f"    ({', '.join(vec)})")
@@ -293,7 +296,7 @@ def cmd_betti(args, parser) -> int:
             a, b = (per_method[m]["poincare"] for m in methods)
             if a != b:
                 disagreements.append(f"k={k} n={n} d={d}")
-    _render_payloads(payloads, args.format, sys.stdout)
+    _render_payloads(payloads, args.format)
     if disagreements:
         for cell in disagreements:
             print(f"route disagreement at {cell}", file=sys.stderr)
@@ -350,168 +353,22 @@ def cmd_graphs(args, parser) -> int:
         print(json.dumps(docs, indent=2))
     else:
         for t in docs:
-            labels = " ".join("(" + ",".join(map(str, lab)) + ")" for lab in t["vertices"])
-            edges = " ".join(f"{e['u']}-{e['v']}:{e['deg']}" for e in t["edges"])
-            print(f"k={t['k']} n={t['n']} d={t['d']}  {labels}  [{edges}]")
+            print(f"k={t['k']} n={t['n']} d={t['d']}  {_tree_text(t, '  ')}")
     return 0
 
 
 # -- verify ---------------------------------------------------------------------
 
 
-def _emit(lines: list[str], label: str, ok: bool, detail: str = "") -> bool:
-    lines.append(f"{'PASS' if ok else 'FAIL'}  {label}{('  ' + detail) if detail else ''}")
-    return ok
-
-
-def _sweep_cells(max_n: int | None):
-    """The standard verification sweep: d=2 to n<=7, d=3 to n<=6."""
-    for d, n_cap in ((2, 7), (3, 6)):
-        cap = min(n_cap, max_n) if max_n else n_cap
-        for n in range(2, cap + 1):
-            for k in range(1, n):
-                yield k, n, d
-
-
-def _suite_identities(max_n, jobs, lines) -> bool:
-    ok = True
-    for check in qpoly.verify_qbinomial_identities(max_n or 12):
-        ok &= _emit(lines, f"identities {check.name} ({check.cases} cases)",
-                    check.passed, check.first_failure or "")
-    cap = max_n or 10
-    bad = [
-        (a, b)
-        for a in range(cap + 1)
-        for b in range(cap + 1 - a)
-        if qpoly.partition_sum(a, b) != qpoly.qbinomial(a + b, a)
-    ]
-    ok &= _emit(lines, f"identities partition-sum (a+b<={cap})", not bad,
-                "" if not bad else str(bad[:3]))
-    return ok
-
-
-_TABLE_ROWS = {
-    (1, 3): [1, 2, 5, 7, 9, 7, 5, 2, 1],
-    (1, 4): [1, 2, 6, 10, 17, 20, 24, 20, 17, 10, 6, 2, 1],
-    (2, 4): [1, 3, 10, 22, 41, 60, 73, 73, 60, 41, 22, 10, 3, 1],
-}
-
-
-def _suite_tables(max_n, jobs, lines) -> bool:
-    ok = True
-    for (k, n), row in _TABLE_ROWS.items():
-        loc = localization.poincare_localization(k, n, 3, jobs=jobs).coefficient_list()
-        cf = closedform.closed_form_result(k, n, 3).poincare.coefficient_list()
-        ok &= _emit(lines, f"tables ({k},{n}) d=3", loc == row == cf,
-                    f"loc={loc} closed={cf} expected={row}" if loc != row or cf != row else "")
-    return ok
-
-
-def _suite_census(max_n, jobs, lines) -> bool:
-    ok = True
-    cap = max_n or 7
-    for n in range(2, cap + 1):
-        for k in range(1, n):
-            for d in (1, 2, 3):
-                got = fixedgraphs.count_by_shape(k, n, d)
-                want = fixedgraphs.census_formula(k, n, d)
-                ok &= _emit(lines, f"census ({k},{n}) d={d}", got == want,
-                            "" if got == want else f"got={got} want={want}")
-    return ok
-
-
-def _suite_duality(max_n, jobs, lines) -> bool:
-    ok = True
-    for k, n, d in _sweep_cells(max_n):
-        p = localization.poincare_localization(k, n, d, jobs=jobs)
-        dim = localization.moduli_dimension(k, n, d)
-        total = sum(fixedgraphs.census_formula(k, n, d).values())
-        good = (
-            qpoly.reverse(p, dim) == p
-            and p.coefficient(0) == 1
-            and p.coefficient(dim) == 1
-            and p(1) == total
-        )
-        ok &= _emit(lines, f"duality ({k},{n}) d={d}", good)
-    return ok
-
-
-def _suite_symmetry(max_n, jobs, lines) -> bool:
-    ok = True
-    for k, n, d in _sweep_cells(max_n):
-        if k > n - k:
-            continue
-        good = localization.poincare_localization(k, n, d, jobs=jobs) == \
-            localization.poincare_localization(n - k, n, d, jobs=jobs)
-        ok &= _emit(lines, f"symmetry ({k},{n})<->({n-k},{n}) d={d}", good)
-    return ok
-
-
-def _suite_embeddings(max_n, jobs, lines) -> bool:
-    ok = True
-    cap = max_n or 5
-    for n in range(2, cap + 1):
-        for k in range(1, n):
-            for d in (1, 2, 3):
-                bad = 0
-                for tree in fixedgraphs.enumerate_fixed_graphs(k, n, d):
-                    for m in range(1, n + 2):
-                        for mode in ("iota", "kappa"):
-                            if not localization.embedding_cross_check(tree, m, mode):
-                                bad += 1
-                ok &= _emit(lines, f"embeddings ({k},{n}) d={d}", bad == 0,
-                            "" if bad == 0 else f"{bad} failures")
-    return ok
-
-
-def _suite_theorems(max_n, jobs, lines) -> bool:
-    ok = True
-    for k, n, d in _sweep_cells(max_n):
-        loc = localization.poincare_localization(k, n, d, jobs=jobs)
-        cf = closedform.closed_form_result(k, n, d).poincare
-        ok &= _emit(lines, f"theorems ({k},{n}) d={d}", loc == cf)
-    return ok
-
-
-def _suite_families(max_n, jobs, lines) -> bool:
-    ok = True
-    cap = max_n or 6
-    for n in range(3, cap + 1):
-        for k in range(2, n):
-            idx = closedform.triangle_family_index_sum(k, n)
-            cf = closedform.triangle_family_closed_form(k, n)
-            loc = localization.stratum_family_contribution(k, n, "G23_triangle")
-            ok &= _emit(lines, f"families triangle ({k},{n})", idx == cf == loc)
-    for n in range(2, cap + 1):
-        for k in range(1, n):
-            loc = localization.stratum_family_contribution(k, n, "G12_repeated")
-            cf = closedform.repeated_leaf_family_closed_form(k, n)
-            # informational: reported, never failing
-            lines.append(f"INFO  families repeated-leaf ({k},{n}) "
-                         f"{'matches' if loc == cf else 'DIFFERS from'} closed form")
-    return ok
-
-
-_SUITES = {
-    "identities": _suite_identities,
-    "tables": _suite_tables,
-    "census": _suite_census,
-    "duality": _suite_duality,
-    "symmetry": _suite_symmetry,
-    "embeddings": _suite_embeddings,
-    "theorems": _suite_theorems,
-    "families": _suite_families,
-}
-
-
 def cmd_verify(args, parser) -> int:
-    names = sorted(_SUITES) if args.suite == "all" else [args.suite]
+    """Print one line per check of the chosen suites (see `checks`) and the verdict."""
+    names = sorted(checks.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
-        lines: list[str] = []
-        all_ok &= _SUITES[name](args.max_n, args.jobs, lines)
-        for line in lines:
-            print(line)
+        for label, ok, detail in checks.SUITES[name](args.max_n, args.jobs):
+            status = "INFO" if ok is None else "PASS" if ok else "FAIL"
+            print(f"{status}  {label}{('  ' + detail) if detail else ''}")
+            all_ok &= status != "FAIL"
     print("all checks passed" if all_ok else "CHECKS FAILED")
     return 0 if all_ok else 1
 

@@ -25,6 +25,7 @@ polynomial), not a user error, and is treated as such by callers.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -219,7 +220,15 @@ class QPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QPolynomial":
-        return cls([(int(e), int(c)) for e, c in data["coeffs"]])
+        """Inverse of `to_json_dict`: every entry is an int or a decimal integer
+        string; a float, a bool or any other string raises ValueError."""
+        return cls([(_json_int(e), _json_int(c)) for e, c in data["coeffs"]])
+
+
+def _json_int(value) -> int:
+    if type(value) is int or (isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value)):
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")
 
 
 ZERO = QPolynomial()

@@ -1,9 +1,16 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+from grassmap import checks
+from grassmap.checks import PUBLISHED_ROWS
 from grassmap.cli import _parse_jobs, main
+from test_acceptance import assert_suite
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 
 def run(capsys, *argv):
@@ -75,6 +82,11 @@ class TestBetti:
         assert len(doc["reports"]) == 1
         assert doc["reports"][0]["weights"] == []  # zero-dimensional cell
         assert doc["reports"][0]["tree"]["vertices"] == [[1], [2]]
+
+    def test_reports_text(self, capsys):
+        code, out, _ = run(capsys, "betti", "-k", "1", "-n", "2", "-d", "1", "--reports")
+        assert code == 0
+        assert out.splitlines()[-1] == "  fixed point (1) (2) [0-1:1]  +0/-0"
 
     def test_jobs_flag(self, capsys):
         from grassmap.closedform import closed_form_result
@@ -192,6 +204,15 @@ class TestCache:
 
 
 class TestGraphs:
+    def test_full_tree_text(self, capsys):
+        code, out, _ = run(capsys, "graphs", "-k", "1", "-n", "2", "-d", "2")
+        assert code == 0
+        assert out.splitlines() == [
+            "k=1 n=2 d=2  (2) (1) (1)  [0-1:1 0-2:1]",
+            "k=1 n=2 d=2  (1) (2)  [0-1:2]",
+            "k=1 n=2 d=2  (1) (2) (2)  [0-1:1 0-2:1]",
+        ]
+
     def test_count_text(self, capsys):
         code, out, _ = run(capsys, "graphs", "-k", "1", "-n", "2", "-d", "2", "--count")
         assert code == 0
@@ -231,7 +252,23 @@ class TestVerify:
     def test_tables_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "tables")
         assert code == 0
-        assert out.count("PASS") == 3
+        assert out.count("PASS") == len(PUBLISHED_ROWS)
+
+    def test_stdout_matches_benchmark_golden(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "3")
+        assert code == 0
+        want = json.loads(GOLDEN.read_text(encoding="utf-8"))["small"]["verify-small"]
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    def test_failing_check_fails_verify_and_acceptance(self, capsys, monkeypatch):
+        monkeypatch.setitem(PUBLISHED_ROWS, (1, 3), [1, 2, 5, 7, 9, 7, 5, 2, 2])
+        code, out, _ = run(capsys, "verify", "--suite", "tables")
+        assert code == 1
+        assert "FAIL  tables (1,3) d=3  loc=[1, 2, 5, 7, 9, 7, 5, 2, 1]" in out
+        assert out.count("PASS  ") == len(PUBLISHED_ROWS) - 1
+        assert out.splitlines()[-1] == "CHECKS FAILED"
+        with pytest.raises(AssertionError):
+            assert_suite(checks.tables)
 
     def test_census_suite_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "census", "--max-n", "4")

@@ -1,5 +1,6 @@
 import pytest
 
+from grassmap.checks import PUBLISHED_ROWS
 from grassmap.closedform import (
     _D3_CROSS,
     _D3_EVEN,
@@ -41,14 +42,7 @@ class TestClosedForms:
     def test_degree2_projective_line(self):
         assert closed_form_result(1, 2, 2).poincare == QPolynomial({0: 1, 1: 1, 2: 1})
 
-    @pytest.mark.parametrize(
-        "k,n,row",
-        [
-            (1, 3, [1, 2, 5, 7, 9, 7, 5, 2, 1]),
-            (1, 4, [1, 2, 6, 10, 17, 20, 24, 20, 17, 10, 6, 2, 1]),
-            (2, 4, [1, 3, 10, 22, 41, 60, 73, 73, 60, 41, 22, 10, 3, 1]),
-        ],
-    )
+    @pytest.mark.parametrize("k,n,row", [(k, n, row) for (k, n), row in PUBLISHED_ROWS.items()])
     def test_degree3_published_rows(self, k, n, row):
         assert closed_form_result(k, n, 3).poincare.coefficient_list() == row
 

@@ -62,6 +62,19 @@ class TestBasics:
         assert QPolynomial.from_json_dict(p.to_json_dict()) == p
         assert p.to_json_dict() == {"coeffs": [[0, "1"], [3, "-7"], [12, str(10**40)]]}
 
+    @pytest.mark.parametrize(
+        "entry",
+        [[0, 1.5], [1.9, "2"], [2.0, 1], [True, "3"], [0, False], ["1.5", 1], [0, "2.0"], [0, " 3"], [0, "x"]],
+        ids=["float-coeff", "float-exp", "integral-float", "bool-exp", "bool-coeff",
+             "decimal-exp", "decimal-coeff", "padded", "word"],
+    )
+    def test_from_json_rejects_non_integers(self, entry):
+        with pytest.raises(ValueError):
+            QPolynomial.from_json_dict({"coeffs": [entry]})
+
+    def test_from_json_accepts_ints_and_integer_strings(self):
+        assert QPolynomial.from_json_dict({"coeffs": [[0, 4], ["2", "-3"]]}) == P({0: 4, 2: -3})
+
 
 class TestExactDiv:
     def test_simple(self):
