@@ -19,11 +19,14 @@ Exit codes: 0 success; 1 a mathematical disagreement or failed check;
 Results of `betti` can be cached as JSON files named {k}-{n}-{d}-{method}
 under a directory given by --cache-dir or the GRASSMAP_CACHE environment
 variable; cache writes are atomic (write-then-rename) and cache hits
-reproduce byte-identical output.  A cache file that is not valid JSON,
-that holds another cell's or method's payload, or whose payload is not
-self-consistent (dimension, Betti row against the polynomial, palindromic
-row with ends 1, total against the fixed-point census) counts as a miss and
-is recomputed and overwritten.  `verify --max-n` below 2 and `--jobs` below
+reproduce byte-identical output.  A cache file holds the same text that
+`--format json` prints for its payload (`_payload_text`, which equals
+`json.dumps(payload, indent=2)`), so a fresh payload is rendered once for
+both.  A cache file that is not valid JSON, that holds another cell's or
+method's payload, or whose payload is not self-consistent (dimension, Betti
+row against the polynomial, palindromic row with ends 1, total against the
+fixed-point census, integers where integers belong) counts as a miss and is
+recomputed and overwritten.  `verify --max-n` below 2 and `--jobs` below
 1 are usage errors.
 """
 
@@ -150,12 +153,15 @@ def _cells(args, parser) -> list[tuple[int, int, int]]:
     ks = _axis_values(parser, "k", args.k, args.k_range)
     ns = _axis_values(parser, "n", args.n, args.n_range)
     ds = _axis_values(parser, "d", args.d, args.d_range)
+    # a range over k or n skips the empty corners k >= n; one explicit (k, n)
+    # is checked, and refused if empty
+    sweeping = args.k_range is not None or args.n_range is not None
     cells = []
     for k in ks:
         for n in ns:
             for d in ds:
-                if args.k_range is not None and not 1 <= k < n:
-                    continue  # sweeping ranges skips the empty corner cells
+                if sweeping and not 1 <= k < n:
+                    continue
                 cells.append((k, n, d))
     return sorted(cells)
 
@@ -189,13 +195,16 @@ def _is_consistent(payload: dict, k: int, n: int, d: int, method: str) -> bool:
     It holds the fields `_betti_payload` writes and no others, names this
     cell and method with the cell's dimension; `betti` is a list of dim+1
     ints, palindromic with ends 1, summing to the cell's fixed-point census;
-    and `poincare` is the polynomial with those coefficients.
+    and `poincare` is the polynomial with those coefficients.  Integers are
+    ints, not bools, so that `_payload_text` renders them as json.dumps does.
     """
     fields = ("k", "n", "d", "method", "dim")
     dim = localization.moduli_dimension(k, n, d)
+    stored = [payload.get(key) for key in fields]
     betti = payload.get("betti")
     return (
-        [payload.get(key) for key in fields] == [k, n, d, method, dim]
+        stored == [k, n, d, method, dim]
+        and list(map(type, stored)) == [int, int, int, str, int]
         and payload.keys() == {*fields, "poincare", "betti"}
         and isinstance(betti, list)
         and len(betti) == dim + 1
@@ -206,6 +215,7 @@ def _is_consistent(payload: dict, k: int, n: int, d: int, method: str) -> bool:
         # QPolynomial.to_json_dict of these coefficients, written out: a warm
         # sweep checks every hit, and building the polynomial doubles the cost
         and payload["poincare"] == {"coeffs": [[e, str(c)] for e, c in enumerate(betti) if c]}
+        and all(type(e) is int for e, _ in payload["poincare"]["coeffs"])
     )
 
 
@@ -222,25 +232,48 @@ def _read_cached(path: str, k: int, n: int, d: int, method: str) -> dict | None:
     return payload
 
 
-def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str, jobs: int) -> dict:
-    """A cache hit, or a fresh payload that atomically replaces a missing or bad entry."""
+def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str,
+                    jobs: int) -> tuple[dict, str | None]:
+    """A cache hit, or a fresh payload that atomically replaces a missing or
+    bad entry; with the `_payload_text` written for it, None on a hit."""
     path = os.path.join(cache_dir, f"{k}-{n}-{d}-{method}.json")
     payload = _read_cached(path, k, n, d, method)
     if payload is not None:
-        return payload
+        return payload, None
     payload = _betti_payload(k, n, d, method, jobs)
+    text = _payload_text(payload)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return payload
+    return payload, text
+
+
+def _payload_text(payload: dict) -> str:
+    """`json.dumps(payload, indent=2)` for a payload of `_betti_payload`, with
+    `reports` if present, or one that `_is_consistent` accepts.
+
+    json's indenting encoder runs in pure Python, and a sweep's output is
+    mostly `poincare` and `betti`, so those two are laid out here; the other
+    fields go through json.dumps.
+    """
+    fields = []
+    for key, value in payload.items():
+        if key == "poincare":
+            pairs = ",\n".join(f'      [\n        {e},\n        "{c}"\n      ]' for e, c in value["coeffs"])
+            text = '{\n    "coeffs": [\n' + pairs + "\n    ]\n  }"
+        elif key == "betti":
+            text = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        fields.append(f'  "{key}": {text}')
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def _tree_text(tree: dict, gap: str) -> str:
@@ -250,10 +283,17 @@ def _tree_text(tree: dict, gap: str) -> str:
     return f"{labels}{gap}[{edges}]"
 
 
-def _render_payloads(payloads: list[dict], fmt: str) -> None:
+def _render_payloads(payloads: list[dict], texts: list[str | None], fmt: str) -> None:
+    """Print the payloads; texts[i] is the `_payload_text` of payloads[i] if
+    it was already rendered, else None."""
     if fmt == "json":
-        doc = payloads[0] if len(payloads) == 1 else payloads
-        print(json.dumps(doc, indent=2))
+        texts = [t or _payload_text(p) for p, t in zip(payloads, texts)]
+        if len(texts) == 1:
+            print(texts[0])
+        elif texts:  # a list of them, one level deeper
+            print("[\n  " + ",\n  ".join(t.replace("\n", "\n  ") for t in texts) + "\n]")
+        else:
+            print("[]")
     elif fmt == "csv":
         for p in payloads:
             print(",".join(str(b) for b in p["betti"]))
@@ -275,11 +315,13 @@ def cmd_betti(args, parser) -> int:
     methods = _METHODS[args.method]
     cache_dir = _cache_dir(args)
     payloads: list[dict] = []
+    texts: list[str | None] = []
     disagreements: list[str] = []
     for k, n, d in cells:
         fixedgraphs._check_cell(k, n, d)
         per_method: dict[str, dict] = {}
         for method in methods:
+            text = None
             if args.reports and method == "localization":
                 payload = _betti_payload(k, n, d, method, args.jobs)
                 payload["reports"] = [
@@ -287,16 +329,17 @@ def cmd_betti(args, parser) -> int:
                     for t in fixedgraphs.enumerate_fixed_graphs(k, n, d)
                 ]
             elif cache_dir:
-                payload = _cached_payload(cache_dir, k, n, d, method, args.jobs)
+                payload, text = _cached_payload(cache_dir, k, n, d, method, args.jobs)
             else:
                 payload = _betti_payload(k, n, d, method, args.jobs)
             per_method[method] = payload
             payloads.append(payload)
+            texts.append(text)
         if len(methods) == 2:
             a, b = (per_method[m]["poincare"] for m in methods)
             if a != b:
                 disagreements.append(f"k={k} n={n} d={d}")
-    _render_payloads(payloads, args.format)
+    _render_payloads(payloads, texts, args.format)
     if disagreements:
         for cell in disagreements:
             print(f"route disagreement at {cell}", file=sys.stderr)

@@ -105,6 +105,11 @@ def degree1_result(k: int, n: int) -> ClosedFormResult:
     return ClosedFormResult(k=k, n=n, d=1, numerator=num, denominator=ONE, poincare=num)
 
 
+# The denominators of the degree-2 and degree-3 forms, shared by every cell.
+_D2_DENOMINATOR = _one_minus(1) ** 2 * _one_minus(2) ** 2
+_D3_DENOMINATOR = _one_minus(1) ** 2 * _one_minus(2) ** 3 * _one_minus(3) ** 2
+
+
 @cache
 def degree2_result(k: int, n: int) -> ClosedFormResult:
     """Degree 2 closed form over the Grassmannian's Poincare polynomial."""
@@ -113,7 +118,7 @@ def degree2_result(k: int, n: int) -> ClosedFormResult:
         q_power(k) + q_power(n - k)
     )
     num = _one_minus(k) * _one_minus(n - k) * bracket * qbinomial(n, k)
-    den = _one_minus(1) ** 2 * _one_minus(2) ** 2
+    den = _D2_DENOMINATOR
     poincare = _divide_or_die(num, den, f"degree-2 closed form at (k={k}, n={n})")
     return ClosedFormResult(k=k, n=n, d=2, numerator=num, denominator=den, poincare=poincare)
 
@@ -140,7 +145,7 @@ def degree3_result(k: int, n: int) -> ClosedFormResult:
         )
     )
     num = _one_minus(k) * _one_minus(n - k) * bracket * qbinomial(n, k)
-    den = _one_minus(1) ** 2 * _one_minus(2) ** 3 * _one_minus(3) ** 2
+    den = _D3_DENOMINATOR
     poincare = _divide_or_die(num, den, f"degree-3 closed form at (k={k}, n={n})")
     return ClosedFormResult(k=k, n=n, d=3, numerator=num, denominator=den, poincare=poincare)
 

@@ -41,6 +41,7 @@ too: the lifted tangent is the same assembly with a lift slot.
 
 from __future__ import annotations
 
+import atexit
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -219,6 +220,22 @@ def _chunk_positive_counts(trees: Iterable[DecoratedTree]) -> Counter:
 
 
 _poincare_cache: dict[tuple[int, int, int], QPolynomial] = {}
+_pools: dict = {}  # worker count -> ProcessPoolExecutor
+
+
+def _worker_pool(jobs: int):
+    """A pool of `jobs` worker processes, started on first use, reused by
+    every later sum in this process and shut down at exit."""
+    pool = _pools.get(jobs)
+    if pool is None:
+        # imported here: the pool machinery would add to every start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"))
+        _pools[jobs] = pool
+        atexit.register(pool.shutdown)
+    return pool
 
 
 def clear_poincare_cache() -> None:
@@ -239,14 +256,11 @@ def poincare_localization(k: int, n: int, d: int, jobs: int = 1) -> QPolynomial:
         return hit
     trees = enumerate_fixed_graphs(k, n, d)
     if jobs > 1 and len(trees) >= 64:
-        from concurrent.futures import ProcessPoolExecutor
-
         step = (len(trees) + jobs - 1) // jobs
         chunks = [trees[i : i + step] for i in range(0, len(trees), step)]
         counts: Counter = Counter()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_chunk_positive_counts, chunks):
-                counts.update(part)
+        for part in _worker_pool(jobs).map(_chunk_positive_counts, chunks):
+            counts.update(part)
     else:
         counts = _chunk_positive_counts(trees)
     result = QPolynomial(dict(counts))

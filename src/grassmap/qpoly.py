@@ -13,13 +13,23 @@ reported polynomial has lowest exponent 0, and the coefficient of q^i is the
 2i-th Betti number of the space in question (odd Betti numbers all vanish
 for these spaces).
 
-Division deserves a note.  `exact_div` runs long division from the *lowest*
-exponent upward, so that dividing power-series-style products of (1 - q^i)
-factors never stalls on a unit leading term; when the division is not exact
-the remainder left over is attached to the raised `DivisibilityError`.  A
-nonzero remainder escaping one of the closed-form evaluations is a
-mathematical inconsistency (the rational expression failed to collapse to a
-polynomial), not a user error, and is treated as such by callers.
+Division and products deserve a note.  `exact_div` runs long division from
+the *lowest* exponent upward, so that dividing power-series-style products
+of (1 - q^i) factors never stalls on a unit leading term.  It works on a
+dense list of the numerator's coefficients, one slot per exponent, so each
+quotient term costs one pass over the denominator and no search for the
+lowest remaining term.  When the division is not exact the remainder left
+over is attached to the raised `DivisibilityError`: (1+q)/(1-q) fails with
+remainder 2q.  A nonzero remainder escaping one of the closed-form
+evaluations is a mathematical inconsistency (the rational expression failed
+to collapse to a polynomial), not a user error, and is treated as such by
+callers.  A product of two polynomials is one product of two integers
+(Kronecker substitution): each factor is evaluated at q = 2^(8w), with w
+bytes per coefficient chosen from a bound on the product's coefficients,
+and the product's coefficients are read back from the digits of the
+integer product.  Python integers are exact at any size, so this is exact
+too.  Its cost follows the factors' exponent spans rather than their term
+counts, which suits the dense polynomials of this package.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import lshift
 from typing import Iterable, Iterator, Mapping
 
 
@@ -144,14 +155,28 @@ class QPolynomial:
         if not isinstance(other, QPolynomial):
             return NotImplemented
         a, b = self._c, other._c
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return QPolynomial._make({e: c for e, c in out.items() if c})
+        if not a or not b:
+            return QPolynomial._make({})
+        # Kronecker substitution: evaluate both factors at q = 2^(8*width),
+        # multiply the two integers, and read the product's coefficients back
+        # from its base-2^(8*width) digits.  `width` bytes hold every product
+        # coefficient strictly inside +-2^(8*width-1); adding `half` in every
+        # slot makes each digit c + half, in [0, 2^(8*width)), so no digit
+        # borrows from the next.
+        bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+        width = bound.bit_length() // 8 + 1
+        half = 1 << (8 * width - 1)
+        a_low, b_low = min(a), min(b)
+        slots = max(a) - a_low + max(b) - b_low + 1
+        offset = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+        product = _pack(a, a_low, width) * _pack(b, b_low, width) + offset
+        digits = product.to_bytes(width * slots, "little")
+        out = {}
+        for e, at in enumerate(range(0, len(digits), width), a_low + b_low):
+            c = int.from_bytes(digits[at : at + width], "little") - half
+            if c:
+                out[e] = c
+        return QPolynomial._make(out)
 
     __rmul__ = __mul__
 
@@ -235,6 +260,14 @@ ZERO = QPolynomial()
 ONE = QPolynomial({0: 1})
 
 
+def _pack(coeffs: dict[int, int], low: int, width: int) -> int:
+    """The integer sum(c * 2^(8*width*(e-low))): q^-low times the polynomial,
+    at q = 2^(8*width).  One shifted term per coefficient, so sparse factors
+    pack in time proportional to their terms."""
+    shift = (8 * width).__mul__
+    return sum(map(lshift, coeffs.values(), map(shift, map((-low).__add__, coeffs))))
+
+
 def q_power(exponent: int, coefficient: int = 1) -> QPolynomial:
     """The monomial coefficient * q^exponent."""
     return QPolynomial({exponent: coefficient})
@@ -257,30 +290,27 @@ def exact_div(numerator: QPolynomial, denominator: QPolynomial) -> QPolynomial:
         raise ZeroDivisionError("polynomial division by zero")
     if numerator.is_zero:
         return ZERO
-    rem = dict(numerator._c)
-    den = denominator._c
+    num, den = numerator._c, denominator._c
+    low = min(num)
+    rem = [num.get(e, 0) for e in range(low, max(num) + 1)]  # rem[i]: coefficient of q^(low+i)
     den_low = min(den)
     den_low_coeff = den[den_low]
-    top = max(rem) - max(den)  # highest exponent the quotient could carry
+    steps = [(e - den_low, c) for e, c in den.items()]
+    # a quotient term c*q^(low+i-den_low) may not pass max(num) - max(den)
+    last = max(num) - max(den) + den_low - low
     quot: dict[int, int] = {}
-    while rem:
-        low = min(rem)
-        e = low - den_low
-        if e > top:
-            break
-        c, leftover = divmod(rem[low], den_low_coeff)
+    for i in range(last + 1):
+        if not rem[i]:
+            continue
+        c, leftover = divmod(rem[i], den_low_coeff)
         if leftover:
             break
-        quot[e] = c
-        for de, dc in den.items():
-            ne = de + e
-            v = rem.get(ne, 0) - dc * c
-            if v:
-                rem[ne] = v
-            elif ne in rem:
-                del rem[ne]
-    if rem:
-        raise DivisibilityError(QPolynomial._make(rem))
+        quot[low + i - den_low] = c
+        for offset, dc in steps:
+            rem[i + offset] -= dc * c
+    leftovers = {low + i: c for i, c in enumerate(rem) if c}
+    if leftovers:
+        raise DivisibilityError(QPolynomial._make(leftovers))
     return QPolynomial._make(quot)
 
 
@@ -297,7 +327,8 @@ def qbinomial(n: int, k: int) -> QPolynomial:
     kk = min(k, n - k)
     result = ONE
     for i in range(1, kk + 1):
-        result = exact_div(result * _one_minus_q(n - kk + i), _one_minus_q(i))
+        # times (1 - q^m) is a shifted subtraction, cheaper than a product
+        result = exact_div(result - result.shifted(n - kk + i), _one_minus_q(i))
     return result
 
 

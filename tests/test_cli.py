@@ -59,6 +59,17 @@ class TestBetti:
         docs = json.loads(out)
         assert [(d["k"], d["n"]) for d in docs] == [(1, 3), (2, 3)]
 
+    def test_n_range_skips_empty_cells(self, capsys):
+        code, out, _ = run(
+            capsys, "betti", "-k", "3", "--n-range", "2..5", "-d", "1", "--format", "json"
+        )
+        assert code == 0
+        assert [(d["k"], d["n"]) for d in json.loads(out)] == [(3, 4), (3, 5)]
+
+    def test_explicit_empty_cell_is_refused_in_a_degree_sweep(self, capsys):
+        code, _, err = run(capsys, "betti", "-k", "3", "-n", "2", "--d-range", "1..3")
+        assert code == 2 and "k < n" in err
+
     def test_degree_out_of_range(self, capsys):
         code, _, err = run(capsys, "betti", "-k", "1", "-n", "3", "-d", "4")
         assert code == 2
@@ -182,6 +193,9 @@ class TestCache:
             ("extra-field", {"reports": []}, None),
             ("betti-not-ints", {"betti": [1, 2.0, 3, 3, 2.0, 1]}, None),
             ("betti-null", {"betti": None}, None),
+            ("bool-k", {"k": True}, None),
+            ("bool-exponent", {"poincare": {"coeffs": [[0, "1"], [True, "2"], [2, "3"],
+                                                       [3, "3"], [4, "2"], [5, "1"]]}}, None),
         ],
     )
     def test_inconsistent_cache_entry_is_recomputed(self, capsys, tmp_path, field, change, row):
@@ -201,6 +215,45 @@ class TestCache:
         code, warm, _ = run(capsys, *argv)
         assert code == 0 and warm == cold
         assert entry.read_bytes() == good
+
+
+class TestJsonRendering:
+    """JSON output and cache files are `_payload_text`, which must equal
+    json.dumps(payload, indent=2) byte for byte."""
+
+    @pytest.mark.parametrize("workload,argv", [
+        ("closed-sweep", ["betti", "--method", "closed", "--format", "json",
+                          "--k-range", "1..4", "--n-range", "2..5", "--d-range", "1..3"]),
+        ("cell-363", ["betti", "-k", "2", "-n", "4", "-d", "3", "--method", "both",
+                      "--format", "json"]),
+    ])
+    def test_stdout_matches_benchmark_golden(self, capsys, tmp_path, workload, argv):
+        # the benchmark's reduced inputs: a cold pass fills the cache, a warm one reads it
+        want = json.loads(GOLDEN.read_text(encoding="utf-8"))["small"][workload]
+        for _ in ("cold", "warm"):
+            code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want
+        entries = sorted(tmp_path.iterdir())
+        assert entries
+        for entry in entries:
+            data = entry.read_bytes()
+            assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["-k", "1", "-n", "3", "-d", "2", "--reports"],
+        ["-k", "1", "-n", "3", "-d", "2", "--reports", "--method", "both"],
+        ["--k-range", "1..2", "-n", "3", "-d", "1", "--method", "closed"],
+    ], ids=["reports", "reports-and-closed-form", "sweep"])
+    def test_stdout_is_json_dumps(self, capsys, argv):
+        code, out, _ = run(capsys, "betti", *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_empty_sweep_prints_empty_list(self, capsys):
+        code, out, _ = run(capsys, "betti", "--k-range", "5..5", "--n-range", "2..3", "-d", "1",
+                           "--format", "json")
+        assert code == 0 and out == "[]\n"
 
 
 class TestGraphs:

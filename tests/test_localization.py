@@ -154,6 +154,18 @@ class TestPoincare:
         clear_poincare_cache()
         assert poincare_localization(1, 4, 2, jobs=2) == serial
 
+    def test_one_worker_pool_serves_every_parallel_sum(self):
+        # (2,4,2) and (2,4,3) have at least 64 trees, enough to use the workers
+        cells = [(2, 4, 2), (2, 4, 3)]
+        serial = [poincare_localization(*cell) for cell in cells]
+        clear_poincare_cache()
+        pools = []
+        for cell, expected in zip(cells, serial):
+            assert len(enumerate_fixed_graphs(*cell)) >= 64
+            assert poincare_localization(*cell, jobs=2) == expected
+            pools.append(loc._pools[2])
+        assert pools[0] is pools[1]
+
 
 class TestDegreeOneOracle:
     @staticmethod

@@ -23,6 +23,50 @@ def P(d):
     return QPolynomial(d)
 
 
+# -- the dict algorithms `QPolynomial.__mul__` and `exact_div` replaced, kept
+# as oracles for the packed-integer product and the dense division
+
+def schoolbook_mul(a, b):
+    out = {}
+    for e1, c1 in a.terms():
+        for e2, c2 in b.terms():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return QPolynomial(out)
+
+
+def dict_long_division(numerator, denominator):
+    """Lowest-exponent-first long division over a dict remainder: the quotient,
+    or DivisibilityError carrying what was left."""
+    rem = dict(numerator.terms())
+    den = dict(denominator.terms())
+    den_low = min(den)
+    top = max(rem) - max(den)
+    quot = {}
+    while rem:
+        low = min(rem)
+        e = low - den_low
+        if e > top:
+            break
+        c, leftover = divmod(rem[low], den[den_low])
+        if leftover:
+            break
+        quot[e] = c
+        for de, dc in den.items():
+            rem[de + e] = rem.get(de + e, 0) - dc * c
+            if not rem[de + e]:
+                del rem[de + e]
+    if rem:
+        raise DivisibilityError(QPolynomial(rem))
+    return QPolynomial(quot)
+
+
+def division_outcome(divide, numerator, denominator):
+    try:
+        return "quotient", divide(numerator, denominator)
+    except DivisibilityError as exc:
+        return "remainder", exc.remainder
+
+
 class TestBasics:
     def test_canonicalization_drops_zeros(self):
         assert P({0: 1, 3: 0}) == P({0: 1})
@@ -203,3 +247,42 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
+
+
+# Laurent exponents, coefficients past +-2^64, mixed signs; empty dicts give
+# the zero polynomial and one-entry dicts the monomials
+wide_coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+wide_polys = st.dictionaries(st.integers(-8, 8), wide_coeffs, max_size=8).map(QPolynomial)
+
+
+@given(wide_polys, wide_polys)
+@settings(max_examples=300)
+def test_mul_matches_schoolbook(a, b):
+    assert a * b == schoolbook_mul(a, b)
+
+
+@pytest.mark.parametrize("magnitude", [1, 127, 128, 255, 256, 2**63, 2**64 - 1, 2**64])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+def test_mul_at_the_coefficient_bound(magnitude, signs):
+    # every coefficient at the largest magnitude: the middle coefficient of
+    # a*a reaches the bound the slot width is taken from
+    for length in range(1, 5):
+        a = P({e: signs[0] * magnitude for e in range(-1, length - 1)})
+        b = P({2 * e: signs[1] * magnitude for e in range(length)})
+        assert a * b == schoolbook_mul(a, b)
+        assert a * a == schoolbook_mul(a, a)
+
+
+@given(wide_polys, wide_polys, wide_polys)
+@settings(max_examples=300)
+def test_exact_div_matches_long_division(quotient, denominator, extra):
+    # numerators a multiple of the denominator, or one plus a perturbation
+    if denominator.is_zero:
+        return
+    for numerator in (schoolbook_mul(quotient, denominator),
+                      schoolbook_mul(quotient, denominator) + extra, extra):
+        if numerator.is_zero:
+            assert exact_div(numerator, denominator) == ZERO
+            continue
+        assert division_outcome(exact_div, numerator, denominator) == \
+            division_outcome(dict_long_division, numerator, denominator)
