@@ -3,9 +3,11 @@
 Two independent computation routes for the Poincare polynomial of the
 space of degree-d (d <= 3) genus-0 stable maps to G(k, n):
 
-* `localization` -- exact torus localization: enumerate the fixed
-  decorated trees (`fixedgraphs`), read off tangent weights (`weights`),
-  count positive ones per fixed point;
+* `localization` -- exact torus localization: q^(positive tangent weights)
+  summed over the fixed decorated trees (`fixedgraphs`), from per-edge,
+  per-end and per-vertex terms of the tangent weights (`weights`), checked
+  for parity, exponent range and the fixed-point census; the per-tree
+  assembly stays for reports and as the tests' oracle;
 * `closedform` -- evaluation of closed-form generating functions.
 
 Both produce exact integer polynomials in q (`qpoly`), with coefficient

@@ -1,10 +1,9 @@
 """The self-check suites, defined once for `grassmap verify` and the acceptance tests.
 
-Each suite is a generator `suite(max_n, jobs)` yielding one `(label, ok,
-detail)` per check.  `ok` is True or False, or None for an informational line
-that does not count toward the verdict; `detail` says what went wrong and is
-empty on a pass.  `max_n` caps the ambient dimension (None: the suite's own
-default cap) and `jobs` is the worker count for the localization sums.
+Each suite is a generator `suite(max_n)` yielding one `(label, ok, detail)`
+per check.  `ok` is True or False, or None for an informational line that
+does not count toward the verdict; `detail` says what went wrong and is empty
+on a pass.  `max_n` caps the ambient dimension (None: the suite's default).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ def _all_degrees(cap: int) -> list[tuple[int, int, int]]:
     return [(k, n, d) for n in range(2, cap + 1) for k in range(1, n) for d in (1, 2, 3)]
 
 
-def identities(max_n: int | None, jobs: int) -> Checks:
+def identities(max_n: int | None) -> Checks:
     """The Gaussian-binomial identities to n<=12 and the crossing statistic to a+b<=10."""
     for check in qpoly.verify_qbinomial_identities(max_n or 12):
         yield f"identities {check.name} ({check.cases} cases)", check.passed, check.first_failure or ""
@@ -45,16 +44,16 @@ def identities(max_n: int | None, jobs: int) -> Checks:
     yield f"identities partition-sum (a+b<={cap})", not bad, str(bad[:3]) if bad else ""
 
 
-def tables(max_n: int | None, jobs: int) -> Checks:
+def tables(max_n: int | None) -> Checks:
     """Both routes reproduce every published row (`max_n` is ignored)."""
     for (k, n), row in PUBLISHED_ROWS.items():
-        loc = localization.poincare_localization(k, n, 3, jobs=jobs).coefficient_list()
+        loc = localization.poincare_localization(k, n, 3).coefficient_list()
         cf = closedform.closed_form_result(k, n, 3).poincare.coefficient_list()
         ok = loc == row == cf
         yield f"tables ({k},{n}) d=3", ok, "" if ok else f"loc={loc} closed={cf} expected={row}"
 
 
-def census(max_n: int | None, jobs: int) -> Checks:
+def census(max_n: int | None) -> Checks:
     """Enumerated trees per shape equal the census formula, n<=7 and d=1..3."""
     for k, n, d in _all_degrees(max_n or 7):
         got = fixedgraphs.count_by_shape(k, n, d)
@@ -62,11 +61,11 @@ def census(max_n: int | None, jobs: int) -> Checks:
         yield f"census ({k},{n}) d={d}", got == want, "" if got == want else f"got={got} want={want}"
 
 
-def duality(max_n: int | None, jobs: int) -> Checks:
+def duality(max_n: int | None) -> Checks:
     """Over the sweep, P has degree dim, is palindromic with ends 1, and P(1)
     counts the fixed trees, both as enumerated and by the census formula."""
     for k, n, d in _sweep(max_n):
-        p = localization.poincare_localization(k, n, d, jobs=jobs)
+        p = localization.poincare_localization(k, n, d)
         dim = localization.moduli_dimension(k, n, d)
         trees = len(fixedgraphs.enumerate_fixed_graphs(k, n, d))
         ok = (
@@ -78,16 +77,15 @@ def duality(max_n: int | None, jobs: int) -> Checks:
         yield f"duality ({k},{n}) d={d}", ok, "" if ok else f"P={p} dim={dim} trees={trees}"
 
 
-def symmetry(max_n: int | None, jobs: int) -> Checks:
+def symmetry(max_n: int | None) -> Checks:
     """Over the sweep, G(k,n) and G(n-k,n) give the same polynomial."""
     for k, n, d in _sweep(max_n):
         if 2 * k <= n:
-            ok = localization.poincare_localization(k, n, d, jobs=jobs) == \
-                localization.poincare_localization(n - k, n, d, jobs=jobs)
+            ok = localization.poincare_localization(k, n, d) == localization.poincare_localization(n - k, n, d)
             yield f"symmetry ({k},{n})<->({n-k},{n}) d={d}", ok, ""
 
 
-def embeddings(max_n: int | None, jobs: int) -> Checks:
+def embeddings(max_n: int | None) -> Checks:
     """Every fixed tree with n<=5, d=1..3, embedded into every m<=n+1 both ways,
     changes its tangent weights by exactly the predicted delta."""
     for k, n, d in _all_degrees(max_n or 5):
@@ -102,14 +100,17 @@ def embeddings(max_n: int | None, jobs: int) -> Checks:
         yield f"embeddings ({k},{n}) d={d}", ok, "" if ok else f"{failures} failures in {cases} cases"
 
 
-def theorems(max_n: int | None, jobs: int) -> Checks:
-    """Over the sweep, localization equals the closed form."""
-    for k, n, d in _sweep(max_n):
-        loc = localization.poincare_localization(k, n, d, jobs=jobs)
+def theorems(max_n: int | None) -> Checks:
+    """Localization equals the closed form for d=2,3 and n<=9, ordered as `SWEEP`.
+
+    Wider than `SWEEP`, which `duality` enumerates tree by tree: the
+    localization sum builds no trees."""
+    for k, n, d in [(k, n, d) for d in (2, 3) for n in range(2, (max_n or 9) + 1) for k in range(1, n)]:
+        loc = localization.poincare_localization(k, n, d)
         yield f"theorems ({k},{n}) d={d}", loc == closedform.closed_form_result(k, n, d).poincare, ""
 
 
-def families(max_n: int | None, jobs: int) -> Checks:
+def families(max_n: int | None) -> Checks:
     """The degree-2 triangle family, n<=6, by index sum, closed form and
     localization.  The repeated-leaf family is compared too, but only as
     information (ok None): its family predicate rests on a resolved ambiguity."""

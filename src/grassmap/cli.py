@@ -14,7 +14,8 @@ Three subcommands:
            module only renders their results.
 
 Exit codes: 0 success; 1 a mathematical disagreement or failed check;
-2 bad usage (including degrees above 3).
+2 bad usage (including degrees above 3) or an I/O fault (an OSError, such
+as a cache path that cannot be read or written).
 
 Results of `betti` can be cached as JSON files named {k}-{n}-{d}-{method}
 under a directory given by --cache-dir or the GRASSMAP_CACHE environment
@@ -26,8 +27,7 @@ both.  A cache file that is not valid JSON, that holds another cell's or
 method's payload, or whose payload is not self-consistent (dimension, Betti
 row against the polynomial, palindromic row with ends 1, total against the
 fixed-point census, integers where integers belong) counts as a miss and is
-recomputed and overwritten.  `verify --max-n` below 2 and `--jobs` below
-1 are usage errors.
+recomputed and overwritten.  `verify --max-n` below 2 is a usage error.
 """
 
 from __future__ import annotations
@@ -56,24 +56,15 @@ def _parse_span(value: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected a..b, got {value!r}") from None
 
 
-def _parse_int_at_least(value: str, low: int) -> int:
+def _parse_max_n(value: str) -> int:
+    """A sweep cap: below 2, the smallest ambient dimension, is a usage error."""
     try:
         number = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
-    if number < low:
-        raise argparse.ArgumentTypeError(f"must be at least {low}, got {number}")
+    if number < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {number}")
     return number
-
-
-def _parse_jobs(value: str) -> int:
-    """A worker count: below 1 is a usage error, above the CPU count is clamped."""
-    return min(_parse_int_at_least(value, 1), os.cpu_count() or 1)
-
-
-def _parse_max_n(value: str) -> int:
-    """A sweep cap: below 2, the smallest ambient dimension, is a usage error."""
-    return _parse_int_at_least(value, 2)
 
 
 def _axis_values(parser: argparse.ArgumentParser, name: str, single: int | None,
@@ -111,8 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     betti = subs.add_parser("betti", help="compute Poincare polynomial / Betti numbers")
     _add_cell_arguments(betti)
     betti.add_argument("--method", choices=sorted(_METHODS), default="loc")
-    betti.add_argument("--jobs", type=_parse_jobs, default=1,
-                       help="worker processes for the fixed-point sum (at most the CPU count)")
     betti.add_argument("--cache-dir", default=None, help=f"result cache directory (or ${CACHE_ENV})")
     betti.add_argument("--reports", action="store_true",
                        help="include per-fixed-point weight reports (localization only, uncached)")
@@ -127,8 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=(*sorted(checks.SUITES), "all"), required=True)
     verify.add_argument("--max-n", type=_parse_max_n, default=None,
                         help="cap the ambient dimension of the sweep (at least 2)")
-    verify.add_argument("--jobs", type=_parse_jobs, default=1,
-                        help="worker processes for the localization sums (at most the CPU count)")
     verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -138,7 +125,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (UnsupportedDegreeError, ValueError) as exc:
+    except (UnsupportedDegreeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (closedform.TheoremViolationError, WeightConsistencyError, qpoly.DivisibilityError) as exc:
@@ -166,14 +153,11 @@ def _cells(args, parser) -> list[tuple[int, int, int]]:
     return sorted(cells)
 
 
-def _poincare_for(k: int, n: int, d: int, method: str, jobs: int) -> QPolynomial:
+def _betti_payload(k: int, n: int, d: int, method: str) -> dict:
     if method == "localization":
-        return localization.poincare_localization(k, n, d, jobs=jobs)
-    return closedform.closed_form_result(k, n, d).poincare
-
-
-def _betti_payload(k: int, n: int, d: int, method: str, jobs: int) -> dict:
-    poly = _poincare_for(k, n, d, method, jobs)
+        poly = localization.poincare_localization(k, n, d)
+    else:
+        poly = closedform.closed_form_result(k, n, d).poincare
     return {
         "k": k,
         "n": n,
@@ -232,15 +216,14 @@ def _read_cached(path: str, k: int, n: int, d: int, method: str) -> dict | None:
     return payload
 
 
-def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str,
-                    jobs: int) -> tuple[dict, str | None]:
+def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str) -> tuple[dict, str | None]:
     """A cache hit, or a fresh payload that atomically replaces a missing or
     bad entry; with the `_payload_text` written for it, None on a hit."""
     path = os.path.join(cache_dir, f"{k}-{n}-{d}-{method}.json")
     payload = _read_cached(path, k, n, d, method)
     if payload is not None:
         return payload, None
-    payload = _betti_payload(k, n, d, method, jobs)
+    payload = _betti_payload(k, n, d, method)
     text = _payload_text(payload)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -323,15 +306,15 @@ def cmd_betti(args, parser) -> int:
         for method in methods:
             text = None
             if args.reports and method == "localization":
-                payload = _betti_payload(k, n, d, method, args.jobs)
+                payload = _betti_payload(k, n, d, method)
                 payload["reports"] = [
                     localization.fixed_point_report(t).to_json_dict()
                     for t in fixedgraphs.enumerate_fixed_graphs(k, n, d)
                 ]
             elif cache_dir:
-                payload, text = _cached_payload(cache_dir, k, n, d, method, args.jobs)
+                payload, text = _cached_payload(cache_dir, k, n, d, method)
             else:
-                payload = _betti_payload(k, n, d, method, args.jobs)
+                payload = _betti_payload(k, n, d, method)
             per_method[method] = payload
             payloads.append(payload)
             texts.append(text)
@@ -408,7 +391,7 @@ def cmd_verify(args, parser) -> int:
     names = sorted(checks.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
-        for label, ok, detail in checks.SUITES[name](args.max_n, args.jobs):
+        for label, ok, detail in checks.SUITES[name](args.max_n):
             status = "INFO" if ok is None else "PASS" if ok else "FAIL"
             print(f"{status}  {label}{('  ' + detail) if detail else ''}")
             all_ok &= status != "FAIL"

@@ -211,7 +211,7 @@ def enumerate_fixed_graphs(k: int, n: int, d: int) -> tuple[DecoratedTree, ...]:
     """All torus-fixed stable maps of degree d to G(k, n), up to isomorphism.
 
     Deterministic: the result is sorted by canonical form.  Cached, since
-    the same cells are revisited by the census, the localization sum and
+    the same cells are revisited by the census, the per-tree sums and
     the consistency sweeps.
     """
     _check_cell(k, n, d)

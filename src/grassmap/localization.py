@@ -29,24 +29,27 @@ a reparametrization zero; nothing else may cancel below multiplicity 0.
 Both facts are enforced, so a miscounted family would abort loudly rather
 than skew a Betti number.
 
-The assembly exists in two forms.  `tangent_weights` builds a
-`WeightMultiset` of `Fraction` weights; it backs the per-fixed-point reports
-(`fixed_point_report`, `grassmap betti --reports`) and is the tests' oracle.
-`tangent_sign_counts` runs the same assembly on weights encoded as plain
-ints (see `weights`), whose signs are the weights' signs, and applies the
-same checks; the localization sum, its worker processes and the sub-family
-sums count with it.  `embedding_cross_check` compares int-encoded multisets
-too: the lifted tangent is the same assembly with a lift slot.
+`tangent_weights` assembles `Fraction` weights, for the per-fixed-point
+reports (`grassmap betti --reports`) and as the tests' oracle;
+`tangent_sign_counts` runs the same assembly and checks on int-encoded
+weights (see `weights`), for the sub-family sums; `embedding_cross_check`
+compares int multisets, lifted with a slot.  `poincare_localization` builds
+no trees: each family enters with a fixed multiplicity, so a tree's positive
+count is a sum of local terms, and `_positive_counts` sums each tree shape
+from tables of them, under three checks of its own (three-edge path parity,
+exponents in 0..dim, the census total); the tests hold it to the per-tree sum.
 """
 
 from __future__ import annotations
 
-import atexit
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable
 
-from .fixedgraphs import DecoratedTree, enumerate_fixed_graphs
+from .fixedgraphs import DecoratedTree, _neighbor_labels, census_formula, enumerate_fixed_graphs
 from .qpoly import QPolynomial
 from .weights import (
     TorusWeight,
@@ -212,60 +215,97 @@ def tangent_sign_counts(tree: DecoratedTree) -> tuple[int, int]:
     return _checked_int_counts(tree, _int_tangent(tree))
 
 
-def _chunk_positive_counts(trees: Iterable[DecoratedTree]) -> Counter:
-    counts: Counter = Counter()
-    for tree in trees:
-        counts[tangent_sign_counts(tree)[0]] += 1
+# -- the localization sum -----------------------------------------------------
+
+
+def _legs(c: tuple[int, ...], n: int, deg: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(l, E, omega) per fixed line c - l covered with degree deg: E counts its
+    positive section weights, omega is its domain tangent at c (-omega at l)."""
+    out = []
+    for other in _neighbor_labels(c, n):
+        (drop,) = set(c).difference(other)
+        (add,) = set(other).difference(c)
+        shared = tuple(i for i in c if i != drop)
+        e = sum(w > 0 for w in _edge_h0_ints(shared, drop, add, deg, n))
+        out.append((other, e, _domain_tangent_int(n, deg, drop, add)))
+    return out
+
+
+def _positive_counts(k: int, n: int, d: int) -> Counter:
+    """Fixed trees per positive count, each shape summed from local terms.
+
+    A leg c - l (E and omega from `_legs`) ending in a leaf l adds a = E -
+    [omega < 0]; T(c) counts the positive tangent directions of G(k, n) at c.
+
+      edge_d   E - 1 per pair of adjacent labels;
+      path     a1 + a2 + [omega1 + omega2 > 0] - T(c) per unordered pair of unit legs;
+      path12   the same per (unit leg, degree-2 leg);
+      star     a + [omega > 0] summed over three unit legs, - 2 T(c); a multiset of
+               leg values stands for prod C(mult + r - 1, r) multisets of legs;
+      path111  per ordered middle edge (c1, c2), E(c1, c2) - T(c1) - T(c2) plus
+               a + [omega + omega(c1 -> c2) > 0] at each end; halved, since each
+               path is seen from both middle ends.
+    """
+    labels = list(itertools.combinations(range(1, n + 1), k))
+    counts = Counter(e - 1 for c in labels for other, e, _ in _legs(c, n, d) if c < other)
+    if d == 1:
+        return counts
+    tops = {c: sum(w > 0 for w in _point_tangent_ints(c, n)) for c in labels}
+    unit = {c: _legs(c, n, 1) for c in labels}
+    leaves = {c: [(e - (w < 0), w) for _, e, w in unit[c]] for c in labels}
+    for c, t in tops.items():
+        legs = leaves[c]
+        if d == 2:
+            for i, (a1, w1) in enumerate(legs):
+                counts.update(a1 + a2 + (w1 + w2 > 0) - t for a2, w2 in legs[i:])
+            continue
+        for _, e, w2 in _legs(c, n, 2):
+            counts.update(a1 + e - (w2 < 0) + (w1 + w2 > 0) - t for a1, w1 in legs)
+        values = Counter(a + (w > 0) for a, w in legs)
+        for combo in itertools.combinations_with_replacement(sorted(values), 3):
+            mult = math.prod(math.comb(values[v] + r - 1, r) for v, r in Counter(combo).items())
+            counts[sum(combo) - 2 * t] += mult
+    if d == 3:
+        ends = {(c, other): Counter(a + (w + w_mid > 0) for a, w in leaves[c])
+                for c in labels for other, _, w_mid in unit[c]}
+        doubled: Counter = Counter()
+        for c1 in labels:
+            for c2, e, _ in unit[c1]:
+                shift = e - tops[c1] - tops[c2]
+                for x, cx in ends[c1, c2].items():
+                    for y, cy in ends[c2, c1].items():
+                        doubled[x + y + shift] += cx * cy
+        for p, twice in doubled.items():
+            if twice % 2:
+                raise WeightConsistencyError(f"three-edge paths at q^{p} in ({k},{n},3) counted "
+                                             f"from both middle ends: {twice}, an odd number")
+            counts[p] += twice // 2
     return counts
 
 
-_poincare_cache: dict[tuple[int, int, int], QPolynomial] = {}
-_pools: dict = {}  # worker count -> ProcessPoolExecutor
+@cache
+def poincare_localization(k: int, n: int, d: int) -> QPolynomial:
+    """q^(positive tangent weights) summed over the fixed trees, from local terms.
 
-
-def _worker_pool(jobs: int):
-    """A pool of `jobs` worker processes, started on first use, reused by
-    every later sum in this process and shut down at exit."""
-    pool = _pools.get(jobs)
-    if pool is None:
-        # imported here: the pool machinery would add to every start-up
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"))
-        _pools[jobs] = pool
-        atexit.register(pool.shutdown)
-    return pool
+    Raises WeightConsistencyError if the three-edge paths count odd from their
+    middle ends, an exponent leaves 0..dim, or the fixed points summed miss
+    `census_formula`'s total.
+    """
+    census = sum(census_formula(k, n, d).values())  # refuses a cell outside 1 <= k < n, d = 1..3
+    counts = _positive_counts(k, n, d)
+    dim = moduli_dimension(k, n, d)
+    stray = sorted(p for p in counts if not 0 <= p <= dim)
+    if stray:
+        raise WeightConsistencyError(f"positive counts {stray} outside 0..{dim} in ({k},{n},{d})")
+    if sum(counts.values()) != census:
+        raise WeightConsistencyError(f"{sum(counts.values())} fixed points summed in ({k},{n},{d}), "
+                                     f"the census counts {census}")
+    return QPolynomial(dict(counts))
 
 
 def clear_poincare_cache() -> None:
     """Forget every memoized `poincare_localization` result."""
-    _poincare_cache.clear()
-
-
-def poincare_localization(k: int, n: int, d: int, jobs: int = 1) -> QPolynomial:
-    """Poincare polynomial by summing q^(positive weights) over fixed trees.
-
-    `jobs` > 1 fans the fixed points out over worker processes; the result
-    is an exact integer polynomial either way, identical for any job count
-    (the reduction is a commutative sum).
-    """
-    key = (k, n, d)
-    hit = _poincare_cache.get(key)
-    if hit is not None:
-        return hit
-    trees = enumerate_fixed_graphs(k, n, d)
-    if jobs > 1 and len(trees) >= 64:
-        step = (len(trees) + jobs - 1) // jobs
-        chunks = [trees[i : i + step] for i in range(0, len(trees), step)]
-        counts: Counter = Counter()
-        for part in _worker_pool(jobs).map(_chunk_positive_counts, chunks):
-            counts.update(part)
-    else:
-        counts = _chunk_positive_counts(trees)
-    result = QPolynomial(dict(counts))
-    _poincare_cache[key] = result
-    return result
+    poincare_localization.cache_clear()
 
 
 # -- degree-2 sub-families -----------------------------------------------------

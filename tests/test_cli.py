@@ -1,13 +1,12 @@
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import pytest
 
 from grassmap import checks
 from grassmap.checks import PUBLISHED_ROWS
-from grassmap.cli import _parse_jobs, main
+from grassmap.cli import main
 from test_acceptance import assert_suite
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
@@ -99,35 +98,15 @@ class TestBetti:
         assert code == 0
         assert out.splitlines()[-1] == "  fixed point (1) (2) [0-1:1]  +0/-0"
 
-    def test_jobs_flag(self, capsys):
-        from grassmap.closedform import closed_form_result
-        from grassmap.localization import clear_poincare_cache
-
-        clear_poincare_cache()  # force a fresh parallel run
-        code, out, _ = run(
-            capsys, "betti", "-k", "1", "-n", "4", "-d", "2", "--jobs", "2", "--format", "csv"
-        )
-        assert code == 0
-        poly = closed_form_result(1, 4, 2).poincare
-        expected = ",".join(str(c) for c in poly.coefficient_list())
-        assert out.strip() == expected
-
     @pytest.mark.parametrize("command", [["betti", "-k", "1", "-n", "2", "-d", "1"],
                                          ["verify", "--suite", "tables"]])
-    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two", "2"])
     def test_bad_jobs_is_usage_error(self, capsys, command, jobs):
+        # the localization sum runs in one process: --jobs no longer exists
         with pytest.raises(SystemExit) as exc:
             main([*command, "--jobs", jobs])
         assert exc.value.code == 2
-
-    def test_jobs_clamped_to_cpu_count(self, capsys):
-        cpus = os.cpu_count() or 1
-        assert _parse_jobs("1") == 1
-        assert _parse_jobs(str(cpus + 1000)) == cpus
-        # (1,3,1) has 3 fixed trees, below the 64 that start a pool
-        code, out, _ = run(capsys, "betti", "-k", "1", "-n", "3", "-d", "1",
-                           "--jobs", str(cpus + 1000), "--format", "csv")
-        assert code == 0 and out.strip() == "1,1,1"
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestCache:
@@ -180,6 +159,20 @@ class TestCache:
         code, warm, _ = run(capsys, *argv)
         assert code == 0 and warm == cold
         assert entry.read_bytes() == good
+
+    @pytest.mark.parametrize("blocked", ["file-as-cache-dir", "directory-at-entry"])
+    def test_unusable_cache_path_is_usage_error(self, capsys, tmp_path, blocked):
+        # an I/O fault is exit 2, with a message, not a traceback
+        if blocked == "file-as-cache-dir":
+            cache_dir = tmp_path / "cache"
+            cache_dir.write_text("")
+        else:
+            cache_dir = tmp_path
+            (tmp_path / "1-3-1-localization.json").mkdir()
+        code, out, err = run(capsys, "betti", "-k", "1", "-n", "3", "-d", "1",
+                             "--cache-dir", str(cache_dir))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "field,change,row",

@@ -1,10 +1,12 @@
 import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import grassmap.localization as loc
 import grassmap.weights as weights
+from grassmap.checks import SWEEP
 from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs
 from grassmap.localization import (
     FAMILIES,
@@ -149,22 +151,53 @@ class TestPoincare:
             assert poincare_localization(1, 4, d) == poincare_localization(3, 4, d)
         assert poincare_localization(2, 5, 2) == poincare_localization(3, 5, 2)
 
-    def test_jobs_do_not_change_the_answer(self):
-        serial = poincare_localization(1, 4, 2)
-        clear_poincare_cache()
-        assert poincare_localization(1, 4, 2, jobs=2) == serial
 
-    def test_one_worker_pool_serves_every_parallel_sum(self):
-        # (2,4,2) and (2,4,3) have at least 64 trees, enough to use the workers
-        cells = [(2, 4, 2), (2, 4, 3)]
-        serial = [poincare_localization(*cell) for cell in cells]
+ORACLE_CELLS = sorted({*SWEEP, *((k, n, 1) for n in range(2, 7) for k in range(1, n)), (3, 7, 3)})
+
+
+class TestLocalSum:
+    """The sum of local terms against the per-tree sum as oracle."""
+
+    @pytest.mark.parametrize("cell", ORACLE_CELLS, ids=lambda c: "-".join(map(str, c)))
+    def test_equals_per_tree_sum(self, cell):
+        per_tree = Counter(tangent_sign_counts(t)[0] for t in enumerate_fixed_graphs(*cell))
         clear_poincare_cache()
-        pools = []
-        for cell, expected in zip(cells, serial):
-            assert len(enumerate_fixed_graphs(*cell)) >= 64
-            assert poincare_localization(*cell, jobs=2) == expected
-            pools.append(loc._pools[2])
-        assert pools[0] is pools[1]
+        assert poincare_localization(*cell) == QPolynomial(dict(per_tree))
+
+    def test_odd_path111_count_raises(self, monkeypatch):
+        # one more positive section weight on unit edges read from the lower
+        # label's end only: a middle edge then counts its paths differently
+        # from its two ends
+        orig = loc._edge_h0_ints
+
+        def one_sided(shared, b_u, b_v, deg, n, m=None):
+            extra = (1,) if deg == 1 and b_u < b_v else ()
+            return (*orig(shared, b_u, b_v, deg, n, m), *extra)
+
+        monkeypatch.setattr(loc, "_edge_h0_ints", one_sided)
+        clear_poincare_cache()
+        with pytest.raises(WeightConsistencyError, match="three-edge paths .* an odd number"):
+            poincare_localization(2, 4, 3)
+
+    def test_exponent_outside_dimension_raises(self, monkeypatch):
+        # every vertex of valence >= 2 loses 50 positive directions too many
+        orig = loc._point_tangent_ints
+        monkeypatch.setattr(loc, "_point_tangent_ints", lambda *a: (*orig(*a), *(1,) * 50))
+        clear_poincare_cache()
+        with pytest.raises(WeightConsistencyError, match=r"outside 0\.\.9"):
+            poincare_localization(2, 4, 2)
+
+    def test_fixed_point_total_off_census_raises(self, monkeypatch):
+        # each label loses its last fixed line
+        orig = loc._neighbor_labels
+        monkeypatch.setattr(loc, "_neighbor_labels", lambda *a: orig(*a)[:-1])
+        clear_poincare_cache()
+        with pytest.raises(WeightConsistencyError, match="the census counts 72"):
+            poincare_localization(2, 4, 2)
+
+    def test_nothing_comes_from_the_closed_form(self):
+        assert all(getattr(v, "__module__", None) != "grassmap.closedform" for v in vars(loc).values())
+        assert "closedform" not in vars(loc)
 
 
 class TestDegreeOneOracle:
