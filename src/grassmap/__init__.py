@@ -5,9 +5,10 @@ space of degree-d (d <= 3) genus-0 stable maps to G(k, n):
 
 * `localization` -- exact torus localization: q^(positive tangent weights)
   summed over the fixed decorated trees (`fixedgraphs`), from per-edge,
-  per-end and per-vertex terms of the tangent weights (`weights`), checked
-  for parity, exponent range and the fixed-point census; the per-tree
-  assembly stays for reports and as the tests' oracle;
+  per-end and per-vertex terms of the int-encoded tangent weights
+  (`weights`), checked for parity, exponent range and the fixed-point
+  census; the per-tree assembly stays for `--reports` and as the tests'
+  oracle;
 * `closedform` -- evaluation of closed-form generating functions.
 
 Both produce exact integer polynomials in q (`qpoly`), with coefficient
@@ -30,13 +31,8 @@ from .qpoly import (
 from .weights import (
     EmbedMode,
     GrassmannPoint,
-    TorusWeight,
     WeightConsistencyError,
-    WeightMultiset,
-    edge_h0_weights,
     embed_tree,
-    embedding_weight_delta,
-    grassmann_tangent_weights,
 )
 from .fixedgraphs import (
     DecoratedTree,
@@ -50,7 +46,6 @@ from .fixedgraphs import (
 )
 from .localization import (
     FAMILIES,
-    FixedPointReport,
     clear_poincare_cache,
     embedding_cross_check,
     fixed_point_report,
@@ -58,7 +53,6 @@ from .localization import (
     poincare_localization,
     stratum_family_contribution,
     tangent_sign_counts,
-    tangent_weights,
 )
 from .closedform import (
     ClosedFormResult,

@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     betti.add_argument("--method", choices=sorted(_METHODS), default="loc")
     betti.add_argument("--cache-dir", default=None, help=f"result cache directory (or ${CACHE_ENV})")
     betti.add_argument("--reports", action="store_true",
-                       help="include per-fixed-point weight reports (localization only, uncached)")
+                       help="include per-fixed-point weight reports (uncached; --method loc or both, "
+                            "--format text or json)")
     betti.set_defaults(func=cmd_betti)
 
     graphs = subs.add_parser("graphs", help="enumerate the torus-fixed decorated trees")
@@ -294,6 +295,8 @@ def _render_payloads(payloads: list[dict], texts: list[str | None], fmt: str) ->
 
 
 def cmd_betti(args, parser) -> int:
+    if args.reports and (args.method == "closed" or args.format == "csv"):
+        parser.error("--reports needs --method loc or both, and --format text or json")
     cells = _cells(args, parser)
     methods = _METHODS[args.method]
     cache_dir = _cache_dir(args)
@@ -308,8 +311,7 @@ def cmd_betti(args, parser) -> int:
             if args.reports and method == "localization":
                 payload = _betti_payload(k, n, d, method)
                 payload["reports"] = [
-                    localization.fixed_point_report(t).to_json_dict()
-                    for t in fixedgraphs.enumerate_fixed_graphs(k, n, d)
+                    localization.fixed_point_report(t) for t in fixedgraphs.enumerate_fixed_graphs(k, n, d)
                 ]
             elif cache_dir:
                 payload, text = _cached_payload(cache_dir, k, n, d, method)

@@ -11,7 +11,7 @@ cohomological degree) / 2; odd cohomology vanishes.
 The tangent weight multiset at a fixed tree assembles as follows.
 
   added    per edge: the section weights of the restricted tangent bundle
-           along the covered line (weights.edge_h0_weights);
+           along the covered line (weights._edge_h0_ints);
   added    per valence-2 vertex: one node-smoothing weight, the sum of the
            two domain tangent characters meeting at the node;
   added    per valence-3 vertex: the three domain tangent characters at the
@@ -29,14 +29,15 @@ a reparametrization zero; nothing else may cancel below multiplicity 0.
 Both facts are enforced, so a miscounted family would abort loudly rather
 than skew a Betti number.
 
-`tangent_weights` assembles `Fraction` weights, for the per-fixed-point
-reports (`grassmap betti --reports`) and as the tests' oracle;
-`tangent_sign_counts` runs the same assembly and checks on int-encoded
-weights (see `weights`), for the sub-family sums; `embedding_cross_check`
-compares int multisets, lifted with a slot.  `poincare_localization` builds
-no trees: each family enters with a fixed multiplicity, so a tree's positive
-count is a sum of local terms, and `_positive_counts` sums each tree shape
-from tables of them, under three checks of its own (three-edge path parity,
+`_int_tangent` assembles the multiset from the int-encoded families of
+`weights`, and `_checked_int_counts` runs the checks.  On them rest
+`tangent_sign_counts`, for the sub-family sums and as the tests' oracle for
+the localization sum; `fixed_point_report`, which decodes the weights for
+`grassmap betti --reports`; and `embedding_cross_check`, which compares int
+multisets, lifted with a slot.  `poincare_localization` builds no trees:
+each family enters with a fixed multiplicity, so a tree's positive count is
+a sum of local terms, and `_positive_counts` sums each tree shape from
+tables of them, under three checks of its own (three-edge path parity,
 exponents in 0..dim, the census total); the tests hold it to the per-tree sum.
 """
 
@@ -45,24 +46,19 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable
+from typing import Callable
 
 from .fixedgraphs import DecoratedTree, _neighbor_labels, census_formula, enumerate_fixed_graphs
 from .qpoly import QPolynomial
 from .weights import (
-    TorusWeight,
+    WEIGHT_SCALE,
     WeightConsistencyError,
-    WeightMultiset,
+    _digits,
     _domain_tangent_int,
     _edge_h0_ints,
     _embedding_delta_ints,
-    _iter_edge_h0,
-    _iter_point_tangent,
     _point_tangent_ints,
-    _zero_weight,
-    domain_tangent_weight,
     embed_tree,
 )
 
@@ -72,104 +68,13 @@ def moduli_dimension(k: int, n: int, d: int) -> int:
     return k * (n - k) + d * n - 3
 
 
-def tangent_weights(tree: DecoratedTree) -> WeightMultiset:
-    """The tangent weight multiset at a fixed tree.
-
-    Raises WeightConsistencyError if the assembly nets a negative
-    multiplicity, leaves a zero weight standing, or misses the moduli
-    dimension -- all impossible for correctly enumerated trees.
-    """
-    n = tree.n
-    ws = WeightMultiset()
-    valences = tree.valences()
-    omegas: list[list[TorusWeight]] = [[] for _ in tree.vertices]
-    frames = []
-    for edge in tree.edges:
-        shared, b_u, b_v = tree.edge_frame(edge)
-        frames.append((edge, b_u, b_v))
-        ws.update(_iter_edge_h0(shared, b_u, b_v, edge.deg, n))
-        omegas[edge.u].append(domain_tangent_weight(n, edge.deg, b_u, b_v))
-        omegas[edge.v].append(domain_tangent_weight(n, edge.deg, b_v, b_u))
-    for idx, label in enumerate(tree.vertices):
-        v = valences[idx]
-        if v == 2:
-            ws.add(omegas[idx][0] + omegas[idx][1])
-        elif v == 3:
-            for w in omegas[idx]:
-                ws.add(w)
-        if v >= 2:
-            ws.update(_iter_point_tangent(label, n), -(v - 1))
-    zero = _zero_weight(n)
-    for edge, b_u, b_v in frames:
-        ws.add(zero, -1)
-        if valences[edge.u] == 1:
-            ws.add(domain_tangent_weight(n, edge.deg, b_u, b_v), -1)
-        if valences[edge.v] == 1:
-            ws.add(domain_tangent_weight(n, edge.deg, b_v, b_u), -1)
-    _checked_sign_counts(tree, ((w.sign, mult, w) for w, mult in ws.items()))
-    return ws
-
-
-def _checked_sign_counts(
-    tree: DecoratedTree, signed: Iterable[tuple[int, int, object]]
-) -> tuple[int, int]:
-    """(positive, negative) counts over (sign, multiplicity, weight) entries.
-
-    Raises WeightConsistencyError on a negative multiplicity, a zero weight
-    left standing, or a total that misses the moduli dimension.
-    """
-    pos = neg = 0
-    for sign, mult, w in signed:
-        if mult < 0:
-            raise WeightConsistencyError(
-                f"negative multiplicity {mult} for weight {w} at tree {tree.to_json_dict()}"
-            )
-        if sign > 0:
-            pos += mult
-        elif sign < 0:
-            neg += mult
-        elif mult:
-            raise WeightConsistencyError(
-                f"zero weight survived assembly at tree {tree.to_json_dict()}"
-            )
-    expected = moduli_dimension(tree.k, tree.n, tree.d)
-    if pos + neg != expected:
-        raise WeightConsistencyError(
-            f"tangent dimension {pos + neg} != {expected} at tree {tree.to_json_dict()}"
-        )
-    return pos, neg
-
-
-@dataclass(frozen=True)
-class FixedPointReport:
-    """One fixed point's contribution, fully disclosed."""
-
-    tree: DecoratedTree
-    weights: WeightMultiset
-    positives: int
-    negatives: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tree": self.tree.to_json_dict(),
-            "weights": [w.to_fraction_strings() for w in self.weights.expanded()],
-            "positives": self.positives,
-            "negatives": self.negatives,
-        }
-
-
-def fixed_point_report(tree: DecoratedTree) -> FixedPointReport:
-    ws = tangent_weights(tree)
-    pos, neg, _ = ws.sign_counts()
-    return FixedPointReport(tree=tree, weights=ws, positives=pos, negatives=neg)
-
-
 def _int_tangent(tree: DecoratedTree, m: int | None = None) -> Counter:
-    """`tangent_weights` in the integer encoding, as signed multiplicities.
+    """The tangent weight multiset at a fixed tree, int-encoded, as signed multiplicities.
 
-    The same assembly, family by family; entries may net to 0 (dropped
-    from a WeightMultiset, kept here) and are checked by the caller.  With
-    a lift slot m the result encodes `tangent_weights(tree).insert_index(m)`.
+    Assembled family by family as in the module docstring; entries may net
+    to 0, and the caller checks them (`_checked_int_counts`).  With a lift
+    slot m the weights are encoded lifted into n+1 characters, the new one at
+    slot m.
     """
     n = tree.n
     ws: Counter = Counter()
@@ -202,17 +107,60 @@ def _int_tangent(tree: DecoratedTree, m: int | None = None) -> Counter:
 
 
 def _checked_int_counts(tree: DecoratedTree, ws: Counter) -> tuple[int, int]:
-    """`_checked_sign_counts` over int-encoded weights, whose sign is their own."""
-    return _checked_sign_counts(tree, (((w > 0) - (w < 0), mult, w) for w, mult in ws.items()))
+    """(positive, negative) counts of an int-encoded multiset, each int's sign its weight's.
+
+    Raises WeightConsistencyError on a negative multiplicity, a zero weight
+    left standing, or a total that misses the moduli dimension.
+    """
+    pos = neg = 0
+    for w, mult in ws.items():
+        if mult < 0:
+            raise WeightConsistencyError(
+                f"negative multiplicity {mult} for weight {w} at tree {tree.to_json_dict()}"
+            )
+        if w > 0:
+            pos += mult
+        elif w < 0:
+            neg += mult
+        elif mult:
+            raise WeightConsistencyError(
+                f"zero weight survived assembly at tree {tree.to_json_dict()}"
+            )
+    expected = moduli_dimension(tree.k, tree.n, tree.d)
+    if pos + neg != expected:
+        raise WeightConsistencyError(
+            f"tangent dimension {pos + neg} != {expected} at tree {tree.to_json_dict()}"
+        )
+    return pos, neg
 
 
 def tangent_sign_counts(tree: DecoratedTree) -> tuple[int, int]:
-    """(positive, negative) tangent weight counts at a fixed tree.
-
-    Equal to the sign counts of `tangent_weights(tree)`, computed in the
-    integer encoding and held to the same checks.
-    """
+    """(positive, negative) tangent weight counts at a fixed tree, checked."""
     return _checked_int_counts(tree, _int_tangent(tree))
+
+
+def _sixths(digit: int) -> str:
+    """digit / WEIGHT_SCALE as a reduced fraction string ("-1/2", "0", "2")."""
+    g = math.gcd(digit, WEIGHT_SCALE)
+    return str(digit // g) if g == WEIGHT_SCALE else f"{digit // g}/{WEIGHT_SCALE // g}"
+
+
+def fixed_point_report(tree: DecoratedTree) -> dict:
+    """One fixed point's contribution, fully disclosed, as a JSON dict.
+
+    The tree, its tangent weights, each as the reduced fraction strings of
+    its coefficients of a_1..a_n, repeated by multiplicity and sorted by
+    those coefficients, and its positive and negative counts.
+    """
+    ws = _int_tangent(tree)
+    pos, neg = _checked_int_counts(tree, ws)
+    vectors = sorted((_digits(w, tree.n), mult) for w, mult in ws.items() if mult)
+    return {
+        "tree": tree.to_json_dict(),
+        "weights": [[_sixths(c) for c in digits] for digits, mult in vectors for _ in range(mult)],
+        "positives": pos,
+        "negatives": neg,
+    }
 
 
 # -- the localization sum -----------------------------------------------------
@@ -386,9 +334,9 @@ def embedding_cross_check(tree: DecoratedTree, m: int, mode) -> bool:
     route must agree as multisets; this is the strongest internal check the
     weight calculus has, exercising every family jointly.  Both routes run
     in the integer encoding: the lift is `_int_tangent(tree, m)` and the
-    surplus the int form of `weights.embedding_weight_delta`.  Both
-    tangents pass the checks of `tangent_sign_counts`, and a negative
-    surplus raises WeightConsistencyError.
+    surplus `weights._embedding_delta_ints`.  Both tangents pass the checks
+    of `tangent_sign_counts`, and a negative surplus raises
+    WeightConsistencyError.
     """
     embedded = embed_tree(tree, m, mode)
     direct = _int_tangent(embedded)

@@ -82,8 +82,8 @@ def test_criterion_4_triangle_anchor():
             edges=(Edge(0, 1, 1), Edge(0, 2, 1)),
         )
         report = fixed_point_report(anchor)
-        assert len(report.weights) == 5
-        assert report.positives == 4 and report.negatives == 1
+        assert len(report["weights"]) == 5
+        assert report["positives"] == 4 and report["negatives"] == 1
 
 
 def test_criterion_5_structural_invariants():

@@ -11,6 +11,16 @@ from test_acceptance import assert_suite
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
+# sha256 of `betti -k K -n N -d D --reports --format FMT` stdout, keyed K-N-D-FMT
+REPORT_DIGESTS = {
+    "2-4-2-json": "7df991c89ad93adeab0c00b8e1419558fe6f941cb82dedcc09521ba075f88cd5",
+    "2-4-2-text": "f47f2a3db7b1bc6ffabcc70b5680eed3f02aa6fc233e82a0ffa2462724a7bef0",
+    "1-3-3-json": "63f071c768770a81e3547b93f31b5d41d83bacdd765addeb39cf6499d231ff42",
+    "1-3-3-text": "8cdfdba614a0a26606398db38c128e9d79223d999c044f5c8765ddbe324408c6",
+    "2-4-3-json": "c2834167feed2c8e78a78ae7681f9480ca1f9477173ddabd655209312ac963e5",
+    "2-4-3-text": "a940c505b0754d4bd52124ffa86d4023381b9afd9abd914a4b1bcf22bc2efd26",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -97,6 +107,25 @@ class TestBetti:
         code, out, _ = run(capsys, "betti", "-k", "1", "-n", "2", "-d", "1", "--reports")
         assert code == 0
         assert out.splitlines()[-1] == "  fixed point (1) (2) [0-1:1]  +0/-0"
+
+    @pytest.mark.parametrize("case", sorted(REPORT_DIGESTS))
+    def test_reports_bytes_are_pinned(self, capsys, case):
+        # sha256 of the whole stdout: every weight vector, its order and its
+        # fraction strings
+        k, n, d, fmt = case.split("-")
+        code, out, _ = run(capsys, "betti", "-k", k, "-n", n, "-d", d, "--reports", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[case]
+
+    @pytest.mark.parametrize("extra", [["--method", "closed"], ["--format", "csv"],
+                                       ["--method", "both", "--format", "csv"]],
+                             ids=["closed", "csv", "both-csv"])
+    def test_reports_without_their_output_is_usage_error(self, capsys, extra):
+        # the closed form has no fixed points and csv has no room for them
+        with pytest.raises(SystemExit) as exc:
+            main(["betti", "-k", "1", "-n", "3", "-d", "2", "--reports", *extra])
+        assert exc.value.code == 2
+        assert "--reports" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["betti", "-k", "1", "-n", "2", "-d", "1"],
                                          ["verify", "--suite", "tables"]])

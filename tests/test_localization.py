@@ -6,6 +6,7 @@ import pytest
 
 import grassmap.localization as loc
 import grassmap.weights as weights
+from fraction_oracle import embedding_delta, encoded, lift, sign_counts, tangent, weight
 from grassmap.checks import SWEEP
 from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs
 from grassmap.localization import (
@@ -17,16 +18,9 @@ from grassmap.localization import (
     poincare_localization,
     stratum_family_contribution,
     tangent_sign_counts,
-    tangent_weights,
 )
 from grassmap.qpoly import QPolynomial, qbinomial, reverse
-from grassmap.weights import (
-    TorusWeight,
-    WeightConsistencyError,
-    WeightMultiset,
-    embed_tree,
-    embedding_weight_delta,
-)
+from grassmap.weights import WeightConsistencyError, embed_tree
 
 SMALL_CELLS = [(k, n, d) for n in range(2, 6) for k in range(1, n) for d in (1, 2, 3)]
 
@@ -36,71 +30,78 @@ def tree(k, n, vertices, edges):
 
 
 def w(*coeffs):
-    return TorusWeight(len(coeffs), coeffs)
+    return tuple(F(c) for c in coeffs)
+
+
+def nonzero(counts):
+    return {w: mult for w, mult in counts.items() if mult}
+
+
+def assert_tangent(t, want):
+    """The oracle's and the program's tangent multisets at t are `want`."""
+    assert tangent(t) == Counter(want)
+    assert nonzero(loc._int_tangent(t)) == encoded(Counter(want))
 
 
 class TestTangentWeights:
     def test_double_cover_of_projective_line(self):
         # single degree-2 edge (1)--(2) in G(1,2): weights +-(a2-a1)
-        t = tree(1, 2, [(1,), (2,)], [(0, 1, 2)])
-        assert tangent_weights(t) == WeightMultiset([w(-1, 1), w(1, -1)])
+        assert_tangent(tree(1, 2, [(1,), (2,)], [(0, 1, 2)]), [w(-1, 1), w(1, -1)])
 
     def test_folded_unit_path(self):
         # (2)-(1)-(2): node smoothing doubles the line direction
-        t = tree(1, 2, [(1,), (2,), (2,)], [(0, 1, 1), (0, 2, 1)])
-        assert tangent_weights(t) == WeightMultiset([w(-1, 1), w(-2, 2)])
+        assert_tangent(tree(1, 2, [(1,), (2,), (2,)], [(0, 1, 1), (0, 2, 1)]), [w(-1, 1), w(-2, 2)])
 
     def test_triangle_in_plane_grassmannian(self):
         # the anchor configuration (1,2)-(2,3), (1,2)-(1,3) in G(2,3)
         t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
-        ws = tangent_weights(t)
-        want = WeightMultiset(
-            [
-                w(1, -1, 0),   # a1 - a2
-                w(-1, 1, 0),   # a2 - a1
-                w(0, -1, 1),   # a3 - a2
-                w(-1, 0, 1),   # a3 - a1
-                w(-1, -1, 2),  # 2a3 - a1 - a2  (node smoothing)
-            ]
-        )
-        assert ws == want
+        want = [
+            w(1, -1, 0),   # a1 - a2
+            w(-1, 1, 0),   # a2 - a1
+            w(0, -1, 1),   # a3 - a2
+            w(-1, 0, 1),   # a3 - a1
+            w(-1, -1, 2),  # 2a3 - a1 - a2  (node smoothing)
+        ]
+        assert_tangent(t, want)
         report = fixed_point_report(t)
-        assert (report.positives, report.negatives) == (4, 1)
+        assert (report["positives"], report["negatives"]) == (4, 1)
 
     def test_degree_three_edge(self):
         # one degree-3 edge in G(1,2): the +-1/3 multiples of the line
         # direction go to reparametrizations, leaving +-1 and +-2/3
         t = tree(1, 2, [(1,), (2,)], [(0, 1, 3)])
-        ws = tangent_weights(t)
-        diffs = sorted(v.coeffs[1] for v in ws.expanded())
+        diffs = sorted(v[1] for v in tangent(t).elements())
         assert diffs == [F(-1), F(-2, 3), F(2, 3), F(1)]
+        rendered = fixed_point_report(t)["weights"]
+        assert rendered == [["-1", "1"], ["-2/3", "2/3"], ["2/3", "-2/3"], ["1", "-1"]]
 
     def test_dimension_and_counts_on_a_sweep(self):
         for k, n, d in [(1, 3, 2), (2, 4, 2), (1, 3, 3), (2, 4, 3)]:
             dim = moduli_dimension(k, n, d)
             for t in enumerate_fixed_graphs(k, n, d):
                 rep = fixed_point_report(t)
-                assert rep.positives + rep.negatives == dim
-                assert rep.weights.zero_multiplicity() == 0
-                assert rep.weights.min_multiplicity() > 0
+                assert rep["positives"] + rep["negatives"] == len(rep["weights"]) == dim
+                ws = tangent(t)
+                assert ws[weight(n)] == 0
+                assert min(ws.values()) >= 0
 
     def test_report_serialization(self):
         t = tree(1, 2, [(1,), (2,)], [(0, 1, 2)])
-        doc = fixed_point_report(t).to_json_dict()
+        doc = fixed_point_report(t)
         assert doc["positives"] == 1 and doc["negatives"] == 1
-        assert sorted(doc["weights"]) == [["-1", "1"], ["1", "-1"]]
+        assert doc["weights"] == [["-1", "1"], ["1", "-1"]]
+        assert doc["tree"] == t.to_json_dict()
 
 
 class TestIntegerTangent:
-    """The integer hot path against the Fraction multiset as oracle."""
+    """The integer assembly against the Fraction oracle."""
 
     def test_multiset_matches_fraction_oracle(self):
         for k, n, d in SMALL_CELLS:
             for t in enumerate_fixed_graphs(k, n, d):
-                oracle = tangent_weights(t)
-                fast = {w: mult for w, mult in loc._int_tangent(t).items() if mult}
-                assert fast == {w.encoded(): mult for w, mult in oracle.items()}, t
-                assert tangent_sign_counts(t) == oracle.sign_counts()[:2], t
+                oracle = tangent(t)
+                assert nonzero(loc._int_tangent(t)) == encoded(oracle), t
+                assert tangent_sign_counts(t) == sign_counts(oracle), t
 
     @pytest.mark.parametrize(
         "family,broken,message",
@@ -266,14 +267,6 @@ class TestEmbeddingConsistency:
                         assert embedding_cross_check(t, m, mode), (k, n, d, m, mode)
 
 
-def encoded(multiset):
-    return {w.encoded(): mult for w, mult in multiset.items()}
-
-
-def nonzero(counts):
-    return {w: mult for w, mult in counts.items() if mult}
-
-
 @pytest.fixture
 def fresh_int_families():
     """Empty the memoized int families before and after a test that patches them."""
@@ -286,22 +279,24 @@ def fresh_int_families():
 
 
 class TestIntegerEmbedding:
-    """The integer embedding cross-check against the Fraction route as oracle."""
+    """The integer embedding cross-check against the Fraction oracle."""
 
     def test_matches_fraction_oracle(self):
         for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
             for t in enumerate_fixed_graphs(k, n, d):
-                base = tangent_weights(t)
+                base = tangent(t)
                 for m in range(1, n + 2):
-                    lifted = base.insert_index(m)
+                    lifted = lift(base, m)
                     fast_lift = loc._int_tangent(t, m)
                     assert nonzero(fast_lift) == encoded(lifted), (t, m)
                     for mode in ("iota", "kappa"):
-                        delta = embedding_weight_delta(t, m, mode)
+                        delta = embedding_delta(t, m, mode)
+                        assert min(delta.values(), default=0) >= 0, (t, m, mode)
                         fast_delta = weights._embedding_delta_ints(t, m, mode)
                         assert nonzero(fast_delta) == encoded(delta), (t, m, mode)
-                        direct = tangent_weights(embed_tree(t, m, mode))
-                        verdict = direct == lifted.merged(delta)
+                        merged = lifted.copy()
+                        merged.update(delta)
+                        verdict = tangent(embed_tree(t, m, mode)) == merged  # zero entries ignored
                         assert embedding_cross_check(t, m, mode) == verdict, (t, m, mode)
 
     def test_negative_surplus_raises(self, monkeypatch):
