@@ -48,6 +48,7 @@ from .localization import (
     FAMILIES,
     clear_poincare_cache,
     embedding_cross_check,
+    embedding_verdicts,
     fixed_point_report,
     moduli_dimension,
     poincare_localization,

@@ -27,7 +27,8 @@ both.  A cache file that is not valid JSON, that holds another cell's or
 method's payload, or whose payload is not self-consistent (dimension, Betti
 row against the polynomial, palindromic row with ends 1, total against the
 fixed-point census, integers where integers belong) counts as a miss and is
-recomputed and overwritten.  `verify --max-n` below 2 is a usage error.
+recomputed and overwritten.  `verify --max-n` below 2 is a usage error;
+`verify --stats` adds one JSON line of per-suite timings on stderr.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from typing import Sequence
 
 from . import checks, closedform, fixedgraphs, localization, qpoly
@@ -117,6 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=(*sorted(checks.SUITES), "all"), required=True)
     verify.add_argument("--max-n", type=_parse_max_n, default=None,
                         help="cap the ambient dimension of the sweep (at least 2)")
+    verify.add_argument("--stats", action="store_true",
+                        help="print the seconds and check count per suite as one JSON line on stderr")
     verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -389,15 +393,26 @@ def cmd_graphs(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    """Print one line per check of the chosen suites (see `checks`) and the verdict."""
+    """Print one line per check of the chosen suites (see `checks`) and the verdict.
+
+    With --stats, also print `{"suites": {name: {"seconds": s, "checks": c}}}`
+    as one JSON line on stderr, c counting the informational lines too.
+    """
     names = sorted(checks.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
+    stats = {}
     for name in names:
+        start = time.perf_counter()
+        count = 0
         for label, ok, detail in checks.SUITES[name](args.max_n):
             status = "INFO" if ok is None else "PASS" if ok else "FAIL"
             print(f"{status}  {label}{('  ' + detail) if detail else ''}")
             all_ok &= status != "FAIL"
+            count += 1
+        stats[name] = {"seconds": round(time.perf_counter() - start, 6), "checks": count}
     print("all checks passed" if all_ok else "CHECKS FAILED")
+    if args.stats:
+        print(json.dumps({"suites": stats}), file=sys.stderr)
     return 0 if all_ok else 1
 
 

@@ -72,16 +72,7 @@ class DecoratedTree:
 
     def edge_frame(self, edge: Edge) -> tuple[tuple[int, ...], int, int]:
         """(shared (k-1)-set, element only in u's label, element only in v's)."""
-        su = set(self.vertices[edge.u])
-        sv = set(self.vertices[edge.v])
-        shared = su & sv
-        only_u = su - sv
-        only_v = sv - su
-        if len(only_u) != 1 or len(only_v) != 1:
-            raise ValueError(
-                f"labels {self.vertices[edge.u]} and {self.vertices[edge.v]} do not span a fixed line"
-            )
-        return tuple(sorted(shared)), only_u.pop(), only_v.pop()
+        return _label_frame(self.vertices[edge.u], self.vertices[edge.v])
 
     def validate(self) -> None:
         """Check every structural invariant, raising ValueError on the first failure."""
@@ -181,6 +172,19 @@ class DecoratedTree:
         if "d" in data and int(data["d"]) != tree.d:
             raise ValueError("stored degree disagrees with the edge degrees")
         return tree
+
+
+@cache
+def _label_frame(label_u: GrassmannPoint, label_v: GrassmannPoint) -> tuple[tuple[int, ...], int, int]:
+    """`DecoratedTree.edge_frame` of an edge from label_u to label_v, memoized
+    per label pair; ValueError (never cached) if they do not span a fixed line."""
+    su = set(label_u)
+    sv = set(label_v)
+    only_u = su - sv
+    only_v = sv - su
+    if len(only_u) != 1 or len(only_v) != 1:
+        raise ValueError(f"labels {label_u} and {label_v} do not span a fixed line")
+    return tuple(sorted(su & sv)), only_u.pop(), only_v.pop()
 
 
 def _neighbor_labels(label: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:

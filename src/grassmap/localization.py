@@ -39,6 +39,18 @@ each family enters with a fixed multiplicity, so a tree's positive count is
 a sum of local terms, and `_positive_counts` sums each tree shape from
 tables of them, under three checks of its own (three-edge path parity,
 exponents in 0..dim, the census total); the tests hold it to the per-tree sum.
+
+`embedding_verdicts` gives `embedding_cross_check`'s verdict for every slot
+and mode of one tree without assembling the embedded tangent.  Embedding
+changes no edge, valence or domain character, so the node and
+reparametrization terms cancel, and direct - lifted - surplus is a sum of
+local residuals: per edge, its embedded family minus its lifted family minus
+its surplus piece; per vertex of valence v >= 2, minus v-1 times the same
+for its Grassmannian tangent.  The residuals depend on an edge frame or a
+label, the slot and the mode only, and are memoized.  A case whose residuals
+are all empty is settled from its lifted tangent and surplus alone; every
+other case is handed to `embedding_cross_check`, which assembles both
+tangents, so each case gets the same verdict and raises on the same faults.
 """
 
 from __future__ import annotations
@@ -57,8 +69,12 @@ from .weights import (
     _digits,
     _domain_tangent_int,
     _edge_h0_ints,
+    _edge_surplus_ints,
+    _embed_label,
     _embedding_delta_ints,
+    _point_surplus_ints,
     _point_tangent_ints,
+    _shift,
     embed_tree,
 )
 
@@ -348,3 +364,66 @@ def embedding_cross_check(tree: DecoratedTree, m: int, mode) -> bool:
         raise WeightConsistencyError(f"embedding surplus went negative for m={m}, mode={mode}")
     lifted.update(surplus)
     return direct == lifted  # a Counter compares missing entries as 0
+
+
+@cache
+def _edge_embeds_exactly(
+    shared: tuple[int, ...], b_u: int, b_v: int, deg: int, n: int, m: int, mode
+) -> bool:
+    """Is the edge's residual r_e empty, and its domain character the same int
+    before and after the embedding?  r_e is its embedded family minus its
+    lifted family minus its surplus piece."""
+    up = (_embed_label(shared, m, mode), _shift(b_u, m), _shift(b_v, m))
+    residual = Counter(_edge_h0_ints(*up, deg, n + 1))
+    residual.subtract(_edge_h0_ints(shared, b_u, b_v, deg, n, m))
+    residual.subtract(_edge_surplus_ints(shared, b_u, b_v, deg, n, m, mode))
+    return not any(residual.values()) and (
+        _domain_tangent_int(n + 1, deg, up[1], up[2]) == _domain_tangent_int(n, deg, b_u, b_v, m)
+    )
+
+
+@cache
+def _point_embeds_exactly(label: tuple[int, ...], n: int, m: int, mode) -> bool:
+    """Is the vertex residual r_v empty: the embedded label's Grassmannian
+    tangent minus the lifted one minus its surplus piece?"""
+    residual = Counter(_point_tangent_ints(_embed_label(label, m, mode), n + 1))
+    residual.subtract(_point_tangent_ints(label, n, m))
+    residual.subtract(_point_surplus_ints(label, n, m, mode))
+    return not any(residual.values())
+
+
+def embedding_verdicts(tree: DecoratedTree) -> dict[tuple[int, str], bool]:
+    """`embedding_cross_check(tree, m, mode)` for every slot m in 1..n+1 and
+    both modes, keyed (m, mode).
+
+    A case whose residuals are all empty (`_edge_embeds_exactly`,
+    `_point_embeds_exactly`) has direct == lifted + surplus exactly.  With the
+    lifted tangent checked (once per m) and the surplus non-negative, the
+    direct tangent then passes `_checked_int_counts` iff the surplus holds no
+    zero and adds what the embedding adds to the dimension, so the case
+    passes without the embedded tangent.  Every other case is handed to
+    `embedding_cross_check` (module docstring).
+    """
+    n, d = tree.n, tree.d
+    frames = [(*tree.edge_frame(edge), edge.deg) for edge in tree.edges]
+    labels = [label for label, v in zip(tree.vertices, tree.valences()) if v >= 2]
+    base = moduli_dimension(tree.k, n, d)
+    verdicts = {}
+    for m in range(1, n + 2):
+        try:
+            _checked_int_counts(tree, _int_tangent(tree, m))
+            lifted_ok = True
+        except WeightConsistencyError:
+            lifted_ok = False
+        for mode, k_up in (("iota", tree.k), ("kappa", tree.k + 1)):
+            surplus = _embedding_delta_ints(tree, m, mode)
+            exact = (
+                lifted_ok
+                and all(_edge_embeds_exactly(*frame, n, m, mode) for frame in frames)
+                and all(_point_embeds_exactly(label, n, m, mode) for label in labels)
+                and not surplus[0]
+                and min(surplus.values(), default=0) >= 0
+                and base + sum(surplus.values()) == moduli_dimension(k_up, n + 1, d)
+            )
+            verdicts[m, mode] = exact or embedding_cross_check(tree, m, mode)
+    return verdicts

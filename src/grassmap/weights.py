@@ -45,13 +45,18 @@ tree's edge families and vertex tangents are the lifted ones plus the weights
 that involve the new character, so both modes change the tangent weight
 multiset by a pure surplus (no cancellations): the edges add their new
 weights, and each vertex of valence v >= 2 removes v-1 copies of its own
-(`_embedding_delta_ints`).
+(`_embedding_delta_ints`).  These pieces are defined once, memoized per edge
+frame (`_edge_surplus_ints`) and per label (`_point_surplus_ints`), and
+`localization` checks the embedding from them piece by piece: an edge or
+vertex whose embedded family is its lifted family plus its piece has an empty
+residual, and a tree whose residuals are all empty needs no embedded tangent.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from itertools import chain
 from typing import TYPE_CHECKING, Literal
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
@@ -146,6 +151,12 @@ def _shift(i: int, m: int) -> int:
     return i if i < m else i + 1
 
 
+def _embed_label(label: tuple[int, ...], m: int, mode: EmbedMode) -> tuple[int, ...]:
+    """A label (or any set of indices) under `embed_tree`'s inclusion into n+1 coordinates."""
+    shifted = tuple(_shift(i, m) for i in label)
+    return shifted if mode == "iota" else tuple(sorted((m, *shifted)))
+
+
 def embed_tree(tree: "DecoratedTree", m: int, mode: EmbedMode) -> "DecoratedTree":
     """Push a fixed tree into the next Grassmannian up.
 
@@ -159,58 +170,60 @@ def embed_tree(tree: "DecoratedTree", m: int, mode: EmbedMode) -> "DecoratedTree
     n = tree.n
     if not 1 <= m <= n + 1:
         raise ValueError(f"new coordinate slot {m} outside 1..{n + 1}")
-    if mode == "iota":
-        verts = tuple(tuple(_shift(i, m) for i in lab) for lab in tree.vertices)
-        k = tree.k
-    elif mode == "kappa":
-        verts = tuple(
-            tuple(sorted((m, *(_shift(i, m) for i in lab)))) for lab in tree.vertices
-        )
-        k = tree.k + 1
-    else:
+    if mode not in ("iota", "kappa"):
         raise ValueError(f"unknown embedding mode {mode!r}")
+    verts = tuple(_embed_label(lab, m, mode) for lab in tree.vertices)
+    k = tree.k + (mode == "kappa")
     return DecoratedTree(k=k, n=n + 1, vertices=verts, edges=tree.edges)
+
+
+@cache
+def _edge_surplus_ints(
+    shared: tuple[int, ...], b_u: int, b_v: int, deg: int, n: int, m: int, mode: EmbedMode
+) -> tuple[int, ...]:
+    """The section weights of an edge's embedded family that involve the new a_m."""
+    n1 = n + 1
+    p = _characters(n1)
+    new = p[m]
+    su = _shift(b_u, m)
+    sv = _shift(b_v, m)
+    covers = _covers(p, su, sv, deg)
+    if mode == "iota":
+        return (*(new - p[_shift(a, m)] for a in shared), *(new - c for c in covers))
+    label_union = {m, su, sv, *(_shift(a, m) for a in shared)}
+    return (*(p[r] - new for r in range(1, n1 + 1) if r not in label_union), *(c - new for c in covers))
+
+
+@cache
+def _point_surplus_ints(label: tuple[int, ...], n: int, m: int, mode: EmbedMode) -> tuple[int, ...]:
+    """The tangent directions of G(k', n+1) at an embedded label that involve the new a_m."""
+    n1 = n + 1
+    p = _characters(n1)
+    new = p[m]
+    shifted = {_shift(i, m) for i in label}
+    if mode == "iota":
+        return tuple(new - p[a] for a in shifted)
+    return tuple(p[b] - new for b in range(1, n1 + 1) if b != m and b not in shifted)
 
 
 def _embedding_delta_ints(tree: "DecoratedTree", m: int, mode: EmbedMode) -> Counter:
     """The tangent-weight surplus of `embed_tree(tree, m, mode)`, as signed multiplicities.
 
     Computed in the n+1 characters of the embedded tree (module docstring):
-    per edge, the section weights that involve the new character a_m; per
-    vertex of valence v >= 2, minus v-1 copies of its new Grassmannian
-    tangent directions.  So that
+    per edge, its piece `_edge_surplus_ints`; per vertex of valence v >= 2,
+    minus v-1 copies of its piece `_point_surplus_ints`.  So that
 
         tangent(embedded tree) == tangent(tree) lifted to slot m + surplus.
 
     `m` and `mode` are taken as valid (`embed_tree` checks them), and the
     caller checks that no multiplicity is negative.
     """
-    n1 = tree.n + 1
-    p = _characters(n1)
-    new = p[m]
-    delta: Counter = Counter()
-    for edge in tree.edges:
-        shared, b_u, b_v = tree.edge_frame(edge)
-        su = _shift(b_u, m)
-        sv = _shift(b_v, m)
-        covers = _covers(p, su, sv, edge.deg)
-        if mode == "iota":
-            delta.update(new - p[_shift(a, m)] for a in shared)
-            delta.update(new - c for c in covers)
-        else:
-            label_union = {m, su, sv, *(_shift(a, m) for a in shared)}
-            delta.update(p[r] - new for r in range(1, n1 + 1) if r not in label_union)
-            delta.update(c - new for c in covers)
-    valences = tree.valences()
-    for idx, label in enumerate(tree.vertices):
-        v = valences[idx]
-        if v < 2:
-            continue
-        shifted = {_shift(i, m) for i in label}
-        if mode == "iota":
-            removed = (new - p[a] for a in shifted)
-        else:
-            removed = (p[b] - new for b in range(1, n1 + 1) if b != m and b not in shifted)
-        for w in removed:
-            delta[w] -= v - 1
+    n = tree.n
+    delta = Counter(chain.from_iterable(
+        _edge_surplus_ints(*tree.edge_frame(edge), edge.deg, n, m, mode) for edge in tree.edges
+    ))
+    for label, v in zip(tree.vertices, tree.valences()):
+        if v >= 2:
+            for w in _point_surplus_ints(label, n, m, mode):
+                delta[w] -= v - 1
     return delta

@@ -335,6 +335,29 @@ class TestVerify:
         want = json.loads(GOLDEN.read_text(encoding="utf-8"))["small"]["verify-small"]
         assert hashlib.sha256(out.encode()).hexdigest() == want
 
+    def test_stats_leaves_stdout_at_the_benchmark_golden(self, capsys):
+        want = json.loads(GOLDEN.read_text(encoding="utf-8"))["small"]["verify-small"]
+        for flags in ([], ["--stats"]):
+            code, out, err = run(capsys, "verify", "--suite", "all", "--max-n", "3", *flags)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want
+            assert bool(err) == bool(flags)
+
+    @pytest.mark.parametrize("suite", ["all", "tables"])
+    def test_stats_schema(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "3", "--stats")
+        assert code == 0
+        assert err.endswith("\n") and err.count("\n") == 1
+        stats = json.loads(err)
+        assert list(stats) == ["suites"]
+        assert list(stats["suites"]) == (sorted(checks.SUITES) if suite == "all" else [suite])
+        for entry in stats["suites"].values():
+            assert entry.keys() == {"seconds", "checks"}
+            assert type(entry["seconds"]) is float and entry["seconds"] >= 0
+            assert type(entry["checks"]) is int and entry["checks"] > 0
+        # one stdout line per check, then the verdict
+        assert sum(entry["checks"] for entry in stats["suites"].values()) == len(out.splitlines()) - 1
+
     def test_failing_check_fails_verify_and_acceptance(self, capsys, monkeypatch):
         monkeypatch.setitem(PUBLISHED_ROWS, (1, 3), [1, 2, 5, 7, 9, 7, 5, 2, 2])
         code, out, _ = run(capsys, "verify", "--suite", "tables")

@@ -51,6 +51,11 @@ class TestDecoratedTree:
     def test_edge_frame(self):
         t = tree(2, 4, [(1, 2), (2, 3)], [(0, 1, 1)])
         assert t.edge_frame(t.edges[0]) == ((2,), 1, 3)
+        assert tree(2, 4, [(2, 3), (1, 2)], [(0, 1, 1)]).edge_frame(t.edges[0]) == ((2,), 3, 1)
+        bad = tree(2, 4, [(1, 2), (3, 4)], [(0, 1, 1)])
+        for _ in range(2):  # memoized per label pair, but a refusal every time
+            with pytest.raises(ValueError, match="do not span a fixed line"):
+                bad.edge_frame(bad.edges[0])
 
     def test_validate_catches_each_break(self):
         good = tree(1, 2, [(1,), (2,)], [(0, 1, 1)])

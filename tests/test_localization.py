@@ -13,6 +13,7 @@ from grassmap.localization import (
     FAMILIES,
     clear_poincare_cache,
     embedding_cross_check,
+    embedding_verdicts,
     fixed_point_report,
     moduli_dimension,
     poincare_localization,
@@ -266,11 +267,25 @@ class TestEmbeddingConsistency:
                     for mode in ("iota", "kappa"):
                         assert embedding_cross_check(t, m, mode), (k, n, d, m, mode)
 
+    def test_per_tree_verdicts_equal_the_per_case_check(self):
+        cases = 0
+        for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
+            for t in enumerate_fixed_graphs(k, n, d):
+                verdicts = embedding_verdicts(t)
+                assert list(verdicts) == [(m, mode) for m in range(1, n + 2) for mode in ("iota", "kappa")]
+                for (m, mode), verdict in verdicts.items():
+                    assert verdict == embedding_cross_check(t, m, mode), (t, m, mode)
+                cases += len(verdicts)
+        assert cases == 9404
+
 
 @pytest.fixture
 def fresh_int_families():
-    """Empty the memoized int families before and after a test that patches them."""
-    memos = (weights._point_tangent_ints, weights._edge_h0_ints)
+    """Empty the memoized int families, surplus pieces and embedding residuals
+    before and after a test that patches them: no value computed from a patched
+    family outlives the test, and no stale residual meets the patched family."""
+    memos = (weights._point_tangent_ints, weights._edge_h0_ints, weights._point_surplus_ints,
+             weights._edge_surplus_ints, loc._point_embeds_exactly, loc._edge_embeds_exactly)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -313,6 +328,31 @@ class TestIntegerEmbedding:
             with pytest.raises(WeightConsistencyError, match="surplus went negative"):
                 embedding_cross_check(t, 2, mode)
 
+    @pytest.mark.parametrize("broken_mode", ["iota", "kappa"])
+    def test_negative_surplus_piece_raises_tree_by_tree(self, monkeypatch, fresh_int_families, broken_mode):
+        # in one mode, each edge piece adds one weight too many and the center's
+        # piece removes two: the surplus keeps its size but goes negative
+        edge_piece, point_piece = weights._edge_surplus_ints, weights._point_surplus_ints
+        monkeypatch.setattr(weights, "_edge_surplus_ints",
+                            lambda *a: (*edge_piece(*a), 1) if a[-1] == broken_mode else edge_piece(*a))
+        monkeypatch.setattr(weights, "_point_surplus_ints",
+                            lambda *a: (*point_piece(*a), 2, 2) if a[-1] == broken_mode else point_piece(*a))
+        t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
+        with pytest.raises(WeightConsistencyError, match="surplus went negative"):
+            embedding_verdicts(t)
+
+    @pytest.mark.parametrize("broken", [
+        lambda piece: (0, *piece[1:]),  # a zero in place of a weight
+        lambda piece: (*piece, piece[0]),  # one weight too many
+    ], ids=["zero", "extra"])
+    def test_wrong_surplus_piece_fails_tree_by_tree(self, monkeypatch, fresh_int_families, broken):
+        orig = weights._edge_surplus_ints
+        monkeypatch.setattr(weights, "_edge_surplus_ints", lambda *a: broken(orig(*a)))
+        t = tree(2, 4, [(1, 2), (2, 3)], [(0, 1, 3)])
+        verdicts = embedding_verdicts(t)
+        assert not any(verdicts.values())
+        assert all(embedding_cross_check(t, m, mode) == ok for (m, mode), ok in verdicts.items())
+
     @pytest.mark.parametrize("side", ["direct", "lifted"])
     def test_each_tangent_is_checked(self, monkeypatch, side):
         orig = loc._int_tangent
@@ -328,6 +368,31 @@ class TestIntegerEmbedding:
         with pytest.raises(WeightConsistencyError, match="zero weight survived"):
             embedding_cross_check(t, 2, "kappa")
 
+    @pytest.mark.parametrize("side", ["direct", "lifted", "both"])
+    @pytest.mark.parametrize("family,arity,broken,message", [
+        # a zero no reparametrization cancels
+        ("_edge_h0_ints", 5, lambda ws: (*ws, 0), "zero weight survived"),
+        # a zero removed that nothing adds
+        ("_point_tangent_ints", 2, lambda ws: (*ws, 0), "negative multiplicity"),
+        # a domain character that no section weight matches
+        ("_domain_tangent_int", 4, lambda w: w + 1, "negative multiplicity"),
+    ], ids=["edge", "point", "omega"])
+    def test_each_tangent_is_checked_tree_by_tree(self, monkeypatch, fresh_int_families,
+                                                  family, arity, broken, message, side):
+        orig = getattr(loc, family)
+
+        def patched(*args):
+            # the lift slot m follows the `arity` leading arguments, None or absent
+            # on the direct side.  Broken on both sides, the residuals stay empty
+            # and only the lifted tangent's check sees it.
+            direct = len(args) == arity or args[arity] is None
+            return broken(orig(*args)) if side == "both" or direct == (side == "direct") else orig(*args)
+
+        monkeypatch.setattr(loc, family, patched)
+        t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
+        with pytest.raises(WeightConsistencyError, match=message):
+            embedding_verdicts(t)
+
     def test_wrong_lift_table_fails_the_check(self, monkeypatch, fresh_int_families):
         orig = weights._characters
 
@@ -340,3 +405,15 @@ class TestIntegerEmbedding:
         for mode in ("iota", "kappa"):
             assert not embedding_cross_check(t, 1, mode)
             assert embedding_cross_check(t, 4, mode)  # the one slot this lift gets right
+
+    def test_wrong_lift_table_fails_tree_by_tree(self, monkeypatch, fresh_int_families):
+        orig = weights._characters
+
+        def last_slot_lift(n, m=None):
+            return orig(n) if m is None else orig(n + 1)[: n + 1]
+
+        monkeypatch.setattr(weights, "_characters", last_slot_lift)
+        verdicts = embedding_verdicts(tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)]))
+        for mode in ("iota", "kappa"):
+            assert not verdicts[1, mode]
+            assert verdicts[4, mode]
