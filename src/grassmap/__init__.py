@@ -41,6 +41,7 @@ from .fixedgraphs import (
     census_formula,
     count_by_shape,
     enumerate_fixed_graphs,
+    fixed_graphs,
     minimal_stratum,
     shape_of,
 )

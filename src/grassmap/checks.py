@@ -63,11 +63,11 @@ def census(max_n: int | None) -> Checks:
 
 def duality(max_n: int | None) -> Checks:
     """Over the sweep, P has degree dim, is palindromic with ends 1, and P(1)
-    counts the fixed trees, both as enumerated and by the census formula."""
+    counts the fixed trees, both as streamed and by the census formula."""
     for k, n, d in _sweep(max_n):
         p = localization.poincare_localization(k, n, d)
         dim = localization.moduli_dimension(k, n, d)
-        trees = len(fixedgraphs.enumerate_fixed_graphs(k, n, d))
+        trees = sum(fixedgraphs.count_by_shape(k, n, d).values())
         ok = (
             p.degree == dim
             and qpoly.reverse(p, dim) == p
@@ -91,7 +91,7 @@ def embeddings(max_n: int | None) -> Checks:
     `localization.embedding_verdicts`)."""
     for k, n, d in _all_degrees(max_n or 5):
         cases = failures = 0
-        for tree in fixedgraphs.enumerate_fixed_graphs(k, n, d):
+        for tree in fixedgraphs.fixed_graphs(k, n, d):
             verdicts = localization.embedding_verdicts(tree).values()
             cases += len(verdicts)
             failures += sum(not ok for ok in verdicts)

@@ -340,9 +340,10 @@ def cmd_betti(args, parser) -> int:
 
 
 def _census_payload(k: int, n: int, d: int) -> dict:
-    shapes = fixedgraphs.count_by_shape(k, n, d)
+    shapes = dict.fromkeys(fixedgraphs.census_formula(k, n, d), 0)
     strata: dict[str, int] = {}
-    for tree in fixedgraphs.enumerate_fixed_graphs(k, n, d):
+    for tree in fixedgraphs.fixed_graphs(k, n, d):
+        shapes[fixedgraphs.shape_of(tree)] += 1
         k0, n0 = fixedgraphs.minimal_stratum(tree)
         key = f"G({k0},{n0})"
         strata[key] = strata.get(key, 0) + 1

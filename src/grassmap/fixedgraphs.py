@@ -12,13 +12,13 @@ enough to list outright:
     d = 3:  one edge of degree 3; a two-edge path with degrees 1 and 2;
             a three-edge star; a three-edge path with unit degrees
 
-Enumeration generates labelled candidates shape by shape and deduplicates
-through a canonical form (the minimum, over all vertex orderings, of the
-relabelled encoding), so the output is deterministic and sorted.  The
-encoding compares the vertex labels before the edges, so the minimum lists
-the labels in sorted order and only orderings within runs of equal labels
-need trying: one ordering for most trees instead of up to 24.  Degrees
-4 and above are out of scope and raise UnsupportedDegreeError.
+Each shape generator yields every isomorphism class exactly once, so
+`fixed_graphs` streams the trees with no dedup and no cache.  The canonical
+form (the minimal relabelled encoding over all vertex orderings) only
+orders output, in `enumerate_fixed_graphs`.  It lists the labels sorted,
+so only orderings within runs of equal labels are tried: one ordering for
+most trees instead of up to 24.  Degrees 4 and above are out of scope and
+raise UnsupportedDegreeError.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class DecoratedTree:
     vertices[i] is the k-subset labelling vertex i (a strictly increasing
     tuple); edges reference vertex indices.  Instances are value objects:
     two trees differing only by vertex order are distinct objects with the
-    same canonical form.
+    same canonical form, which orders output and never drops duplicates.
     """
 
     k: int
@@ -160,18 +160,25 @@ class DecoratedTree:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DecoratedTree":
+        """Inverse of `to_json_dict`; an entry that is not a plain int raises ValueError."""
         tree = cls(
-            k=int(data["k"]),
-            n=int(data["n"]),
-            vertices=tuple(tuple(int(i) for i in lab) for lab in data["vertices"]),
+            k=_plain_int(data["k"]),
+            n=_plain_int(data["n"]),
+            vertices=tuple(tuple(map(_plain_int, lab)) for lab in data["vertices"]),
             edges=tuple(
-                Edge(int(e["u"]), int(e["v"]), int(e["deg"])) for e in data["edges"]
+                Edge(_plain_int(e["u"]), _plain_int(e["v"]), _plain_int(e["deg"])) for e in data["edges"]
             ),
         )
         tree.validate()
-        if "d" in data and int(data["d"]) != tree.d:
+        if "d" in data and _plain_int(data["d"]) != tree.d:
             raise ValueError("stored degree disagrees with the edge degrees")
         return tree
+
+
+def _plain_int(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"not a plain int: {value!r}")
+    return value
 
 
 @cache
@@ -210,56 +217,49 @@ def _check_cell(k: int, n: int, d: int) -> None:
         )
 
 
-@cache
 def enumerate_fixed_graphs(k: int, n: int, d: int) -> tuple[DecoratedTree, ...]:
-    """All torus-fixed stable maps of degree d to G(k, n), up to isomorphism.
+    """All torus-fixed stable maps of degree d to G(k, n), up to isomorphism,
+    sorted by canonical form: the one definition of the output order."""
+    return tuple(sorted(fixed_graphs(k, n, d), key=DecoratedTree.canonical_key))
 
-    Deterministic: the result is sorted by canonical form.  Cached, since
-    the same cells are revisited by the census, the per-tree sums and
-    the consistency sweeps.
-    """
+
+def fixed_graphs(k: int, n: int, d: int) -> Iterator[DecoratedTree]:
+    """The same trees as `enumerate_fixed_graphs`, one per isomorphism class,
+    streamed in generation order.  The cell is checked on the call itself."""
     _check_cell(k, n, d)
+    return _generate(k, n, d)
+
+
+def _generate(k: int, n: int, d: int) -> Iterator[DecoratedTree]:
     labels = tuple(itertools.combinations(range(1, n + 1), k))
     nbr = {lab: _neighbor_labels(lab, n) for lab in labels}
-    found: dict[tuple, DecoratedTree] = {}
-
-    def offer(tree: DecoratedTree) -> None:
-        key = tree.canonical_key()
-        if key not in found:
-            found[key] = tree
 
     # single edge carrying the whole degree
     for lab in labels:
         for other in nbr[lab]:
             if lab < other:
-                offer(DecoratedTree(k, n, (lab, other), (Edge(0, 1, d),)))
+                yield DecoratedTree(k, n, (lab, other), (Edge(0, 1, d),))
 
     if d == 2:
         for center in labels:
             for l1, l2 in itertools.combinations_with_replacement(nbr[center], 2):
-                offer(
-                    DecoratedTree(
-                        k, n, (center, l1, l2), (Edge(0, 1, 1), Edge(0, 2, 1))
-                    )
+                yield DecoratedTree(
+                    k, n, (center, l1, l2), (Edge(0, 1, 1), Edge(0, 2, 1))
                 )
     elif d == 3:
         for center in labels:
             ns = nbr[center]
             for l1 in ns:  # unit-degree leg
                 for l2 in ns:  # degree-2 leg; ordered, legs are distinguishable
-                    offer(
-                        DecoratedTree(
-                            k, n, (center, l1, l2), (Edge(0, 1, 1), Edge(0, 2, 2))
-                        )
+                    yield DecoratedTree(
+                        k, n, (center, l1, l2), (Edge(0, 1, 1), Edge(0, 2, 2))
                     )
             for triple in itertools.combinations_with_replacement(ns, 3):
-                offer(
-                    DecoratedTree(
-                        k,
-                        n,
-                        (center, *triple),
-                        (Edge(0, 1, 1), Edge(0, 2, 1), Edge(0, 3, 1)),
-                    )
+                yield DecoratedTree(
+                    k,
+                    n,
+                    (center, *triple),
+                    (Edge(0, 1, 1), Edge(0, 2, 1), Edge(0, 3, 1)),
                 )
         for c1 in labels:
             for c2 in nbr[c1]:
@@ -267,16 +267,12 @@ def enumerate_fixed_graphs(k: int, n: int, d: int) -> tuple[DecoratedTree, ...]:
                     for end2 in nbr[c2]:
                         # a path end1 - c1 - c2 - end2; generate one orientation only
                         if (c1, end1) < (c2, end2):
-                            offer(
-                                DecoratedTree(
-                                    k,
-                                    n,
-                                    (end1, c1, c2, end2),
-                                    (Edge(0, 1, 1), Edge(1, 2, 1), Edge(2, 3, 1)),
-                                )
+                            yield DecoratedTree(
+                                k,
+                                n,
+                                (end1, c1, c2, end2),
+                                (Edge(0, 1, 1), Edge(1, 2, 1), Edge(2, 3, 1)),
                             )
-
-    return tuple(tree for _, tree in sorted(found.items()))
 
 
 def shape_of(tree: DecoratedTree) -> str:
@@ -317,7 +313,7 @@ def census_formula(k: int, n: int, d: int) -> dict[str, int]:
 def count_by_shape(k: int, n: int, d: int) -> dict[str, int]:
     """Shape census of the actual enumeration (same keys as census_formula)."""
     counts = dict.fromkeys(census_formula(k, n, d), 0)
-    for tree in enumerate_fixed_graphs(k, n, d):
+    for tree in fixed_graphs(k, n, d):
         counts[shape_of(tree)] += 1
     return counts
 

@@ -61,7 +61,7 @@ from collections import Counter
 from functools import cache
 from typing import Callable
 
-from .fixedgraphs import DecoratedTree, _neighbor_labels, census_formula, enumerate_fixed_graphs
+from .fixedgraphs import DecoratedTree, _label_frame, _neighbor_labels, census_formula, fixed_graphs
 from .qpoly import QPolynomial
 from .weights import (
     WEIGHT_SCALE,
@@ -187,9 +187,7 @@ def _legs(c: tuple[int, ...], n: int, deg: int) -> list[tuple[tuple[int, ...], i
     positive section weights, omega is its domain tangent at c (-omega at l)."""
     out = []
     for other in _neighbor_labels(c, n):
-        (drop,) = set(c).difference(other)
-        (add,) = set(other).difference(c)
-        shared = tuple(i for i in c if i != drop)
+        shared, drop, add = _label_frame(c, other)
         e = sum(w > 0 for w in _edge_h0_ints(shared, drop, add, deg, n))
         out.append((other, e, _domain_tangent_int(n, deg, drop, add)))
     return out
@@ -284,10 +282,7 @@ def _two_unit_path_frame(tree: DecoratedTree):
     legs = []
     for edge in tree.edges:
         leaf = edge.v if edge.u == center else edge.u
-        center_set = set(tree.vertices[center])
-        leaf_set = set(tree.vertices[leaf])
-        dropped = (center_set - leaf_set).pop()
-        added = (leaf_set - center_set).pop()
+        _, dropped, added = _label_frame(tree.vertices[center], tree.vertices[leaf])
         legs.append((leaf, dropped, added))
     return center, legs
 
@@ -334,7 +329,7 @@ def stratum_family_contribution(k: int, n: int, family: str) -> QPolynomial:
             f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}"
         ) from None
     counts: Counter = Counter()
-    for tree in enumerate_fixed_graphs(k, n, 2):
+    for tree in fixed_graphs(k, n, 2):
         if predicate(tree):
             counts[tangent_sign_counts(tree)[0]] += 1
     return QPolynomial(dict(counts))

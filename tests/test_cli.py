@@ -21,6 +21,23 @@ REPORT_DIGESTS = {
     "2-4-3-text": "a940c505b0754d4bd52124ffa86d4023381b9afd9abd914a4b1bcf22bc2efd26",
 }
 
+# sha256 of `graphs -k K -n N -d D [--count] --format FMT` stdout, keyed
+# K-N-D-FMT or K-N-D-count-FMT: the trees, their order and their rendering
+GRAPHS_DIGESTS = {
+    "1-3-3-count-json": "05fdaee09b293ee6c08d6ed99cf82196bf464b614104eadcf290b3165cfd07e6",
+    "1-3-3-count-text": "fd36518ffba112b00d41328527e1f8c9cec1266811013062b719f55c43c915cc",
+    "1-3-3-json": "5ebd5e227c6b8f55061794eb3c22cd4e5dabbf31929491d0d375d61b6168238b",
+    "1-3-3-text": "9d22a342394591f5a6121548ba8784427e1ffa83e9e9a7b9c24a8a6a8bcf9402",
+    "2-4-2-count-json": "a2a03b551dfdfcfba5769b00113e36c40eb52d5d9ddda75f8d9c2afcc8c4967e",
+    "2-4-2-count-text": "82d5d3ff9c2f9c72ddfbeae671e2e9f21d587308e1e1f47c5f8c09b7ab97e1d3",
+    "2-4-2-json": "1a29c19e2e847d81d1c50dd4529b40d9220c8483557e960c58c517aa13555e0b",
+    "2-4-2-text": "5499a321caa9d45a10a7761b612312fbb10925a87cd1c85d70cb3657078c8ae1",
+    "2-4-3-count-json": "240986e69e99f29ae481e1c434418f26e914afd150a09fc3fe152f0db537ae06",
+    "2-4-3-count-text": "2666b20422b00d7ac1fe0d033c74a3cd8ec388d6ad6d807b912bbbc20a4f2f44",
+    "2-4-3-json": "02c94e1b91186d7fbad622944cfda56ca6953d3e15bd90a9f048722766519fba",
+    "2-4-3-text": "76edb6f832de5b61538c6261eaa2580976cdb7cdadd1311f3b398275dd1707e1",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -312,6 +329,14 @@ class TestGraphs:
         assert len(docs) == 6
         for doc in docs:
             DecoratedTree.from_json_dict(doc).validate()
+
+    @pytest.mark.parametrize("case", sorted(GRAPHS_DIGESTS))
+    def test_bytes_are_pinned(self, capsys, case):
+        k, n, d, *count, fmt = case.split("-")
+        code, out, _ = run(capsys, "graphs", "-k", k, "-n", n, "-d", d, "--format", fmt,
+                           *(f"--{flag}" for flag in count))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GRAPHS_DIGESTS[case]
 
     def test_csv_needs_count(self, capsys):
         with pytest.raises(SystemExit):

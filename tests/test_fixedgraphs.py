@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -12,6 +13,7 @@ from grassmap.fixedgraphs import (
     census_formula,
     count_by_shape,
     enumerate_fixed_graphs,
+    fixed_graphs,
     minimal_stratum,
     shape_of,
 )
@@ -40,6 +42,12 @@ def exhaustive_key(t):
 
 
 SMALL_CELLS = [(k, n, d) for n in range(2, 6) for k in range(1, n) for d in (1, 2, 3)]
+
+
+@pytest.fixture(scope="module")
+def relabel_trees():
+    """The trees of a few cells, enumerated once rather than per Hypothesis example."""
+    return {cell: tuple(fixed_graphs(*cell)) for cell in [(1, 2, 3), (1, 3, 3), (2, 4, 2), (2, 4, 3)]}
 
 
 class TestDecoratedTree:
@@ -97,6 +105,22 @@ class TestDecoratedTree:
         doc["d"] = 2
         with pytest.raises(ValueError):
             DecoratedTree.from_json_dict(doc)
+        # entries that int() would truncate or coerce into the (1,2) line
+        truncated = {"k": 1.5, "n": 2.7, "vertices": [[1.2], [2]], "edges": [{"u": 0, "v": 1, "deg": 1.9}]}
+        line = tree(1, 2, [(1,), (2,)], [(0, 1, 1)]).to_json_dict()
+        bad = [truncated]
+        for *path, key in [("k",), ("n",), ("d",), ("vertices", 0, 0), ("edges", 0, "u"),
+                           ("edges", 0, "v"), ("edges", 0, "deg")]:
+            for spoil in (lambda x: x + 0.5, float, lambda x: x == 1, str):
+                doc = copy.deepcopy(line)
+                holder = doc
+                for step in path:
+                    holder = holder[step]
+                holder[key] = spoil(holder[key])
+                bad.append(doc)
+        for doc in bad:
+            with pytest.raises(ValueError, match="not a plain int"):
+                DecoratedTree.from_json_dict(doc)
 
     def test_complemented(self):
         t = tree(1, 3, [(1,), (2,)], [(0, 1, 1)])
@@ -145,14 +169,16 @@ class TestEnumeration:
                     assert count_by_shape(k, n, d) == census_formula(k, n, d)
 
     def test_all_outputs_valid_and_distinct(self):
-        for (k, n, d) in [(1, 3, 3), (2, 4, 2), (2, 4, 3)]:
-            trees = enumerate_fixed_graphs(k, n, d)
+        # no dedup stands behind the stream: each class must come out once
+        for (k, n, d) in [(1, 3, 3), (2, 4, 2), (2, 4, 3), (2, 5, 3), (3, 6, 3), (2, 6, 2), (1, 6, 3)]:
+            count = 0
             keys = set()
-            for t in trees:
+            for t in fixed_graphs(k, n, d):
                 t.validate()
                 assert t.d == d and t.k == k and t.n == n
                 keys.add(t.canonical_key())
-            assert len(keys) == len(trees)
+                count += 1
+            assert len(keys) == count
 
     def test_output_sorted_and_deterministic(self):
         trees = enumerate_fixed_graphs(2, 4, 3)
@@ -165,10 +191,10 @@ class TestEnumeration:
                 assert t.canonical_key() == exhaustive_key(t), t
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_canonical_key_ignores_relabeling(self, data):
-        k, n, d = data.draw(st.sampled_from([(1, 2, 3), (1, 3, 3), (2, 4, 2), (2, 4, 3)]))
-        t = data.draw(st.sampled_from(enumerate_fixed_graphs(k, n, d)))
+    @given(data=st.data())
+    def test_canonical_key_ignores_relabeling(self, relabel_trees, data):
+        k, n, d = data.draw(st.sampled_from(sorted(relabel_trees)))
+        t = data.draw(st.sampled_from(relabel_trees[k, n, d]))
         perm = data.draw(st.permutations(range(len(t.vertices))))
         verts = [None] * len(t.vertices)
         for old, new in enumerate(perm):
@@ -194,6 +220,12 @@ class TestEnumeration:
             enumerate_fixed_graphs(3, 3, 1)
         with pytest.raises(ValueError):
             enumerate_fixed_graphs(1, 3, 0)
+        # the stream refuses on the call itself, before any tree is asked for
+        with pytest.raises(UnsupportedDegreeError):
+            fixed_graphs(1, 3, 4)
+        for cell in [(0, 3, 1), (3, 3, 1), (1, 3, 0)]:
+            with pytest.raises(ValueError):
+                fixed_graphs(*cell)
 
 
 class TestMinimalStratum:

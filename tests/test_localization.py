@@ -8,7 +8,7 @@ import grassmap.localization as loc
 import grassmap.weights as weights
 from fraction_oracle import embedding_delta, encoded, lift, sign_counts, tangent, weight
 from grassmap.checks import SWEEP
-from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs
+from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs, fixed_graphs
 from grassmap.localization import (
     FAMILIES,
     clear_poincare_cache,
@@ -162,7 +162,7 @@ class TestLocalSum:
 
     @pytest.mark.parametrize("cell", ORACLE_CELLS, ids=lambda c: "-".join(map(str, c)))
     def test_equals_per_tree_sum(self, cell):
-        per_tree = Counter(tangent_sign_counts(t)[0] for t in enumerate_fixed_graphs(*cell))
+        per_tree = Counter(tangent_sign_counts(t)[0] for t in fixed_graphs(*cell))
         clear_poincare_cache()
         assert poincare_localization(*cell) == QPolynomial(dict(per_tree))
 
