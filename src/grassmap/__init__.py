@@ -18,7 +18,6 @@ lives in `cli`, and the self-check suites it runs in `checks`.
 
 from .qpoly import (
     DivisibilityError,
-    IdentityCheck,
     QPolynomial,
     exact_div,
     partition_sum,
@@ -26,7 +25,6 @@ from .qpoly import (
     qbinomial,
     qbinomial_or_zero,
     reverse,
-    verify_qbinomial_identities,
 )
 from .weights import (
     EmbedMode,

@@ -92,36 +92,9 @@ def poincare_grassmannian(k: int, n: int) -> QPolynomial:
     return _divide_or_die(num, den, f"Grassmannian product form at (k={k}, n={n})")
 
 
-def _check_target(k: int, n: int) -> None:
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-
-
-@cache
-def degree1_result(k: int, n: int) -> ClosedFormResult:
-    """Degree 1: the Gaussian-binomial product from the flag-variety fibration."""
-    _check_target(k, n)
-    num = qbinomial(n, k - 1) * qbinomial(n - k + 1, 2)
-    return ClosedFormResult(k=k, n=n, d=1, numerator=num, denominator=ONE, poincare=num)
-
-
 # The denominators of the degree-2 and degree-3 forms, shared by every cell.
 _D2_DENOMINATOR = _one_minus(1) ** 2 * _one_minus(2) ** 2
 _D3_DENOMINATOR = _one_minus(1) ** 2 * _one_minus(2) ** 3 * _one_minus(3) ** 2
-
-
-@cache
-def degree2_result(k: int, n: int) -> ClosedFormResult:
-    """Degree 2 closed form over the Grassmannian's Poincare polynomial."""
-    _check_target(k, n)
-    bracket = _one_plus(n) * _one_plus(3) - q_power(1) * _one_plus(1) * (
-        q_power(k) + q_power(n - k)
-    )
-    num = _one_minus(k) * _one_minus(n - k) * bracket * qbinomial(n, k)
-    den = _D2_DENOMINATOR
-    poincare = _divide_or_die(num, den, f"degree-2 closed form at (k={k}, n={n})")
-    return ClosedFormResult(k=k, n=n, d=2, numerator=num, denominator=den, poincare=poincare)
-
 
 # The four fixed numerator blocks of the degree-3 form, named by the factor
 # each multiplies.  All four vanish at q = 1.
@@ -132,32 +105,40 @@ _D3_CROSS = QPolynomial({0: 2, 2: 3, 3: 1, 4: -1, 5: -3, 7: -2})
 
 
 @cache
-def degree3_result(k: int, n: int) -> ClosedFormResult:
-    """Degree 3 closed form over the Grassmannian's Poincare polynomial."""
-    _check_target(k, n)
-    bracket = (
-        _D3_MAIN * _one_plus(2 * n)
-        + _D3_SPLIT * q_power(2) * (q_power(2 * k) + q_power(2 * (n - k)))
-        + _one_plus(1) ** 2
-        * (
-            _D3_EVEN * q_power(n) * _one_plus(2)
-            - _D3_CROSS * q_power(1) * _one_plus(n) * (q_power(k) + q_power(n - k))
-        )
-    )
-    num = _one_minus(k) * _one_minus(n - k) * bracket * qbinomial(n, k)
-    den = _D3_DENOMINATOR
-    poincare = _divide_or_die(num, den, f"degree-3 closed form at (k={k}, n={n})")
-    return ClosedFormResult(k=k, n=n, d=3, numerator=num, denominator=den, poincare=poincare)
-
-
 def closed_form_result(k: int, n: int, d: int) -> ClosedFormResult:
+    """The closed form of degree d at G(k, n).
+
+    Degree 1 is the Gaussian-binomial product from the flag-variety
+    fibration, with no division.  Degrees 2 and 3 multiply a bracket by
+    (1-q^k)(1-q^(n-k)) and the Grassmannian's Poincare polynomial, then
+    divide once by the degree's fixed denominator.
+    """
+    if d not in (1, 2, 3):
+        raise ValueError(f"no closed form for degree {d} (supported: 1, 2, 3)")
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if d == 1:
-        return degree1_result(k, n)
+        num = qbinomial(n, k - 1) * qbinomial(n - k + 1, 2)
+        return ClosedFormResult(k=k, n=n, d=1, numerator=num, denominator=ONE, poincare=num)
     if d == 2:
-        return degree2_result(k, n)
-    if d == 3:
-        return degree3_result(k, n)
-    raise ValueError(f"no closed form for degree {d} (supported: 1, 2, 3)")
+        bracket = _one_plus(n) * _one_plus(3) - q_power(1) * _one_plus(1) * (
+            q_power(k) + q_power(n - k)
+        )
+        den = _D2_DENOMINATOR
+    else:
+        bracket = (
+            _D3_MAIN * _one_plus(2 * n)
+            + _D3_SPLIT * q_power(2) * (q_power(2 * k) + q_power(2 * (n - k)))
+            + _one_plus(1) ** 2
+            * (
+                _D3_EVEN * q_power(n) * _one_plus(2)
+                - _D3_CROSS * q_power(1) * _one_plus(n) * (q_power(k) + q_power(n - k))
+            )
+        )
+        den = _D3_DENOMINATOR
+    num = _one_minus(k) * _one_minus(n - k) * bracket * qbinomial(n, k)
+    poincare = _divide_or_die(num, den, f"degree-{d} closed form at (k={k}, n={n})")
+    return ClosedFormResult(k=k, n=n, d=d, numerator=num, denominator=den, poincare=poincare)
 
 
 # -- degree-2 sub-family forms ---------------------------------------------------

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import grassmap
 from grassmap import checks
 from grassmap.checks import PUBLISHED_ROWS
 from grassmap.cli import main
@@ -412,3 +416,13 @@ class TestVerify:
     def test_theorems_suite_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "theorems", "--max-n", "4")
         assert code == 0 and "FAIL" not in out
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    # the program computes with ints only; `fractions` (which imports
+    # `decimal`) belongs to the test oracles
+    src = str(Path(grassmap.__file__).resolve().parent.parent)
+    probe = "import sys, grassmap.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
