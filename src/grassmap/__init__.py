@@ -45,7 +45,6 @@ from .fixedgraphs import (
 )
 from .localization import (
     FAMILIES,
-    clear_poincare_cache,
     embedding_cross_check,
     embedding_verdicts,
     fixed_point_report,
@@ -55,10 +54,8 @@ from .localization import (
     tangent_sign_counts,
 )
 from .closedform import (
-    ClosedFormResult,
     TheoremViolationError,
     closed_form_result,
-    poincare_grassmannian,
     repeated_leaf_family_closed_form,
     triangle_family_closed_form,
     triangle_family_index_sum,

@@ -95,7 +95,7 @@ def tables(max_n: int | None) -> Checks:
     """Both routes reproduce every published row (`max_n` is ignored)."""
     for (k, n), row in PUBLISHED_ROWS.items():
         loc = localization.poincare_localization(k, n, 3).coefficient_list()
-        cf = closedform.closed_form_result(k, n, 3).poincare.coefficient_list()
+        cf = closedform.closed_form_result(k, n, 3).coefficient_list()
         ok = loc == row == cf
         yield f"tables ({k},{n}) d=3", ok, "" if ok else f"loc={loc} closed={cf} expected={row}"
 
@@ -153,7 +153,7 @@ def theorems(max_n: int | None) -> Checks:
     localization sum builds no trees."""
     for k, n, d in [(k, n, d) for d in (2, 3) for n in range(2, (max_n or 9) + 1) for k in range(1, n)]:
         loc = localization.poincare_localization(k, n, d)
-        yield f"theorems ({k},{n}) d={d}", loc == closedform.closed_form_result(k, n, d).poincare, ""
+        yield f"theorems ({k},{n}) d={d}", loc == closedform.closed_form_result(k, n, d), ""
 
 
 def families(max_n: int | None) -> Checks:

@@ -162,7 +162,7 @@ def _betti_payload(k: int, n: int, d: int, method: str) -> dict:
     if method == "localization":
         poly = localization.poincare_localization(k, n, d)
     else:
-        poly = closedform.closed_form_result(k, n, d).poincare
+        poly = closedform.closed_form_result(k, n, d)
     return {
         "k": k,
         "n": n,

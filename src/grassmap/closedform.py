@@ -25,11 +25,9 @@ six-term form (`repeated_leaf_family_closed_form`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .qpoly import (
-    ONE,
     QPolynomial,
     DivisibilityError,
     exact_div,
@@ -43,9 +41,9 @@ class TheoremViolationError(ArithmeticError):
     """A closed-form evaluation failed to collapse to a polynomial."""
 
 
-def _divide_or_die(numerator: QPolynomial, denominator: QPolynomial, what: str) -> QPolynomial:
+def _divide_or_die(numerator: QPolynomial, factors: tuple[int, ...], what: str) -> QPolynomial:
     try:
-        return exact_div(numerator, denominator)
+        return exact_div(numerator, factors)
     except DivisibilityError as exc:
         raise TheoremViolationError(
             f"{what} did not divide exactly (remainder {exc.remainder})"
@@ -60,41 +58,10 @@ def _one_plus(e: int) -> QPolynomial:
     return QPolynomial({0: 1, e: 1})
 
 
-@dataclass(frozen=True)
-class ClosedFormResult:
-    """A closed-form evaluation, with the pre-division pieces kept."""
-
-    k: int
-    n: int
-    d: int
-    numerator: QPolynomial
-    denominator: QPolynomial
-    poincare: QPolynomial
-
-
-def poincare_grassmannian(k: int, n: int) -> QPolynomial:
-    """Poincare polynomial of G(k, n), evaluated from the product form.
-
-    Computes prod_{i<=n} (1-q^i) over the two complementary factorials as
-    an explicit numerator and denominator with one exact division -- which
-    must (and does) reproduce qbinomial(n, k).
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    num = ONE
-    for i in range(1, n + 1):
-        num = num * _one_minus(i)
-    den = ONE
-    for i in range(1, k + 1):
-        den = den * _one_minus(i)
-    for i in range(1, n - k + 1):
-        den = den * _one_minus(i)
-    return _divide_or_die(num, den, f"Grassmannian product form at (k={k}, n={n})")
-
-
-# The denominators of the degree-2 and degree-3 forms, shared by every cell.
-_D2_DENOMINATOR = _one_minus(1) ** 2 * _one_minus(2) ** 2
-_D3_DENOMINATOR = _one_minus(1) ** 2 * _one_minus(2) ** 3 * _one_minus(3) ** 2
+# The denominators of the degree-2 and degree-3 forms, shared by every cell,
+# as the exponents j of their factors (1 - q^j).
+_D2_DENOMINATOR = (1, 1, 2, 2)
+_D3_DENOMINATOR = (1, 1, 2, 2, 2, 3, 3)
 
 # The four fixed numerator blocks of the degree-3 form, named by the factor
 # each multiplies.  All four vanish at q = 1.
@@ -105,7 +72,7 @@ _D3_CROSS = QPolynomial({0: 2, 2: 3, 3: 1, 4: -1, 5: -3, 7: -2})
 
 
 @cache
-def closed_form_result(k: int, n: int, d: int) -> ClosedFormResult:
+def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
     """The closed form of degree d at G(k, n).
 
     Degree 1 is the Gaussian-binomial product from the flag-variety
@@ -118,8 +85,7 @@ def closed_form_result(k: int, n: int, d: int) -> ClosedFormResult:
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if d == 1:
-        num = qbinomial(n, k - 1) * qbinomial(n - k + 1, 2)
-        return ClosedFormResult(k=k, n=n, d=1, numerator=num, denominator=ONE, poincare=num)
+        return qbinomial(n, k - 1) * qbinomial(n - k + 1, 2)
     if d == 2:
         bracket = _one_plus(n) * _one_plus(3) - q_power(1) * _one_plus(1) * (
             q_power(k) + q_power(n - k)
@@ -137,8 +103,7 @@ def closed_form_result(k: int, n: int, d: int) -> ClosedFormResult:
         )
         den = _D3_DENOMINATOR
     num = _one_minus(k) * _one_minus(n - k) * bracket * qbinomial(n, k)
-    poincare = _divide_or_die(num, den, f"degree-{d} closed form at (k={k}, n={n})")
-    return ClosedFormResult(k=k, n=n, d=d, numerator=num, denominator=den, poincare=poincare)
+    return _divide_or_die(num, den, f"degree-{d} closed form at (k={k}, n={n})")
 
 
 # -- degree-2 sub-family forms ---------------------------------------------------

@@ -139,14 +139,6 @@ class DecoratedTree:
                 best = edges
         return (self.k, self.n, tuple(sorted(self.vertices)), best)
 
-    def complemented(self) -> "DecoratedTree":
-        """The same tree with every label replaced by its complement in {1..n}."""
-        full = range(1, self.n + 1)
-        verts = tuple(
-            tuple(i for i in full if i not in set(lab)) for lab in self.vertices
-        )
-        return DecoratedTree(k=self.n - self.k, n=self.n, vertices=verts, edges=self.edges)
-
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -265,11 +265,6 @@ def poincare_localization(k: int, n: int, d: int) -> QPolynomial:
     return QPolynomial(dict(counts))
 
 
-def clear_poincare_cache() -> None:
-    """Forget every memoized `poincare_localization` result."""
-    poincare_localization.cache_clear()
-
-
 # -- degree-2 sub-families -----------------------------------------------------
 
 

@@ -11,12 +11,14 @@ refused.  Arithmetic is exact throughout (arbitrary-precision integers, no
 floating point), so polynomial equality is a trustworthy verification
 primitive.
 
-Division and products deserve a note.  `exact_div` runs long division from
-the *lowest* exponent upward, so that dividing power-series-style products
-of (1 - q^i) factors never stalls on a unit leading term; each quotient term
-costs one pass over the denominator.  A quotient term that would fall below
-q^0 ends the division, as a coefficient that does not divide does.  When the
-division is not exact the remainder left over is attached to the raised
+Division and products deserve a note.  Every denominator in this package is
+a product of factors (1 - q^j), so `exact_div` divides by exactly that: it
+takes the exponents j, and dividing by 1 - q^j is a running sum with stride j
+over the coefficient list (multiplication by 1 + q^j + q^2j + ...).  After
+all the strides the list holds the power-series quotient up to the
+numerator's degree; the division is exact exactly when its top sum(j)
+entries vanish, and the rest is the quotient.  Otherwise the remainder,
+numerator - quotient * prod(1 - q^j), is attached to the raised
 `DivisibilityError`: (1+q)/(1-q) fails with remainder 2q.  A nonzero
 remainder escaping one of the closed-form evaluations is a mathematical
 inconsistency (the rational expression failed to collapse to a polynomial),
@@ -237,47 +239,40 @@ def q_power(exponent: int) -> QPolynomial:
     return QPolynomial({exponent: 1})
 
 
-def exact_div(numerator: QPolynomial, denominator: QPolynomial) -> QPolynomial:
-    """Divide exactly, raising DivisibilityError (with remainder) otherwise.
+def exact_div(numerator: QPolynomial, factors: tuple[int, ...]) -> QPolynomial:
+    """Divide exactly by prod(1 - q^j) over the exponents j in `factors`.
 
-    Long division runs from the lowest exponent upward, so the quotient is
-    built power-series style; whatever cannot be cleared, below q^0 or above
-    the feasible quotient degree, is the remainder.  Example: (1+q)/(1-q)
-    fails with remainder 2q, because 1-q goes in once at q^0 and leaves 2q
-    behind.
+    Each factor is a running sum with stride j; the division is exact when
+    the top sum(factors) coefficients then vanish, and DivisibilityError
+    carries the remainder numerator - quotient * prod(1 - q^j) otherwise.
+    Example: (1+q)/(1-q) fails with remainder 2q.  An exponent below 1
+    raises ZeroDivisionError, because 1 - q^0 is zero.
     """
-    if denominator.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if numerator.is_zero:
-        return ZERO
-    rem = list(numerator._c)
-    den = denominator._c
-    den_low = next(e for e, c in enumerate(den) if c)
-    steps = [(e - den_low, c) for e, c in enumerate(den) if c]
-    # the quotient term cleared at rem[i] is q^(i-den_low), from 0 to deg(num) - deg(den)
-    last = len(rem) - len(den) + den_low
-    quot = [0] * (last - den_low + 1)
-    for i in range(last + 1):
-        if not rem[i]:
-            continue
-        c, leftover = divmod(rem[i], den[den_low])
-        if leftover or i < den_low:
-            break
-        quot[i - den_low] = c
-        for offset, dc in steps:
-            rem[i + offset] -= dc * c
-    if any(rem):
-        raise DivisibilityError(_dense(rem))
-    return _dense(quot)
+    if min(factors, default=1) < 1:
+        raise ZeroDivisionError(f"division by 1 - q^0 = 0 (factor exponents {factors})")
+    c = list(numerator._c)
+    for j in factors:
+        for r in range(j):
+            c[r::j] = itertools.accumulate(c[r::j])
+    top = max(len(c) - sum(factors), 0)
+    quotient = _dense(c[:top])
+    if any(c[top:]):
+        denominator = ONE
+        for j in factors:
+            denominator = denominator - denominator.shifted(j)
+        raise DivisibilityError(numerator - quotient * denominator)
+    return quotient
 
 
 @cache
 def qbinomial(n: int, k: int) -> QPolynomial:
     """Gaussian binomial coefficient: the q-count of k-subsets of an n-set.
 
-    Computed by the product definition, one exactly-dividing factor at a
-    time (every prefix is itself a Gaussian binomial, so each step divides
-    exactly).  Degree k(n-k); palindromic; non-negative coefficients.
+    Computed by the product definition, one factor at a time: multiply by
+    1 - q^(n-k+i), then divide by 1 - q^i as a running sum with stride i
+    (every prefix is itself a Gaussian binomial, so each step divides
+    exactly and no remainder can arise).  Degree k(n-k); palindromic;
+    non-negative coefficients.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"Gaussian binomial undefined for n={n}, k={k}")
@@ -285,7 +280,7 @@ def qbinomial(n: int, k: int) -> QPolynomial:
     result = ONE
     for i in range(1, kk + 1):
         # times (1 - q^m) is a shifted subtraction, cheaper than a product
-        result = exact_div(result - result.shifted(n - kk + i), QPolynomial({0: 1, i: -1}))
+        result = exact_div(result - result.shifted(n - kk + i), (i,))
     return result
 
 

@@ -15,7 +15,7 @@ from grassmap import checks
 from grassmap.checks import PUBLISHED_ROWS
 from grassmap.closedform import closed_form_result
 from grassmap.fixedgraphs import DecoratedTree, Edge
-from grassmap.localization import clear_poincare_cache, fixed_point_report, poincare_localization
+from grassmap.localization import fixed_point_report, poincare_localization
 from grassmap.qpoly import QPolynomial
 
 
@@ -46,12 +46,12 @@ def assert_suite(suite):
 def test_criterion_1_published_betti_tables():
     with criterion("1 published-betti-tables"):
         for (k, n), row in PUBLISHED_ROWS.items():
-            clear_poincare_cache()
+            poincare_localization.cache_clear()
             start = time.monotonic()
             via_fixed_points = poincare_localization(k, n, 3)
             loc_elapsed = time.monotonic() - start
             start = time.monotonic()
-            via_closed_form = closed_form_result(k, n, 3).poincare
+            via_closed_form = closed_form_result(k, n, 3)
             closed_elapsed = time.monotonic() - start
             assert via_fixed_points.coefficient_list() == row, (k, n)
             assert via_closed_form.coefficient_list() == row, (k, n)
@@ -129,9 +129,9 @@ def brute_force_flag_poincare(k, n):
 
 def test_criterion_9_degree_one_flag():
     with criterion("9 degree-1-flag-variety"):
-        assert closed_form_result(2, 4, 1).poincare == brute_force_flag_poincare(2, 4)
+        assert closed_form_result(2, 4, 1) == brute_force_flag_poincare(2, 4)
         for n in range(2, 7):
             for k in range(1, n):
-                flag = closed_form_result(k, n, 1).poincare
+                flag = closed_form_result(k, n, 1)
                 assert flag == brute_force_flag_poincare(k, n), (k, n)
                 assert poincare_localization(k, n, 1) == flag, (k, n)

@@ -1,20 +1,33 @@
 import pytest
 
+import grassmap.closedform as closedform
 from grassmap.checks import PUBLISHED_ROWS
+from grassmap.cli import main
 from grassmap.closedform import (
     _D3_CROSS,
     _D3_EVEN,
     _D3_MAIN,
     _D3_SPLIT,
-    ClosedFormResult,
+    TheoremViolationError,
     closed_form_result,
-    poincare_grassmannian,
     repeated_leaf_family_closed_form,
     triangle_family_closed_form,
     triangle_family_index_sum,
 )
 from grassmap.localization import moduli_dimension, poincare_localization
-from grassmap.qpoly import QPolynomial, qbinomial, reverse
+from grassmap.qpoly import ONE, QPolynomial, exact_div, qbinomial, reverse
+
+
+def poincare_grassmannian(k, n):
+    """Poincare polynomial of G(k, n) from the product form: prod_{i<=n} (1-q^i)
+    over the two complementary factorials, with one exact division at the end
+    (the oracle for `qbinomial`, which divides one factor at a time)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    num = ONE
+    for i in range(1, n + 1):
+        num = num * QPolynomial({0: 1, i: -1})
+    return exact_div(num, (*range(1, k + 1), *range(1, n - k + 1)))
 
 
 class TestGrassmannian:
@@ -26,6 +39,8 @@ class TestGrassmannian:
     def test_domain(self):
         with pytest.raises(ValueError):
             poincare_grassmannian(3, 2)
+        with pytest.raises(ValueError):
+            qbinomial(2, 3)
 
 
 class TestNumeratorBlocks:
@@ -33,37 +48,31 @@ class TestNumeratorBlocks:
         # all four degree-3 numerator blocks vanish at q = 1
         for block in (_D3_MAIN, _D3_SPLIT, _D3_EVEN, _D3_CROSS):
             assert block(1) == 0
-        # and their fingerprints: degree and value at q = -1
+        # and their degrees
         assert _D3_MAIN.degree == 11 and _D3_SPLIT.degree == 7
         assert _D3_EVEN.degree == 7 and _D3_CROSS.degree == 7
 
 
 class TestClosedForms:
     def test_degree2_projective_line(self):
-        assert closed_form_result(1, 2, 2).poincare == QPolynomial({0: 1, 1: 1, 2: 1})
+        assert closed_form_result(1, 2, 2) == QPolynomial({0: 1, 1: 1, 2: 1})
 
     @pytest.mark.parametrize("k,n,row", [(k, n, row) for (k, n), row in PUBLISHED_ROWS.items()])
     def test_degree3_published_rows(self, k, n, row):
-        assert closed_form_result(k, n, 3).poincare.coefficient_list() == row
+        assert closed_form_result(k, n, 3).coefficient_list() == row
 
     def test_structural_properties(self):
         for d in (2, 3):
             for n in range(2, 6):
                 for k in range(1, n):
-                    p = closed_form_result(k, n, d).poincare
+                    p = closed_form_result(k, n, d)
                     dim = moduli_dimension(k, n, d)
                     assert p.degree == dim
                     assert reverse(p, dim) == p
-                    assert p == closed_form_result(n - k, n, d).poincare
+                    assert p == closed_form_result(n - k, n, d)
 
     def test_degree1_is_flag_product(self):
-        assert closed_form_result(2, 4, 1).poincare == qbinomial(4, 1) * qbinomial(3, 2)
-
-    def test_result_records_the_division(self):
-        res = closed_form_result(1, 3, 2)
-        assert isinstance(res, ClosedFormResult)
-        assert res.numerator == res.poincare * res.denominator
-        assert closed_form_result(1, 3, 1).denominator == QPolynomial({0: 1})
+        assert closed_form_result(2, 4, 1) == qbinomial(4, 1) * qbinomial(3, 2)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -74,8 +83,32 @@ class TestClosedForms:
     def test_matches_localization_small(self):
         for n in range(2, 6):
             for k in range(1, n):
-                assert closed_form_result(k, n, 2).poincare == poincare_localization(k, n, 2)
-                assert closed_form_result(k, n, 3).poincare == poincare_localization(k, n, 3)
+                assert closed_form_result(k, n, 2) == poincare_localization(k, n, 2)
+                assert closed_form_result(k, n, 3) == poincare_localization(k, n, 3)
+
+
+class TestFailurePath:
+    @pytest.fixture
+    def spoiled_main_block(self, monkeypatch):
+        # one more constant term in the q^0-side block of the degree-3
+        # bracket: the numerator no longer vanishes to the denominator's order
+        monkeypatch.setattr(closedform, "_D3_MAIN", _D3_MAIN + ONE)
+        monkeypatch.delenv("GRASSMAP_CACHE", raising=False)
+        closed_form_result.cache_clear()
+        yield
+        closed_form_result.cache_clear()
+
+    def test_remainder_raises_theorem_violation(self, spoiled_main_block):
+        with pytest.raises(TheoremViolationError, match=r"degree-3 closed form at \(k=1, n=3\) "
+                                                         r"did not divide exactly \(remainder .+\)"):
+            closed_form_result(1, 3, 3)
+
+    def test_cli_exits_1(self, spoiled_main_block, capsys):
+        code = main(["betti", "-k", "1", "-n", "3", "-d", "3", "--method", "closed"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("mathematical inconsistency: degree-3 closed form")
+        assert out == ""
 
 
 class TestTriangleFamily:

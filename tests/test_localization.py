@@ -11,7 +11,6 @@ from grassmap.checks import SWEEP
 from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs, fixed_graphs
 from grassmap.localization import (
     FAMILIES,
-    clear_poincare_cache,
     embedding_cross_check,
     embedding_verdicts,
     fixed_point_report,
@@ -163,7 +162,7 @@ class TestLocalSum:
     @pytest.mark.parametrize("cell", ORACLE_CELLS, ids=lambda c: "-".join(map(str, c)))
     def test_equals_per_tree_sum(self, cell):
         per_tree = Counter(tangent_sign_counts(t)[0] for t in fixed_graphs(*cell))
-        clear_poincare_cache()
+        poincare_localization.cache_clear()
         assert poincare_localization(*cell) == QPolynomial(dict(per_tree))
 
     def test_odd_path111_count_raises(self, monkeypatch):
@@ -177,7 +176,7 @@ class TestLocalSum:
             return (*orig(shared, b_u, b_v, deg, n, m), *extra)
 
         monkeypatch.setattr(loc, "_edge_h0_ints", one_sided)
-        clear_poincare_cache()
+        poincare_localization.cache_clear()
         with pytest.raises(WeightConsistencyError, match="three-edge paths .* an odd number"):
             poincare_localization(2, 4, 3)
 
@@ -185,7 +184,7 @@ class TestLocalSum:
         # every vertex of valence >= 2 loses 50 positive directions too many
         orig = loc._point_tangent_ints
         monkeypatch.setattr(loc, "_point_tangent_ints", lambda *a: (*orig(*a), *(1,) * 50))
-        clear_poincare_cache()
+        poincare_localization.cache_clear()
         with pytest.raises(WeightConsistencyError, match=r"outside 0\.\.9"):
             poincare_localization(2, 4, 2)
 
@@ -193,7 +192,7 @@ class TestLocalSum:
         # each label loses its last fixed line
         orig = loc._neighbor_labels
         monkeypatch.setattr(loc, "_neighbor_labels", lambda *a: orig(*a)[:-1])
-        clear_poincare_cache()
+        poincare_localization.cache_clear()
         with pytest.raises(WeightConsistencyError, match="the census counts 72"):
             poincare_localization(2, 4, 2)
 
