@@ -95,7 +95,7 @@ def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
         bracket = (
             _D3_MAIN * _one_plus(2 * n)
             + _D3_SPLIT * q_power(2) * (q_power(2 * k) + q_power(2 * (n - k)))
-            + _one_plus(1) ** 2
+            + _one_plus(1) * _one_plus(1)
             * (
                 _D3_EVEN * q_power(n) * _one_plus(2)
                 - _D3_CROSS * q_power(1) * _one_plus(n) * (q_power(k) + q_power(n - k))

@@ -34,11 +34,12 @@ than skew a Betti number.
 `tangent_sign_counts`, for the sub-family sums and as the tests' oracle for
 the localization sum; `fixed_point_report`, which decodes the weights for
 `grassmap betti --reports`; and `embedding_cross_check`, which compares int
-multisets, lifted with a slot.  `poincare_localization` builds no trees:
-each family enters with a fixed multiplicity, so a tree's positive count is
-a sum of local terms, and `_positive_counts` sums each tree shape from
-tables of them, under three checks of its own (three-edge path parity,
-exponents in 0..dim, the census total); the tests hold it to the per-tree sum.
+multisets, the base one lifted through `weights._lift`.
+`poincare_localization` builds no trees: each family enters with a fixed
+multiplicity, so a tree's positive count is a sum of local terms, and
+`_positive_counts` sums each tree shape from tables of them, under three
+checks of its own (three-edge path parity, exponents in 0..dim, the census
+total); the tests hold it to the per-tree sum.
 
 `embedding_verdicts` gives `embedding_cross_check`'s verdict for every slot
 and mode of one tree without assembling the embedded tangent.  Embedding
@@ -47,10 +48,11 @@ reparametrization terms cancel, and direct - lifted - surplus is a sum of
 local residuals: per edge, its embedded family minus its lifted family minus
 its surplus piece; per vertex of valence v >= 2, minus v-1 times the same
 for its Grassmannian tangent.  The residuals depend on an edge frame or a
-label, the slot and the mode only, and are memoized.  A case whose residuals
-are all empty is settled from its lifted tangent and surplus alone; every
-other case is handed to `embedding_cross_check`, which assembles both
-tangents, so each case gets the same verdict and raises on the same faults.
+label, the slot and the mode only, and are memoized.  The base tangent is
+checked once per tree, which checks every lift of it; a case whose residuals
+are all empty is then settled from its surplus alone; every other case is
+handed to `embedding_cross_check`, which assembles both tangents, so each
+case gets the same verdict and raises on the same faults.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from .weights import (
     _edge_surplus_ints,
     _embed_label,
     _embedding_delta_ints,
+    _lift,
     _point_surplus_ints,
     _point_tangent_ints,
     _shift,
@@ -84,13 +87,11 @@ def moduli_dimension(k: int, n: int, d: int) -> int:
     return k * (n - k) + d * n - 3
 
 
-def _int_tangent(tree: DecoratedTree, m: int | None = None) -> Counter:
+def _int_tangent(tree: DecoratedTree) -> Counter:
     """The tangent weight multiset at a fixed tree, int-encoded, as signed multiplicities.
 
     Assembled family by family as in the module docstring; entries may net
-    to 0, and the caller checks them (`_checked_int_counts`).  With a lift
-    slot m the weights are encoded lifted into n+1 characters, the new one at
-    slot m.
+    to 0, and the caller checks them (`_checked_int_counts`).
     """
     n = tree.n
     ws: Counter = Counter()
@@ -99,8 +100,8 @@ def _int_tangent(tree: DecoratedTree, m: int | None = None) -> Counter:
     removed = []
     for edge in tree.edges:
         shared, b_u, b_v = tree.edge_frame(edge)
-        ws.update(_edge_h0_ints(shared, b_u, b_v, edge.deg, n, m))
-        omega = _domain_tangent_int(n, edge.deg, b_u, b_v, m)  # at the u end; -omega at v
+        ws.update(_edge_h0_ints(shared, b_u, b_v, edge.deg, n))
+        omega = _domain_tangent_int(n, edge.deg, b_u, b_v)  # at the u end; -omega at v
         omegas[edge.u].append(omega)
         omegas[edge.v].append(-omega)
         removed.append(0)
@@ -115,7 +116,7 @@ def _int_tangent(tree: DecoratedTree, m: int | None = None) -> Counter:
         elif v == 3:
             ws.update(omegas[idx])
         if v >= 2:
-            for w in _point_tangent_ints(label, n, m):
+            for w in _point_tangent_ints(label, n):
                 ws[w] -= v - 1
     for w in removed:
         ws[w] -= 1
@@ -339,15 +340,15 @@ def embedding_cross_check(tree: DecoratedTree, m: int, mode) -> bool:
     The direct computation on the embedded tree and the base-plus-delta
     route must agree as multisets; this is the strongest internal check the
     weight calculus has, exercising every family jointly.  Both routes run
-    in the integer encoding: the lift is `_int_tangent(tree, m)` and the
-    surplus `weights._embedding_delta_ints`.  Both tangents pass the checks
-    of `tangent_sign_counts`, and a negative surplus raises
-    WeightConsistencyError.
+    in the integer encoding: the lift is `_int_tangent(tree)` read through
+    `weights._lift`, and the surplus `weights._embedding_delta_ints`.  Both
+    tangents pass the checks of `tangent_sign_counts`, and a negative
+    surplus raises WeightConsistencyError.
     """
     embedded = embed_tree(tree, m, mode)
     direct = _int_tangent(embedded)
     _checked_int_counts(embedded, direct)
-    lifted = _int_tangent(tree, m)
+    lifted = Counter({_lift(w, m): mult for w, mult in _int_tangent(tree).items()})
     _checked_int_counts(tree, lifted)
     surplus = _embedding_delta_ints(tree, m, mode)
     if any(mult < 0 for mult in surplus.values()):
@@ -365,10 +366,10 @@ def _edge_embeds_exactly(
     lifted family minus its surplus piece."""
     up = (_embed_label(shared, m, mode), _shift(b_u, m), _shift(b_v, m))
     residual = Counter(_edge_h0_ints(*up, deg, n + 1))
-    residual.subtract(_edge_h0_ints(shared, b_u, b_v, deg, n, m))
+    residual.subtract(_lift(w, m) for w in _edge_h0_ints(shared, b_u, b_v, deg, n))
     residual.subtract(_edge_surplus_ints(shared, b_u, b_v, deg, n, m, mode))
     return not any(residual.values()) and (
-        _domain_tangent_int(n + 1, deg, up[1], up[2]) == _domain_tangent_int(n, deg, b_u, b_v, m)
+        _domain_tangent_int(n + 1, deg, up[1], up[2]) == _lift(_domain_tangent_int(n, deg, b_u, b_v), m)
     )
 
 
@@ -377,7 +378,7 @@ def _point_embeds_exactly(label: tuple[int, ...], n: int, m: int, mode) -> bool:
     """Is the vertex residual r_v empty: the embedded label's Grassmannian
     tangent minus the lifted one minus its surplus piece?"""
     residual = Counter(_point_tangent_ints(_embed_label(label, m, mode), n + 1))
-    residual.subtract(_point_tangent_ints(label, n, m))
+    residual.subtract(_lift(w, m) for w in _point_tangent_ints(label, n))
     residual.subtract(_point_surplus_ints(label, n, m, mode))
     return not any(residual.values())
 
@@ -387,29 +388,27 @@ def embedding_verdicts(tree: DecoratedTree) -> dict[tuple[int, str], bool]:
     both modes, keyed (m, mode).
 
     A case whose residuals are all empty (`_edge_embeds_exactly`,
-    `_point_embeds_exactly`) has direct == lifted + surplus exactly.  With the
-    lifted tangent checked (once per m) and the surplus non-negative, the
-    direct tangent then passes `_checked_int_counts` iff the surplus holds no
-    zero and adds what the embedding adds to the dimension, so the case
-    passes without the embedded tangent.  Every other case is handed to
-    `embedding_cross_check` (module docstring).
+    `_point_embeds_exactly`) has direct == lifted + surplus exactly.  The
+    base tangent is checked once, and a fault raises: `weights._lift` is
+    injective, maps 0 to 0 and keeps every sign, so each lifted tangent
+    passes `_checked_int_counts` iff the base one does, and every case of
+    `embedding_cross_check` would raise.  With the lifted tangent checked and
+    the surplus non-negative, the direct tangent then passes iff the
+    surplus holds no zero and adds what the embedding adds to the dimension,
+    so the case passes without the embedded tangent.  Every other case is
+    handed to `embedding_cross_check` (module docstring).
     """
     n, d = tree.n, tree.d
+    _checked_int_counts(tree, _int_tangent(tree))
     frames = [(*tree.edge_frame(edge), edge.deg) for edge in tree.edges]
     labels = [label for label, v in zip(tree.vertices, tree.valences()) if v >= 2]
     base = moduli_dimension(tree.k, n, d)
     verdicts = {}
     for m in range(1, n + 2):
-        try:
-            _checked_int_counts(tree, _int_tangent(tree, m))
-            lifted_ok = True
-        except WeightConsistencyError:
-            lifted_ok = False
         for mode, k_up in (("iota", tree.k), ("kappa", tree.k + 1)):
             surplus = _embedding_delta_ints(tree, m, mode)
             exact = (
-                lifted_ok
-                and all(_edge_embeds_exactly(*frame, n, m, mode) for frame in frames)
+                all(_edge_embeds_exactly(*frame, n, m, mode) for frame in frames)
                 and all(_point_embeds_exactly(label, n, m, mode) for label in labels)
                 and not surplus[0]
                 and min(surplus.values(), default=0) >= 0

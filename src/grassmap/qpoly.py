@@ -76,10 +76,6 @@ class QPolynomial:
     # -- inspection ---------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self._c
-
-    @property
     def degree(self) -> int:
         if not self._c:
             raise ValueError("the zero polynomial has no degree")
@@ -108,9 +104,6 @@ class QPolynomial:
             return NotImplemented
         return _dense([a - b for a, b in itertools.zip_longest(self._c, other._c, fillvalue=0)])
 
-    def __neg__(self) -> "QPolynomial":
-        return _dense([-c for c in self._c])
-
     def __mul__(self, other: "QPolynomial | int") -> "QPolynomial":
         if isinstance(other, int):
             return _dense([c * other for c in self._c])
@@ -136,19 +129,6 @@ class QPolynomial:
                        for at in range(0, len(digits), width)])
 
     __rmul__ = __mul__
-
-    def __pow__(self, power: int) -> "QPolynomial":
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        result = ONE
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            power >>= 1
-            if power:
-                base = base * base
-        return result
 
     def shifted(self, offset: int) -> "QPolynomial":
         """Multiply by q^offset (offset >= 0)."""

@@ -14,7 +14,10 @@ Scaling by 6 clears every denominator, every scaled coefficient lies in
 equal to the weight's sign; `_digits` reads the scaled coefficients back.
 The encoding is linear, so each family below is built from the encoded
 characters (`_characters`) alone, and each division is exact because every
-encoded character is a multiple of 6.
+encoded character is a multiple of 6.  `_lift` reads a weight in n+1
+characters, the new one at slot m, by inserting a zero digit there: a_i
+becomes a_{i+1} for i >= m, no lifted weight involves the new a_m, and
+every sign is kept.
 
 Torus-fixed points of the Grassmannian G(k, n) are the k-subsets of {1..n}
 (coordinate subspaces).  Its tangent space at a label carries the k(n-k)
@@ -33,9 +36,7 @@ restricted tangent bundle along the degree-d cover carry the weights
 a multiset of size k(n-k) + d*n containing exactly one zero (c = 0 in (d),
 later cancelled by the reparametrization algebra of the edge).  The cover's
 domain has the tangent character (1/d) (a_{b_v} - a_{b_u}) at its end over
-the label holding b_u (`_domain_tangent_int`).  Given a lift slot m, each
-family encodes its weights in n+1 characters, a_i read as the character at
-slot i (i < m) or i+1 (i >= m), so that no weight involves the new a_m.
+the label holding b_u (`_domain_tangent_int`).
 
 The module also provides the weight bookkeeping for the two coordinate
 inclusions that push a fixed map into a larger Grassmannian: mode "iota"
@@ -96,25 +97,26 @@ def _digits(code: int, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def _lift(code: int, m: int) -> int:
+    """An encoded weight read in n+1 characters, the new one at slot m: its
+    digits below slot m stay, and the others move up one slot."""
+    low = WEIGHT_BASE ** (m - 1)
+    rest = (code + low // 2) % low - low // 2  # the digits below slot m
+    return rest + (code - rest) * WEIGHT_BASE
+
+
 # -- integer families -----------------------------------------------------------
 
 
 @cache
-def _characters(n: int, m: int | None = None) -> tuple[int, ...]:
-    """Encoded a_1..a_n at indices 1..n (index 0 unused).
-
-    With a lift slot m, a_i is read as a_{shift(i, m)} of the n+1 characters,
-    so every family below encodes its weights lifted to slot m.
-    """
-    if m is None:
-        return (0, *(WEIGHT_SCALE * WEIGHT_BASE**i for i in range(n)))
-    up = _characters(n + 1)
-    return (0, *(up[_shift(i, m)] for i in range(1, n + 1)))
+def _characters(n: int) -> tuple[int, ...]:
+    """Encoded a_1..a_n at indices 1..n (index 0 unused)."""
+    return (0, *(WEIGHT_SCALE * WEIGHT_BASE**i for i in range(n)))
 
 
 @cache
-def _point_tangent_ints(point: tuple[int, ...], n: int, m: int | None = None) -> tuple[int, ...]:
-    p = _characters(n, m)
+def _point_tangent_ints(point: tuple[int, ...], n: int) -> tuple[int, ...]:
+    p = _characters(n)
     return tuple(p[b] - p[a] for a in point for b in range(1, n + 1) if b not in point)
 
 
@@ -124,10 +126,8 @@ def _covers(p: tuple[int, ...], b_u: int, b_v: int, deg: int) -> list[int]:
 
 
 @cache
-def _edge_h0_ints(
-    shared: tuple[int, ...], b_u: int, b_v: int, deg: int, n: int, m: int | None = None
-) -> tuple[int, ...]:
-    p = _characters(n, m)
+def _edge_h0_ints(shared: tuple[int, ...], b_u: int, b_v: int, deg: int, n: int) -> tuple[int, ...]:
+    p = _characters(n)
     outside = [r for r in range(1, n + 1) if r != b_u and r != b_v and r not in shared]
     covers = _covers(p, b_u, b_v, deg)
     line = p[b_v] - p[b_u]
@@ -139,8 +139,8 @@ def _edge_h0_ints(
     )
 
 
-def _domain_tangent_int(n: int, deg: int, b_here: int, b_there: int, m: int | None = None) -> int:
-    p = _characters(n, m)
+def _domain_tangent_int(n: int, deg: int, b_here: int, b_there: int) -> int:
+    p = _characters(n)
     return (p[b_there] - p[b_here]) // deg
 
 

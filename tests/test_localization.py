@@ -171,9 +171,9 @@ class TestLocalSum:
         # from its two ends
         orig = loc._edge_h0_ints
 
-        def one_sided(shared, b_u, b_v, deg, n, m=None):
+        def one_sided(shared, b_u, b_v, deg, n):
             extra = (1,) if deg == 1 and b_u < b_v else ()
-            return (*orig(shared, b_u, b_v, deg, n, m), *extra)
+            return (*orig(shared, b_u, b_v, deg, n), *extra)
 
         monkeypatch.setattr(loc, "_edge_h0_ints", one_sided)
         poincare_localization.cache_clear()
@@ -277,6 +277,18 @@ class TestEmbeddingConsistency:
                 cases += len(verdicts)
         assert cases == 9404
 
+    def test_one_tangent_per_tree(self, monkeypatch):
+        # the base tangent is assembled and checked once per tree, and on correct
+        # input no case falls back to embedding_cross_check, which assembles two
+        orig = loc._int_tangent
+        calls = []
+        monkeypatch.setattr(loc, "_int_tangent", lambda t: calls.append(t) or orig(t))
+        for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
+            for t in enumerate_fixed_graphs(k, n, d):
+                calls.clear()
+                embedding_verdicts(t)
+                assert calls == [t]
+
 
 @pytest.fixture
 def fresh_int_families():
@@ -301,7 +313,7 @@ class TestIntegerEmbedding:
                 base = tangent(t)
                 for m in range(1, n + 2):
                     lifted = lift(base, m)
-                    fast_lift = loc._int_tangent(t, m)
+                    fast_lift = Counter({loc._lift(code, m): mult for code, mult in loc._int_tangent(t).items()})
                     assert nonzero(fast_lift) == encoded(lifted), (t, m)
                     for mode in ("iota", "kappa"):
                         delta = embedding_delta(t, m, mode)
@@ -356,63 +368,66 @@ class TestIntegerEmbedding:
     def test_each_tangent_is_checked(self, monkeypatch, side):
         orig = loc._int_tangent
 
-        def stray_zero(t, m=None):
-            ws = orig(t, m)
-            if (m is None) == (side == "direct"):
+        t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
+
+        def stray_zero(s):
+            ws = orig(s)
+            if (s.n > t.n) == (side == "direct"):  # the embedded tree has one more coordinate
                 ws[0] += 1
             return ws
 
         monkeypatch.setattr(loc, "_int_tangent", stray_zero)
-        t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
         with pytest.raises(WeightConsistencyError, match="zero weight survived"):
             embedding_cross_check(t, 2, "kappa")
 
     @pytest.mark.parametrize("side", ["direct", "lifted", "both"])
-    @pytest.mark.parametrize("family,arity,broken,message", [
+    @pytest.mark.parametrize("family,n_at,broken,message", [
         # a zero no reparametrization cancels
-        ("_edge_h0_ints", 5, lambda ws: (*ws, 0), "zero weight survived"),
+        ("_edge_h0_ints", 4, lambda ws: (*ws, 0), "zero weight survived"),
         # a zero removed that nothing adds
-        ("_point_tangent_ints", 2, lambda ws: (*ws, 0), "negative multiplicity"),
+        ("_point_tangent_ints", 1, lambda ws: (*ws, 0), "negative multiplicity"),
         # a domain character that no section weight matches
-        ("_domain_tangent_int", 4, lambda w: w + 1, "negative multiplicity"),
+        ("_domain_tangent_int", 0, lambda w: w + 1, "negative multiplicity"),
     ], ids=["edge", "point", "omega"])
     def test_each_tangent_is_checked_tree_by_tree(self, monkeypatch, fresh_int_families,
-                                                  family, arity, broken, message, side):
+                                                  family, n_at, broken, message, side):
         orig = getattr(loc, family)
+        t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
 
         def patched(*args):
-            # the lift slot m follows the `arity` leading arguments, None or absent
-            # on the direct side.  Broken on both sides, the residuals stay empty
-            # and only the lifted tangent's check sees it.
-            direct = len(args) == arity or args[arity] is None
+            # argument `n_at` is the family's n, one more on the direct side (the
+            # embedded tree).  Broken on both sides, the residuals may stay empty,
+            # and the base tangent's check sees it first.
+            direct = args[n_at] > t.n
             return broken(orig(*args)) if side == "both" or direct == (side == "direct") else orig(*args)
 
         monkeypatch.setattr(loc, family, patched)
-        t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
         with pytest.raises(WeightConsistencyError, match=message):
             embedding_verdicts(t)
 
-    def test_wrong_lift_table_fails_the_check(self, monkeypatch, fresh_int_families):
-        orig = weights._characters
+    # wrong lifts of the (2,3) two-edge path's weights, n = 3, and the slots
+    # each gets right: the new character always last (right at m = 4 only), or
+    # always one slot further on (right at none)
+    WRONG_LIFTS = pytest.mark.parametrize("wrong_lift,right_slots", [
+        (lambda code, m: code, {4}),
+        (lambda code, m: weights._lift(code, m % 4 + 1), set()),
+    ], ids=["last", "next"])
 
-        def last_slot_lift(n, m=None):
-            # every lift puts the new character last, whatever m asks for
-            return orig(n) if m is None else orig(n + 1)[: n + 1]
-
-        monkeypatch.setattr(weights, "_characters", last_slot_lift)
+    @WRONG_LIFTS
+    def test_wrong_lift_table_fails_the_check(self, monkeypatch, fresh_int_families, wrong_lift, right_slots):
+        monkeypatch.setattr(loc, "_lift", wrong_lift)
         t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
         for mode in ("iota", "kappa"):
             assert not embedding_cross_check(t, 1, mode)
-            assert embedding_cross_check(t, 4, mode)  # the one slot this lift gets right
+            assert embedding_cross_check(t, 4, mode) == (4 in right_slots)
 
-    def test_wrong_lift_table_fails_tree_by_tree(self, monkeypatch, fresh_int_families):
-        orig = weights._characters
-
-        def last_slot_lift(n, m=None):
-            return orig(n) if m is None else orig(n + 1)[: n + 1]
-
-        monkeypatch.setattr(weights, "_characters", last_slot_lift)
-        verdicts = embedding_verdicts(tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)]))
+    @WRONG_LIFTS
+    def test_wrong_lift_table_fails_tree_by_tree(self, monkeypatch, fresh_int_families, wrong_lift, right_slots):
+        monkeypatch.setattr(loc, "_lift", wrong_lift)
+        t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
+        verdicts = embedding_verdicts(t)
         for mode in ("iota", "kappa"):
             assert not verdicts[1, mode]
-            assert verdicts[4, mode]
+            assert verdicts[4, mode] == (4 in right_slots)
+        assert all(embedding_cross_check(t, m, mode) == ok for (m, mode), ok in verdicts.items())
+        assert {m for (m, _), ok in verdicts.items() if ok} == right_slots

