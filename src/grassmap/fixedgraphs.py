@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, NamedTuple
 
@@ -44,8 +43,7 @@ class Edge(NamedTuple):
     deg: int
 
 
-@dataclass(frozen=True)
-class DecoratedTree:
+class DecoratedTree(NamedTuple):
     """A torus-fixed stable map: labelled tree plus edge degrees.
 
     vertices[i] is the k-subset labelling vertex i (a strictly increasing

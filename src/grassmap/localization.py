@@ -49,8 +49,10 @@ local residuals: per edge, its embedded family minus its lifted family minus
 its surplus piece; per vertex of valence v >= 2, minus v-1 times the same
 for its Grassmannian tangent.  The residuals depend on an edge frame or a
 label, the slot and the mode only, and are memoized.  The base tangent is
-checked once per tree, which checks every lift of it; a case whose residuals
-are all empty is then settled from its surplus alone; every other case is
+checked once per tree, which checks every lift of it, and the surplus once per
+mode, at slot n+1, which checks it at every slot: rotating each weight's digit
+n+1 down to slot m fixes only 0 and maps that surplus onto the one at slot m.
+A case whose residuals are all empty is then settled; every other case is
 handed to `embedding_cross_check`, which assembles both tangents, so each
 case gets the same verdict and raises on the same faults.
 """
@@ -395,24 +397,28 @@ def embedding_verdicts(tree: DecoratedTree) -> dict[tuple[int, str], bool]:
     `embedding_cross_check` would raise.  With the lifted tangent checked and
     the surplus non-negative, the direct tangent then passes iff the
     surplus holds no zero and adds what the embedding adds to the dimension,
-    so the case passes without the embedded tangent.  Every other case is
-    handed to `embedding_cross_check` (module docstring).
+    so the case passes without the embedded tangent.  The surplus is built and
+    checked at m = n+1 only, once per mode, which checks it at every slot
+    (`weights._embedding_delta_ints`).  Every other case is handed to
+    `embedding_cross_check` (module docstring).
     """
     n, d = tree.n, tree.d
     _checked_int_counts(tree, _int_tangent(tree))
     frames = [(*tree.edge_frame(edge), edge.deg) for edge in tree.edges]
     labels = [label for label, v in zip(tree.vertices, tree.valences()) if v >= 2]
     base = moduli_dimension(tree.k, n, d)
+    holds = {}
+    for mode, k_up in (("iota", tree.k), ("kappa", tree.k + 1)):
+        surplus = _embedding_delta_ints(tree, n + 1, mode)
+        size_ok = base + sum(surplus.values()) == moduli_dimension(k_up, n + 1, d)
+        holds[mode] = size_ok and not surplus[0] and min(surplus.values(), default=0) >= 0
     verdicts = {}
     for m in range(1, n + 2):
-        for mode, k_up in (("iota", tree.k), ("kappa", tree.k + 1)):
-            surplus = _embedding_delta_ints(tree, m, mode)
+        for mode in ("iota", "kappa"):
             exact = (
-                all(_edge_embeds_exactly(*frame, n, m, mode) for frame in frames)
+                holds[mode]
+                and all(_edge_embeds_exactly(*frame, n, m, mode) for frame in frames)
                 and all(_point_embeds_exactly(label, n, m, mode) for label in labels)
-                and not surplus[0]
-                and min(surplus.values(), default=0) >= 0
-                and base + sum(surplus.values()) == moduli_dimension(k_up, n + 1, d)
             )
             verdicts[m, mode] = exact or embedding_cross_check(tree, m, mode)
     return verdicts

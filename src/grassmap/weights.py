@@ -216,7 +216,11 @@ def _embedding_delta_ints(tree: "DecoratedTree", m: int, mode: EmbedMode) -> Cou
         tangent(embedded tree) == tangent(tree) lifted to slot m + surplus.
 
     `m` and `mode` are taken as valid (`embed_tree` checks them), and the
-    caller checks that no multiplicity is negative.
+    caller checks that no multiplicity is negative.  Moving each weight's digit
+    n+1 down to slot m, and digits m..n up one, maps the surplus at slot n+1
+    onto the one at slot m.  That rotation fixes only 0, so it keeps the zero
+    count, every multiplicity and the size, and `embedding_verdicts` checks
+    them at slot n+1 only.
     """
     n = tree.n
     delta = Counter(chain.from_iterable(

@@ -283,11 +283,18 @@ class TestEmbeddingConsistency:
         orig = loc._int_tangent
         calls = []
         monkeypatch.setattr(loc, "_int_tangent", lambda t: calls.append(t) or orig(t))
+        # and the surplus is built once per mode, at the top slot only
+        orig_delta = loc._embedding_delta_ints
+        deltas = []
+        monkeypatch.setattr(loc, "_embedding_delta_ints",
+                            lambda t, m, mode: deltas.append((t, m, mode)) or orig_delta(t, m, mode))
         for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
             for t in enumerate_fixed_graphs(k, n, d):
                 calls.clear()
+                deltas.clear()
                 embedding_verdicts(t)
                 assert calls == [t]
+                assert deltas == [(t, n + 1, "iota"), (t, n + 1, "kappa")]
 
 
 @pytest.fixture
@@ -363,6 +370,27 @@ class TestIntegerEmbedding:
         verdicts = embedding_verdicts(t)
         assert not any(verdicts.values())
         assert all(embedding_cross_check(t, m, mode) == ok for (m, mode), ok in verdicts.items())
+
+    @pytest.mark.parametrize("at_top", [False, True], ids=["first", "top"])
+    def test_surplus_wrong_at_one_slot_fails_that_slot_only(self, monkeypatch, fresh_int_families, at_top):
+        # in mode iota, each edge piece adds one weight too many at one slot only.
+        # Residuals and surplus share the piece, so both bindings are patched.  At
+        # the top slot the surplus checked for every slot is wrong, and every iota
+        # slot falls back to embedding_cross_check.
+        orig = weights._edge_surplus_ints
+
+        def extra_at_one_slot(shared, b_u, b_v, deg, n, m, mode):
+            piece = orig(shared, b_u, b_v, deg, n, m, mode)
+            wrong = m == (n + 1 if at_top else 1) and mode == "iota"
+            return (*piece, piece[0]) if wrong else piece
+
+        monkeypatch.setattr(weights, "_edge_surplus_ints", extra_at_one_slot)
+        monkeypatch.setattr(loc, "_edge_surplus_ints", extra_at_one_slot)
+        for t in (tree(2, 4, [(1, 2), (2, 3)], [(0, 1, 3)]),
+                  tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])):
+            verdicts = embedding_verdicts(t)
+            assert verdicts == {(m, mode): embedding_cross_check(t, m, mode) for m, mode in verdicts}
+            assert [case for case, ok in verdicts.items() if not ok] == [(t.n + 1 if at_top else 1, "iota")]
 
     @pytest.mark.parametrize("side", ["direct", "lifted"])
     def test_each_tangent_is_checked(self, monkeypatch, side):

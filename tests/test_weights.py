@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import grassmap.localization as loc
 from fraction_oracle import edge_h0, embedding_delta, encode, encoded, lift, point_tangent, sign, weight
 from grassmap import weights
-from grassmap.fixedgraphs import DecoratedTree, Edge
+from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs
 from grassmap.weights import MAX_SCALED_COEFF, WEIGHT_SCALE, WeightConsistencyError, embed_tree
 
 
@@ -208,3 +208,22 @@ class TestEmbeddings:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             embed_tree(single_edge(1), 3, "sigma")
+
+    def test_surplus_at_each_slot_rotates_the_top_one(self):
+        # the surplus at slot m is the one at slot n+1 with each weight's digit
+        # n+1 moved down to slot m: `embedding_verdicts` checks it there only
+        def rotated(code, n, m):
+            digits = list(weights._digits(code, n + 1))
+            digits.insert(m - 1, digits.pop())
+            return sum(digit * weights.WEIGHT_BASE**i for i, digit in enumerate(digits))
+
+        cases = 0
+        for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
+            for t in enumerate_fixed_graphs(k, n, d):
+                for mode in ("iota", "kappa"):
+                    top = weights._embedding_delta_ints(t, n + 1, mode)
+                    for m in range(1, n + 2):
+                        want = Counter({rotated(w, n, m): mult for w, mult in top.items()})
+                        assert weights._embedding_delta_ints(t, m, mode) == want, (t, m, mode)
+                        cases += 1
+        assert cases == 9404
