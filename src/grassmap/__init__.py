@@ -14,51 +14,10 @@ space of degree-d (d <= 3) genus-0 stable maps to G(k, n):
 Both produce exact integer polynomials in q (`qpoly`), with coefficient
 of q^i the 2i-th Betti number.  The `grassmap` command line front-end
 lives in `cli`, and the self-check suites it runs in `checks`.
-"""
 
-from .qpoly import (
-    DivisibilityError,
-    QPolynomial,
-    exact_div,
-    partition_sum,
-    q_power,
-    qbinomial,
-    qbinomial_or_zero,
-    reverse,
-)
-from .weights import (
-    EmbedMode,
-    GrassmannPoint,
-    WeightConsistencyError,
-    embed_tree,
-)
-from .fixedgraphs import (
-    DecoratedTree,
-    Edge,
-    UnsupportedDegreeError,
-    census_formula,
-    count_by_shape,
-    enumerate_fixed_graphs,
-    fixed_graphs,
-    minimal_stratum,
-    shape_of,
-)
-from .localization import (
-    FAMILIES,
-    embedding_cross_check,
-    embedding_verdicts,
-    fixed_point_report,
-    moduli_dimension,
-    poincare_localization,
-    stratum_family_contribution,
-    tangent_sign_counts,
-)
-from .closedform import (
-    TheoremViolationError,
-    closed_form_result,
-    repeated_leaf_family_closed_form,
-    triangle_family_closed_form,
-    triangle_family_index_sum,
-)
+The package itself exports only `__version__` and imports none of these
+modules: callers import the submodule they use, e.g.
+`from grassmap.localization import poincare_localization`.
+"""
 
 __version__ = "0.1.0"

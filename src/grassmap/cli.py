@@ -287,7 +287,7 @@ def _render_payloads(payloads: list[dict], texts: list[str | None], fmt: str) ->
             print(",".join(str(b) for b in p["betti"]))
     else:
         for p in payloads:
-            poly = QPolynomial.from_json_dict(p["poincare"])
+            poly = QPolynomial(dict(enumerate(p["betti"])))
             print(f"k={p['k']} n={p['n']} d={p['d']} method={p['method']} dim={p['dim']}")
             print(f"  P(q) = {poly}")
             print(f"  betti: {','.join(str(b) for b in p['betti'])}")

@@ -148,28 +148,6 @@ class DecoratedTree(NamedTuple):
             "edges": [{"u": e.u, "v": e.v, "deg": e.deg} for e in self.edges],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DecoratedTree":
-        """Inverse of `to_json_dict`; an entry that is not a plain int raises ValueError."""
-        tree = cls(
-            k=_plain_int(data["k"]),
-            n=_plain_int(data["n"]),
-            vertices=tuple(tuple(map(_plain_int, lab)) for lab in data["vertices"]),
-            edges=tuple(
-                Edge(_plain_int(e["u"]), _plain_int(e["v"]), _plain_int(e["deg"])) for e in data["edges"]
-            ),
-        )
-        tree.validate()
-        if "d" in data and _plain_int(data["d"]) != tree.d:
-            raise ValueError("stored degree disagrees with the edge degrees")
-        return tree
-
-
-def _plain_int(value) -> int:
-    if type(value) is not int:
-        raise ValueError(f"not a plain int: {value!r}")
-    return value
-
 
 @cache
 def _label_frame(label_u: GrassmannPoint, label_v: GrassmannPoint) -> tuple[tuple[int, ...], int, int]:

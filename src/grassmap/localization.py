@@ -271,28 +271,27 @@ def poincare_localization(k: int, n: int, d: int) -> QPolynomial:
 # -- degree-2 sub-families -----------------------------------------------------
 
 
-def _two_unit_path_frame(tree: DecoratedTree):
-    """For a two-edge unit-degree path: (dropped, added) per leaf, else None."""
+def _two_unit_path_legs(tree: DecoratedTree):
+    """For a two-edge unit-degree path: (leaf, dropped, added) per leg, else None."""
     if len(tree.edges) != 2 or any(e.deg != 1 for e in tree.edges):
         return None
-    valences = tree.valences()
-    center = valences.index(2)
+    center = tree.valences().index(2)
     legs = []
     for edge in tree.edges:
         leaf = edge.v if edge.u == center else edge.u
         _, dropped, added = _label_frame(tree.vertices[center], tree.vertices[leaf])
         legs.append((leaf, dropped, added))
-    return center, legs
+    return legs
 
 
 def _is_triangle_config(tree: DecoratedTree) -> bool:
     """Two unit edges dropping *different* elements, adding the same one,
     with the added element larger than both dropped ones: the family whose
     minimal stratum is the triangle of fixed lines in G(2, 3)."""
-    frame = _two_unit_path_frame(tree)
-    if frame is None:
+    legs = _two_unit_path_legs(tree)
+    if legs is None:
         return False
-    _, ((_, drop1, add1), (_, drop2, add2)) = frame
+    (_, drop1, add1), (_, drop2, add2) = legs
     return drop1 != drop2 and add1 == add2 and add1 > max(drop1, drop2)
 
 
@@ -300,10 +299,10 @@ def _is_repeated_leaf_config(tree: DecoratedTree) -> bool:
     """Two unit edges to the *same* leaf label, dropped element smaller than
     the added one: the family whose minimal stratum is a doubled line in
     G(1, 2)."""
-    frame = _two_unit_path_frame(tree)
-    if frame is None:
+    legs = _two_unit_path_legs(tree)
+    if legs is None:
         return False
-    _, ((leaf1, drop1, add1), (leaf2, _, _)) = frame
+    (leaf1, drop1, add1), (leaf2, _, _) = legs
     return tree.vertices[leaf1] == tree.vertices[leaf2] and drop1 < add1
 
 

@@ -33,7 +33,6 @@ any size, so this is exact too.
 from __future__ import annotations
 
 import itertools
-import re
 from functools import cache
 from operator import lshift
 from typing import Iterable, Iterator, Mapping
@@ -42,9 +41,9 @@ from typing import Iterable, Iterator, Mapping
 class DivisibilityError(ArithmeticError):
     """A polynomial division that had to be exact left a remainder."""
 
-    def __init__(self, remainder: "QPolynomial", message: str | None = None) -> None:
+    def __init__(self, remainder: "QPolynomial") -> None:
         self.remainder = remainder
-        super().__init__(message or f"non-exact polynomial division (remainder: {remainder})")
+        super().__init__(f"non-exact polynomial division (remainder: {remainder})")
 
 
 class QPolynomial:
@@ -177,19 +176,6 @@ class QPolynomial:
     def to_json_dict(self) -> dict:
         """{"coeffs": [[exponent, coefficient-as-string], ...]} ascending."""
         return {"coeffs": [[e, str(c)] for e, c in self.terms()]}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "QPolynomial":
-        """Inverse of `to_json_dict`: every entry is an int or a decimal integer
-        string; a float, a bool, any other string or a negative exponent
-        raises ValueError."""
-        return cls([(_json_int(e), _json_int(c)) for e, c in data["coeffs"]])
-
-
-def _json_int(value) -> int:
-    if type(value) is int or (isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value)):
-        return int(value)
-    raise ValueError(f"not an integer: {value!r}")
 
 
 def _trimmed(coeffs: list[int]) -> tuple[int, ...]:

@@ -165,8 +165,6 @@ def embed_tree(tree: "DecoratedTree", m: int, mode: EmbedMode) -> "DecoratedTree
     one).  Mode "iota" keeps every label as it was; mode "kappa" adjoins the
     new coordinate to every label, raising k by one.
     """
-    from .fixedgraphs import DecoratedTree
-
     n = tree.n
     if not 1 <= m <= n + 1:
         raise ValueError(f"new coordinate slot {m} outside 1..{n + 1}")
@@ -174,7 +172,7 @@ def embed_tree(tree: "DecoratedTree", m: int, mode: EmbedMode) -> "DecoratedTree
         raise ValueError(f"unknown embedding mode {mode!r}")
     verts = tuple(_embed_label(lab, m, mode) for lab in tree.vertices)
     k = tree.k + (mode == "kappa")
-    return DecoratedTree(k=k, n=n + 1, vertices=verts, edges=tree.edges)
+    return tree._replace(k=k, n=n + 1, vertices=verts)
 
 
 @cache

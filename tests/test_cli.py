@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import grassmap
-from grassmap import checks
+from grassmap import checks, cli
 from grassmap.checks import PUBLISHED_ROWS
 from grassmap.cli import main
 from test_acceptance import assert_suite
@@ -169,6 +169,18 @@ class TestCache:
         code, warm, _ = run(capsys, *argv)
         assert code == 0 and warm == cold
 
+    def test_text_from_cache_hits(self, capsys, tmp_path, monkeypatch):
+        # text renders the polynomial from the Betti row of a cached payload
+        argv = ["betti", "--k-range", "1..3", "--n-range", "2..5", "--d-range", "1..3",
+                "--method", "both"]
+        code, uncached, _ = run(capsys, *argv)
+        assert code == 0 and "P(q) = " in uncached
+        code, cold, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0
+        monkeypatch.setattr(cli, "_betti_payload", None)  # a miss would now raise
+        code, warm, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0 and warm == cold == uncached
+
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GRASSMAP_CACHE", str(tmp_path))
         code, _, _ = run(capsys, "betti", "-k", "1", "-n", "2", "-d", "2",
@@ -325,14 +337,16 @@ class TestGraphs:
         assert set(doc["strata"]) == {"G(1,2)", "G(2,3)", "G(1,3)", "G(2,4)"}
 
     def test_full_tree_json_round_trip(self, capsys):
-        from grassmap.fixedgraphs import DecoratedTree
+        from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs
 
         code, out, _ = run(capsys, "graphs", "-k", "1", "-n", "2", "-d", "3", "--format", "json")
         assert code == 0
         docs = json.loads(out)
         assert len(docs) == 6
         for doc in docs:
-            DecoratedTree.from_json_dict(doc).validate()
+            DecoratedTree(doc["k"], doc["n"], tuple(map(tuple, doc["vertices"])),
+                          tuple(Edge(**e) for e in doc["edges"])).validate()
+        assert docs == [t.to_json_dict() for t in enumerate_fixed_graphs(1, 2, 3)]
 
     @pytest.mark.parametrize("case", sorted(GRAPHS_DIGESTS))
     def test_bytes_are_pinned(self, capsys, case):
@@ -418,11 +432,22 @@ class TestVerify:
         assert code == 0 and "FAIL" not in out
 
 
+def _fresh_probe(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter that imports this grassmap."""
+    src = str(Path(grassmap.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
 def test_cli_import_loads_neither_fractions_nor_decimal():
     # the program computes with ints only; `fractions` (which imports
     # `decimal`) belongs to the test oracles
-    src = str(Path(grassmap.__file__).resolve().parent.parent)
     probe = "import sys, grassmap.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert _fresh_probe(probe) == "[]\n"
+
+
+def test_package_import_loads_no_submodule():
+    # `grassmap` exports only __version__; callers import the submodules
+    probe = "import sys, grassmap; print(sorted(m for m in sys.modules if m.startswith('grassmap.')))"
+    assert _fresh_probe(probe) == "[]\n"

@@ -95,8 +95,6 @@ class TestBasics:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             P({-1: 2, 4: 1})
-        with pytest.raises(ValueError):
-            QPolynomial.from_json_dict({"coeffs": [[-1, "2"], [4, "1"]]})
 
     def test_dense_coefficients(self):
         assert P({4: 1, 1: 2}).coefficient_list() == [0, 2, 0, 0, 1]
@@ -138,23 +136,9 @@ class TestBasics:
         assert str(P({0: 1, 1: 1, 2: 2, 4: -1})) == "1 + q + 2*q^2 - q^4"
         assert str(ZERO) == "0"
 
-    def test_json_round_trip(self):
+    def test_json_dict(self):
         p = P({0: 1, 3: -7, 12: 10**40})
-        assert QPolynomial.from_json_dict(p.to_json_dict()) == p
         assert p.to_json_dict() == {"coeffs": [[0, "1"], [3, "-7"], [12, str(10**40)]]}
-
-    @pytest.mark.parametrize(
-        "entry",
-        [[0, 1.5], [1.9, "2"], [2.0, 1], [True, "3"], [0, False], ["1.5", 1], [0, "2.0"], [0, " 3"], [0, "x"]],
-        ids=["float-coeff", "float-exp", "integral-float", "bool-exp", "bool-coeff",
-             "decimal-exp", "decimal-coeff", "padded", "word"],
-    )
-    def test_from_json_rejects_non_integers(self, entry):
-        with pytest.raises(ValueError):
-            QPolynomial.from_json_dict({"coeffs": [entry]})
-
-    def test_from_json_accepts_ints_and_integer_strings(self):
-        assert QPolynomial.from_json_dict({"coeffs": [[0, 4], ["2", "-3"]]}) == P({0: 4, 2: -3})
 
 
 class TestExactDiv:

@@ -198,6 +198,8 @@ class TestEmbeddings:
         # inserting at the bottom shifts everything up
         low = embed_tree(tree, 1, "kappa")
         assert low.vertices == ((1, 2), (1, 3))
+        for embedded in (iota, kappa, low):
+            assert type(embedded) is DecoratedTree and embedded.edges == tree.edges
 
     def test_slot_out_of_range(self):
         with pytest.raises(ValueError):
