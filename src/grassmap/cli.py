@@ -17,6 +17,12 @@ Exit codes: 0 success; 1 a mathematical disagreement or failed check;
 2 bad usage (including degrees above 3) or an I/O fault (an OSError, such
 as a cache path that cannot be read or written).
 
+`betti` and `graphs` check every cell before printing anything, then print
+each item (a payload, a census or a tree) as soon as it is computed, keeping
+nothing per sweep; a JSON list comes out as `json.dumps(items, indent=2)`.  So
+a failure mid-sweep (exit 1, or 2 for an I/O fault) leaves the earlier items
+on stdout.
+
 Results of `betti` can be cached as JSON files named {k}-{n}-{d}-{method}
 under a directory given by --cache-dir or the GRASSMAP_CACHE environment
 variable; cache writes are atomic (write-then-rename) and cache hits
@@ -39,10 +45,9 @@ import os
 import sys
 import tempfile
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import checks, closedform, fixedgraphs, localization, qpoly
-from .fixedgraphs import UnsupportedDegreeError
 from .qpoly import QPolynomial
 from .weights import WeightConsistencyError
 
@@ -130,7 +135,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (UnsupportedDegreeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (closedform.TheoremViolationError, WeightConsistencyError, qpoly.DivisibilityError) as exc:
@@ -145,8 +150,8 @@ def _cells(args, parser) -> list[tuple[int, int, int]]:
     ks = _axis_values(parser, "k", args.k, args.k_range)
     ns = _axis_values(parser, "n", args.n, args.n_range)
     ds = _axis_values(parser, "d", args.d, args.d_range)
-    # a range over k or n skips the empty corners k >= n; one explicit (k, n)
-    # is checked, and refused if empty
+    # a range over k or n skips the empty corners k >= n; every other cell is
+    # checked, so a bad one anywhere is refused before anything is printed
     sweeping = args.k_range is not None or args.n_range is not None
     cells = []
     for k in ks:
@@ -154,6 +159,7 @@ def _cells(args, parser) -> list[tuple[int, int, int]]:
             for d in ds:
                 if sweeping and not 1 <= k < n:
                     continue
+                fixedgraphs._check_cell(k, n, d)
                 cells.append((k, n, d))
     return sorted(cells)
 
@@ -172,10 +178,6 @@ def _betti_payload(k: int, n: int, d: int, method: str) -> dict:
         "poincare": poly.to_json_dict(),
         "betti": poly.coefficient_list(),
     }
-
-
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get(CACHE_ENV) or None
 
 
 def _is_consistent(payload: dict, k: int, n: int, d: int, method: str) -> bool:
@@ -214,7 +216,7 @@ def _read_cached(path: str, k: int, n: int, d: int, method: str) -> dict | None:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (FileNotFoundError, ValueError):  # ValueError: truncated or undecodable
+    except (FileNotFoundError, ValueError, RecursionError):  # truncated, undecodable, too deep
         return None
     if not isinstance(payload, dict) or not _is_consistent(payload, k, n, d, method):
         return None
@@ -271,31 +273,34 @@ def _tree_text(tree: dict, gap: str) -> str:
     return f"{labels}{gap}[{edges}]"
 
 
-def _render_payloads(payloads: list[dict], texts: list[str | None], fmt: str) -> None:
-    """Print the payloads; texts[i] is the `_payload_text` of payloads[i] if
-    it was already rendered, else None."""
-    if fmt == "json":
-        texts = [t or _payload_text(p) for p, t in zip(payloads, texts)]
-        if len(texts) == 1:
-            print(texts[0])
-        elif texts:  # a list of them, one level deeper
-            print("[\n  " + ",\n  ".join(t.replace("\n", "\n  ") for t in texts) + "\n]")
-        else:
-            print("[]")
-    elif fmt == "csv":
-        for p in payloads:
-            print(",".join(str(b) for b in p["betti"]))
-    else:
-        for p in payloads:
-            poly = QPolynomial(dict(enumerate(p["betti"])))
-            print(f"k={p['k']} n={p['n']} d={p['d']} method={p['method']} dim={p['dim']}")
-            print(f"  P(q) = {poly}")
-            print(f"  betti: {','.join(str(b) for b in p['betti'])}")
-            for report in p.get("reports", ()):
-                print(f"  fixed point {_tree_text(report['tree'], ' ')}  "
-                      f"+{report['positives']}/-{report['negatives']}")
-                for vec in report["weights"]:
-                    print(f"    ({', '.join(vec)})")
+def _print_json(texts: Iterable[str], lone: bool = False) -> None:
+    """Print each JSON text as it comes, laid out as `json.dumps(values,
+    indent=2)` lays out the list of their values; if `lone`, the one text bare."""
+    if lone:
+        for text in texts:
+            print(text)
+        return
+    sep = "[\n  "
+    for text in texts:  # each one level deeper
+        print(sep + text.replace("\n", "\n  "), end="")
+        sep = ",\n  "
+    print("[]" if sep == "[\n  " else "\n]")
+
+
+def _print_payload(p: dict, fmt: str) -> None:
+    """Print one payload as csv or text."""
+    if fmt == "csv":
+        print(",".join(str(b) for b in p["betti"]))
+        return
+    poly = QPolynomial(dict(enumerate(p["betti"])))
+    print(f"k={p['k']} n={p['n']} d={p['d']} method={p['method']} dim={p['dim']}")
+    print(f"  P(q) = {poly}")
+    print(f"  betti: {','.join(str(b) for b in p['betti'])}")
+    for report in p.get("reports", ()):
+        print(f"  fixed point {_tree_text(report['tree'], ' ')}  "
+              f"+{report['positives']}/-{report['negatives']}")
+        for vec in report["weights"]:
+            print(f"    ({', '.join(vec)})")
 
 
 def cmd_betti(args, parser) -> int:
@@ -303,37 +308,36 @@ def cmd_betti(args, parser) -> int:
         parser.error("--reports needs --method loc or both, and --format text or json")
     cells = _cells(args, parser)
     methods = _METHODS[args.method]
-    cache_dir = _cache_dir(args)
-    payloads: list[dict] = []
-    texts: list[str | None] = []
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     disagreements: list[str] = []
-    for k, n, d in cells:
-        fixedgraphs._check_cell(k, n, d)
-        per_method: dict[str, dict] = {}
-        for method in methods:
-            text = None
-            if args.reports and method == "localization":
-                payload = _betti_payload(k, n, d, method)
-                payload["reports"] = [
-                    localization.fixed_point_report(t) for t in fixedgraphs.enumerate_fixed_graphs(k, n, d)
-                ]
-            elif cache_dir:
-                payload, text = _cached_payload(cache_dir, k, n, d, method)
-            else:
-                payload = _betti_payload(k, n, d, method)
-            per_method[method] = payload
-            payloads.append(payload)
-            texts.append(text)
-        if len(methods) == 2:
-            a, b = (per_method[m]["poincare"] for m in methods)
-            if a != b:
+
+    def payloads():  # (payload, its `_payload_text` if already rendered, else None)
+        for k, n, d in cells:
+            per_method = []
+            for method in methods:
+                text = None
+                if args.reports and method == "localization":
+                    payload = _betti_payload(k, n, d, method)
+                    trees = fixedgraphs.enumerate_fixed_graphs(k, n, d)
+                    payload["reports"] = [localization.fixed_point_report(t) for t in trees]
+                elif cache_dir:
+                    payload, text = _cached_payload(cache_dir, k, n, d, method)
+                else:
+                    payload = _betti_payload(k, n, d, method)
+                per_method.append((payload, text))
+            if len(per_method) == 2 and per_method[0][0]["poincare"] != per_method[1][0]["poincare"]:
                 disagreements.append(f"k={k} n={n} d={d}")
-    _render_payloads(payloads, texts, args.format)
-    if disagreements:
-        for cell in disagreements:
-            print(f"route disagreement at {cell}", file=sys.stderr)
-        return 1
-    return 0
+            yield from per_method
+
+    if args.format == "json":
+        _print_json((text or _payload_text(p) for p, text in payloads()),
+                    lone=len(cells) * len(methods) == 1)
+    else:
+        for p, _ in payloads():
+            _print_payload(p, args.format)
+    for cell in disagreements:
+        print(f"route disagreement at {cell}", file=sys.stderr)
+    return 1 if disagreements else 0
 
 
 # -- graphs ---------------------------------------------------------------------
@@ -360,10 +364,9 @@ def _census_payload(k: int, n: int, d: int) -> dict:
 def cmd_graphs(args, parser) -> int:
     cells = _cells(args, parser)
     if args.count:
-        payloads = [_census_payload(k, n, d) for k, n, d in cells]
+        payloads = (_census_payload(k, n, d) for k, n, d in cells)
         if args.format == "json":
-            doc = payloads[0] if len(payloads) == 1 else payloads
-            print(json.dumps(doc, indent=2))
+            _print_json((json.dumps(p, indent=2) for p in payloads), lone=len(cells) == 1)
         elif args.format == "csv":
             for p in payloads:
                 for shape, count in p["shapes"].items():
@@ -379,13 +382,11 @@ def cmd_graphs(args, parser) -> int:
         return 0
     if args.format == "csv":
         parser.error("csv output for full trees is not defined; use --count or --format json")
-    docs = []
-    for k, n, d in cells:
-        docs.extend(t.to_json_dict() for t in fixedgraphs.enumerate_fixed_graphs(k, n, d))
+    trees = (t.to_json_dict() for k, n, d in cells for t in fixedgraphs.enumerate_fixed_graphs(k, n, d))
     if args.format == "json":
-        print(json.dumps(docs, indent=2))
+        _print_json(json.dumps(t, indent=2) for t in trees)
     else:
-        for t in docs:
+        for t in trees:
             print(f"k={t['k']} n={t['n']} d={t['d']}  {_tree_text(t, '  ')}")
     return 0
 

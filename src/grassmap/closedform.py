@@ -25,8 +25,6 @@ six-term form (`repeated_leaf_family_closed_form`).
 
 from __future__ import annotations
 
-from functools import cache
-
 from .qpoly import (
     QPolynomial,
     DivisibilityError,
@@ -71,7 +69,6 @@ _D3_EVEN = QPolynomial({0: 1, 2: 5, 3: 2, 4: -2, 5: -5, 7: -1})
 _D3_CROSS = QPolynomial({0: 2, 2: 3, 3: 1, 4: -1, 5: -3, 7: -2})
 
 
-@cache
 def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
     """The closed form of degree d at G(k, n).
 

@@ -222,6 +222,16 @@ class TestCache:
         assert code == 0 and warm == cold
         assert entry.read_bytes() == good
 
+    def test_deeply_nested_cache_file_is_recomputed(self, capsys, tmp_path):
+        # nested too deep for the decoder (a RecursionError): a miss, not a crash
+        argv = ["betti", "-k", "1", "-n", "3", "-d", "1"]
+        _, want, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / "fresh"))
+        entry = tmp_path / "1-3-1-localization.json"
+        entry.write_text("[" * 100000)
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0 and out == want
+        assert entry.read_bytes() == (tmp_path / "fresh" / entry.name).read_bytes()
+
     @pytest.mark.parametrize("blocked", ["file-as-cache-dir", "directory-at-entry"])
     def test_unusable_cache_path_is_usage_error(self, capsys, tmp_path, blocked):
         # an I/O fault is exit 2, with a message, not a traceback
@@ -309,6 +319,49 @@ class TestJsonRendering:
         code, out, _ = run(capsys, "betti", "--k-range", "5..5", "--n-range", "2..3", "-d", "1",
                            "--format", "json")
         assert code == 0 and out == "[]\n"
+
+
+class TestStreaming:
+    """Each item is printed as soon as it is computed; a bad cell anywhere in
+    a sweep is refused before anything is printed."""
+
+    @pytest.mark.parametrize("command,compute", [
+        (["betti", "--format", "json"], (cli, "_betti_payload")),
+        (["betti", "--format", "csv"], (cli, "_betti_payload")),
+        (["betti", "--format", "text"], (cli, "_betti_payload")),
+        (["graphs", "--count", "--format", "json"], (cli, "_census_payload")),
+        (["graphs", "--format", "json"], (cli.fixedgraphs, "enumerate_fixed_graphs")),
+        (["graphs", "--format", "text"], (cli.fixedgraphs, "enumerate_fixed_graphs")),
+    ], ids=["betti-json", "betti-csv", "betti-text", "count-json", "graphs-json", "graphs-text"])
+    def test_first_cell_is_out_before_the_second_is_computed(self, capsys, monkeypatch,
+                                                             command, compute):
+        argv = [*command, "-k", "1", "-n", "3", "--d-range", "1..2"]
+        code, whole, _ = run(capsys, *argv)
+        assert code == 0
+        owner, name = compute
+        real = getattr(owner, name)
+        printed = []  # stdout so far, at each computation
+
+        def recording(*cell):
+            printed.append(capsys.readouterr().out)
+            return real(*cell)
+
+        monkeypatch.setattr(owner, name, recording)
+        code, rest, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(printed) == 2 and printed[0] == "" and printed[1]
+        assert "".join(printed) + rest == whole
+
+    @pytest.mark.parametrize("command", [
+        ["betti", "--format", "json"],
+        ["betti", "--format", "csv"],
+        ["graphs", "--count", "--format", "json"],
+        ["graphs", "--format", "json"],
+    ], ids=["betti-json", "betti-csv", "count-json", "graphs-json"])
+    def test_bad_cell_late_in_a_sweep_prints_nothing(self, capsys, command):
+        code, out, err = run(capsys, *command, "-k", "1", "-n", "3", "--d-range", "1..4")
+        assert code == 2 and out == ""
+        assert "not supported" in err
 
 
 class TestGraphs:

@@ -94,9 +94,7 @@ class TestFailurePath:
         # bracket: the numerator no longer vanishes to the denominator's order
         monkeypatch.setattr(closedform, "_D3_MAIN", _D3_MAIN + ONE)
         monkeypatch.delenv("GRASSMAP_CACHE", raising=False)
-        closed_form_result.cache_clear()
         yield
-        closed_form_result.cache_clear()
 
     def test_remainder_raises_theorem_violation(self, spoiled_main_block):
         with pytest.raises(TheoremViolationError, match=r"degree-3 closed form at \(k=1, n=3\) "
@@ -109,6 +107,25 @@ class TestFailurePath:
         assert code == 1
         assert err.startswith("mathematical inconsistency: degree-3 closed form")
         assert out == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cli_keeps_the_cells_printed_before_the_failure(self, spoiled_main_block, capsys,
+                                                            monkeypatch, fmt):
+        # output streams cell by cell: d = 1 and 2 are out when d = 3 fails
+        argv = ["betti", "-k", "1", "-n", "3", "--d-range", "1..3", "--method", "closed",
+                "--format", fmt]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("mathematical inconsistency: degree-3 closed form")
+        monkeypatch.setattr(closedform, "_D3_MAIN", _D3_MAIN)
+        assert main(argv) == 0
+        unspoiled = capsys.readouterr().out
+        if fmt == "csv":
+            assert out == "1,1,1\n1,2,3,3,2,1\n"
+        else:
+            assert '"d": 2' in out and '"d": 3' not in out
+        assert unspoiled.startswith(out) and unspoiled != out
 
 
 class TestTriangleFamily:
