@@ -15,7 +15,8 @@ Three subcommands:
 
 Exit codes: 0 success; 1 a mathematical disagreement or failed check;
 2 bad usage (including degrees above 3) or an I/O fault (an OSError, such
-as a cache path that cannot be read or written).
+as a cache path that cannot be read or written).  A reader that closes stdout
+early ends the run with exit 2 and nothing on stderr.
 
 `betti` and `graphs` check every cell before printing anything, then print
 each item (a payload, a census or a tree) as soon as it is computed, keeping
@@ -134,7 +135,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, and send what is still
+        # buffered to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -72,47 +72,6 @@ class DecoratedTree(NamedTuple):
         """(shared (k-1)-set, element only in u's label, element only in v's)."""
         return _label_frame(self.vertices[edge.u], self.vertices[edge.v])
 
-    def validate(self) -> None:
-        """Check every structural invariant, raising ValueError on the first failure."""
-        if not 1 <= self.k < self.n:
-            raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
-        if not self.vertices:
-            raise ValueError("a tree needs at least one vertex")
-        for lab in self.vertices:
-            if len(lab) != self.k:
-                raise ValueError(f"label {lab} does not have size {self.k}")
-            if any(lab[i] >= lab[i + 1] for i in range(len(lab) - 1)):
-                raise ValueError(f"label {lab} is not strictly increasing")
-            if lab[0] < 1 or lab[-1] > self.n:
-                raise ValueError(f"label {lab} leaves the range 1..{self.n}")
-        if len(self.edges) != len(self.vertices) - 1:
-            raise ValueError("edge count must be vertex count minus one")
-        if self.d > MAX_DEGREE:
-            raise UnsupportedDegreeError(f"total degree {self.d} exceeds {MAX_DEGREE}")
-        seen = {0}
-        frontier = [0]
-        adjacency: dict[int, list[int]] = {i: [] for i in range(len(self.vertices))}
-        for e in self.edges:
-            if not (0 <= e.u < len(self.vertices) and 0 <= e.v < len(self.vertices)):
-                raise ValueError(f"edge {e} references a missing vertex")
-            if e.u == e.v:
-                raise ValueError(f"edge {e} is a loop")
-            if e.deg < 1:
-                raise ValueError(f"edge {e} has non-positive degree")
-            adjacency[e.u].append(e.v)
-            adjacency[e.v].append(e.u)
-            self.edge_frame(e)  # adjacent labels must share k-1 elements
-        while frontier:
-            v = frontier.pop()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != len(self.vertices):
-            raise ValueError("tree is not connected")
-        if any(v > 3 for v in self.valences()):
-            raise ValueError("vertex valence exceeds 3")
-
     def canonical_key(self) -> tuple:
         """Isomorphism invariant: minimal encoding over all vertex orderings.
 

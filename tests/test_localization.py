@@ -21,6 +21,7 @@ from grassmap.localization import (
 )
 from grassmap.qpoly import QPolynomial, qbinomial, reverse
 from grassmap.weights import WeightConsistencyError, embed_tree
+from residual_oracle import edge_embeds_exactly, point_embeds_exactly
 
 SMALL_CELLS = [(k, n, d) for n in range(2, 6) for k in range(1, n) for d in (1, 2, 3)]
 
@@ -303,7 +304,7 @@ def fresh_int_families():
     before and after a test that patches them: no value computed from a patched
     family outlives the test, and no stale residual meets the patched family."""
     memos = (weights._point_tangent_ints, weights._edge_h0_ints, weights._point_surplus_ints,
-             weights._edge_surplus_ints, loc._point_embeds_exactly, loc._edge_embeds_exactly)
+             weights._edge_surplus_ints, loc._point_misfits, loc._edge_misfits)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -392,6 +393,26 @@ class TestIntegerEmbedding:
             assert verdicts == {(m, mode): embedding_cross_check(t, m, mode) for m, mode in verdicts}
             assert [case for case, ok in verdicts.items() if not ok] == [(t.n + 1 if at_top else 1, "iota")]
 
+    def test_vertex_surplus_wrong_at_one_slot_fails_that_slot_only(self, monkeypatch, fresh_int_families):
+        # in mode iota at slot 1 only, each vertex piece removes one weight too
+        # many.  Every label weight enters once per edge at the vertex and
+        # leaves v-1 times, so at valence 2 the surplus loses a weight without
+        # going negative, and only that case is wrong.
+        orig = weights._point_surplus_ints
+
+        def extra_at_first_slot(label, n, m, mode):
+            piece = orig(label, n, m, mode)
+            return (*piece, piece[0]) if (m, mode) == (1, "iota") else piece
+
+        monkeypatch.setattr(weights, "_point_surplus_ints", extra_at_first_slot)
+        monkeypatch.setattr(loc, "_point_surplus_ints", extra_at_first_slot)
+        for t in (tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)]),
+                  tree(1, 3, [(1,), (2,), (3,), (2,)], [(0, 1, 1), (1, 2, 1), (2, 3, 1)]),
+                  tree(2, 4, [(1, 2), (1, 3), (3, 4)], [(0, 1, 2), (1, 2, 1)])):
+            verdicts = embedding_verdicts(t)
+            assert verdicts == {(m, mode): embedding_cross_check(t, m, mode) for m, mode in verdicts}
+            assert [case for case, ok in verdicts.items() if not ok] == [(1, "iota")]
+
     @pytest.mark.parametrize("side", ["direct", "lifted"])
     def test_each_tangent_is_checked(self, monkeypatch, side):
         orig = loc._int_tangent
@@ -459,3 +480,50 @@ class TestIntegerEmbedding:
             assert verdicts[4, mode] == (4 in right_slots)
         assert all(embedding_cross_check(t, m, mode) == ok for (m, mode), ok in verdicts.items())
         assert {m for (m, _), ok in verdicts.items() if ok} == right_slots
+
+
+def _lift_last(monkeypatch):
+    # the new character always last: right at slot n+1 only
+    for module in (loc, weights):
+        monkeypatch.setattr(module, "_lift", lambda code, m: code)
+
+
+def _extra_at_first_iota_slot(monkeypatch):
+    for name in ("_edge_surplus_ints", "_point_surplus_ints"):
+        orig = getattr(weights, name)
+
+        def extra(*args, orig=orig):
+            piece = orig(*args)
+            return (*piece, piece[0]) if args[-2:] == (1, "iota") else piece
+
+        for module in (loc, weights):
+            monkeypatch.setattr(module, name, extra)
+
+
+class TestMisfitSets:
+    """The all-slot misfit sets against the per-case residuals of tests/residual_oracle.py."""
+
+    @pytest.mark.parametrize("fault", [None, _lift_last, _extra_at_first_iota_slot],
+                             ids=["none", "lift-last", "extra-at-1-iota"])
+    def test_match_the_per_case_residuals(self, monkeypatch, fresh_int_families, fault):
+        if fault:
+            fault(monkeypatch)
+        frames, labels = set(), set()
+        for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
+            for t in enumerate_fixed_graphs(k, n, d):
+                frames.update((*t.edge_frame(edge), edge.deg, n) for edge in t.edges)
+                labels.update((label, n) for label in t.vertices)
+
+        def cases(n):
+            return [(m, mode) for m in range(1, n + 2) for mode in loc.MODES]
+
+        misfits = []
+        for frame in frames:
+            want = {case for case in cases(frame[-1]) if not edge_embeds_exactly(*frame, *case)}
+            assert loc._edge_misfits(*frame) == want, frame
+            misfits.append(want)
+        for label, n in labels:
+            want = {case for case in cases(n) if not point_embeds_exactly(label, n, *case)}
+            assert loc._point_misfits(label, n) == want, (label, n)
+            misfits.append(want)
+        assert any(misfits) == (fault is not None)
