@@ -133,10 +133,10 @@ def symmetry(max_n: int | None) -> Checks:
 
 
 def embeddings(max_n: int | None) -> Checks:
-    """Every fixed tree with n<=5, d=1..3, embedded into every m<=n+1 both ways,
+    """Every fixed tree with n<=6, d=1..3, embedded into every m<=n+1 both ways,
     changes its tangent weights by exactly the predicted delta (tree by tree,
     `localization.embedding_verdicts`)."""
-    for k, n, d in _all_degrees(max_n or 5):
+    for k, n, d in _all_degrees(max_n or 6):
         cases = failures = 0
         for tree in fixedgraphs.fixed_graphs(k, n, d):
             verdicts = localization.embedding_verdicts(tree).values()

@@ -33,30 +33,30 @@ than skew a Betti number.
 `weights`, and `_checked_int_counts` runs the checks.  On them rest
 `tangent_sign_counts`, for the sub-family sums and as the tests' oracle for
 the localization sum; `fixed_point_report`, which decodes the weights for
-`grassmap betti --reports`; and `embedding_cross_check`, which compares int
-multisets, the base one lifted through `weights._lift`.
+`grassmap betti --reports`; and `embedding_verdicts`, which checks each
+tree's base tangent once.
 `poincare_localization` builds no trees: each family enters with a fixed
 multiplicity, so a tree's positive count is a sum of local terms, and
 `_positive_counts` sums each tree shape from tables of them, under three
 checks of its own (three-edge path parity, exponents in 0..dim, the census
 total); the tests hold it to the per-tree sum.
 
-`embedding_verdicts` gives `embedding_cross_check`'s verdict for every slot
-and mode of one tree without assembling the embedded tangent.  Embedding
-changes no edge, valence or domain character, so the node and
-reparametrization terms cancel, and direct - lifted - surplus is a sum of
-local residuals: per edge, its embedded family minus its lifted family minus
-its surplus piece; per vertex of valence v >= 2, minus v-1 times the same
-for its Grassmannian tangent.  The residuals depend on an edge frame or a
-label, the slot and the mode only.  They are checked once per frame or label
-over every slot and mode, and the cases with a non-empty residual are
-memoized as its misfit set.  The base tangent is checked once per tree, which
-checks every lift of it, and the surplus once per mode, at slot n+1, which
-checks it at every slot: rotating each weight's digit n+1 down to slot m fixes
-only 0 and maps that surplus onto the one at slot m.  A case in no misfit set
-is then settled; every other case is handed to `embedding_cross_check`, which
-assembles both tangents, so each case gets the same verdict and raises on the
-same faults.
+`embedding_verdicts` checks, for every slot and mode of one tree, that the
+embedded tree's tangent is the lifted tangent plus the surplus, without
+assembling the embedded tangent.  Embedding changes no edge, valence or
+domain character, so the node and reparametrization terms cancel, and
+direct - lifted - surplus is a sum of local residuals: per edge, its embedded
+family minus its lifted family minus its surplus piece; per vertex of valence
+v >= 2, minus v-1 times the same for its Grassmannian tangent.  The residuals
+depend on an edge frame or a label, the slot and the mode only.  They are
+checked once per frame or label over every slot and mode, and the cases with
+a non-empty residual are memoized as its misfit set.  The base tangent is
+checked once per tree, which checks every lift of it, and the surplus once
+per mode, at slot n+1, which checks it at every slot: rotating each weight's
+digit n+1 down to slot m fixes only 0 and maps that surplus onto the one at
+slot m; only where it fails there is it checked slot by slot.  A case passes
+iff it is in no misfit set and its surplus holds.  The tests hold these
+verdicts to a per-case check that assembles both tangents.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ from .weights import (
     _point_surplus_ints,
     _point_tangent_ints,
     _shift,
-    embed_tree,
 )
 
 
@@ -337,29 +336,6 @@ def stratum_family_contribution(k: int, n: int, family: str) -> QPolynomial:
 # -- embedding consistency -----------------------------------------------------
 
 
-def embedding_cross_check(tree: DecoratedTree, m: int, mode) -> bool:
-    """Does tangent(embed(tree)) equal lifted tangent(tree) plus the surplus?
-
-    The direct computation on the embedded tree and the base-plus-delta
-    route must agree as multisets; this is the strongest internal check the
-    weight calculus has, exercising every family jointly.  Both routes run
-    in the integer encoding: the lift is `_int_tangent(tree)` read through
-    `weights._lift`, and the surplus `weights._embedding_delta_ints`.  Both
-    tangents pass the checks of `tangent_sign_counts`, and a negative
-    surplus raises WeightConsistencyError.
-    """
-    embedded = embed_tree(tree, m, mode)
-    direct = _int_tangent(embedded)
-    _checked_int_counts(embedded, direct)
-    lifted = Counter({_lift(w, m): mult for w, mult in _int_tangent(tree).items()})
-    _checked_int_counts(tree, lifted)
-    surplus = _embedding_delta_ints(tree, m, mode)
-    if any(mult < 0 for mult in surplus.values()):
-        raise WeightConsistencyError(f"embedding surplus went negative for m={m}, mode={mode}")
-    lifted.update(surplus)
-    return direct == lifted  # a Counter compares missing entries as 0
-
-
 MODES = ("iota", "kappa")
 
 
@@ -400,40 +376,43 @@ def _point_misfits(label: tuple[int, ...], n: int) -> frozenset:
     return frozenset(misfits)
 
 
-def embedding_verdicts(tree: DecoratedTree) -> dict[tuple[int, str], bool]:
-    """`embedding_cross_check(tree, m, mode)` for every slot m in 1..n+1 and
-    both modes, keyed (m, mode).
+def _surplus_holds(tree: DecoratedTree, m: int, mode, size: int) -> bool:
+    """Does the surplus at slot m hold no zero and `size` weights?  Raises
+    WeightConsistencyError on a negative multiplicity."""
+    surplus = _embedding_delta_ints(tree, m, mode)
+    if min(surplus.values(), default=0) < 0:
+        raise WeightConsistencyError(f"embedding surplus went negative for m={m}, mode={mode}")
+    return not surplus[0] and sum(surplus.values()) == size
 
-    A case in no edge's or vertex's misfit set has direct == lifted + surplus
-    exactly.  Each edge frame's residuals (`_edge_misfits`) and each label's
+
+def embedding_verdicts(tree: DecoratedTree) -> dict[tuple[int, str], bool]:
+    """Does the tree embedded at slot m in mode `mode` have the lifted tangent
+    plus the surplus?  For every slot m in 1..n+1 and both modes, keyed (m, mode).
+
+    A case passes iff it is in no edge's or vertex's misfit set and its surplus
+    holds.  Each edge frame's residuals (`_edge_misfits`) and each label's
     (`_point_misfits`) are checked once over every slot and mode, so a tree
-    takes one lookup per edge and per vertex of valence >= 2.  The
-    base tangent is checked once, and a fault raises: `weights._lift` is
-    injective, maps 0 to 0 and keeps every sign, so each lifted tangent
-    passes `_checked_int_counts` iff the base one does, and every case of
-    `embedding_cross_check` would raise.  With the lifted tangent checked and
-    the surplus non-negative, the direct tangent then passes iff the
-    surplus holds no zero and adds what the embedding adds to the dimension,
-    so the case passes without the embedded tangent.  The surplus is built and
-    checked at m = n+1 only, once per mode, which checks it at every slot
-    (`weights._embedding_delta_ints`).  Every other case is handed to
-    `embedding_cross_check` (module docstring).
+    takes one lookup per edge and per vertex of valence >= 2, and a case in
+    none has direct == lifted + surplus exactly.  The base tangent is checked
+    once, and a fault raises: `weights._lift` is injective, maps 0 to 0 and
+    keeps every sign, so each lifted tangent passes `_checked_int_counts` iff
+    the base one does.  With the lifted tangent checked, the direct tangent
+    then passes iff the surplus holds: no negative multiplicity (which
+    raises), no zero, and the size the embedding adds to the dimension.  The
+    surplus is checked at m = n+1 once per mode, which checks it at every slot
+    (`weights._embedding_delta_ints`); only when it fails there is it checked
+    slot by slot, so a fault at one slot fails that slot only.
     """
     n, d = tree.n, tree.d
     _checked_int_counts(tree, _int_tangent(tree))
     base = moduli_dimension(tree.k, n, d)
-    holds = {}
-    for mode, k_up in zip(MODES, (tree.k, tree.k + 1)):
-        surplus = _embedding_delta_ints(tree, n + 1, mode)
-        size_ok = base + sum(surplus.values()) == moduli_dimension(k_up, n + 1, d)
-        holds[mode] = size_ok and not surplus[0] and min(surplus.values(), default=0) >= 0
-    misfits = set().union(
+    failed = set().union(
         *(_edge_misfits(*tree.edge_frame(edge), edge.deg, n) for edge in tree.edges),
         *(_point_misfits(label, n) for label, v in zip(tree.vertices, tree.valences()) if v >= 2),
     )
-    verdicts = {}
-    for m in range(1, n + 2):
-        for mode in MODES:
-            exact = holds[mode] and (m, mode) not in misfits
-            verdicts[m, mode] = exact or embedding_cross_check(tree, m, mode)
-    return verdicts
+    for mode, k_up in zip(MODES, (tree.k, tree.k + 1)):
+        size = moduli_dimension(k_up, n + 1, d) - base
+        if not _surplus_holds(tree, n + 1, mode, size):
+            failed.update((m, mode) for m in range(1, n + 2)
+                          if m > n or not _surplus_holds(tree, m, mode, size))
+    return {(m, mode): (m, mode) not in failed for m in range(1, n + 2) for mode in MODES}

@@ -48,9 +48,10 @@ multiset by a pure surplus (no cancellations): the edges add their new
 weights, and each vertex of valence v >= 2 removes v-1 copies of its own
 (`_embedding_delta_ints`).  These pieces are defined once, memoized per edge
 frame (`_edge_surplus_ints`) and per label (`_point_surplus_ints`), and
-`localization` checks the embedding from them piece by piece: an edge or
-vertex whose embedded family is its lifted family plus its piece has an empty
-residual, and a tree whose residuals are all empty needs no embedded tangent.
+`localization` checks the embedding from them piece by piece, without building
+the embedded tree: an edge or vertex whose embedded family is its lifted family
+plus its piece has an empty residual, and where every residual is empty the
+embedded tangent is the lifted tangent plus the surplus.
 """
 
 from __future__ import annotations
@@ -152,27 +153,11 @@ def _shift(i: int, m: int) -> int:
 
 
 def _embed_label(label: tuple[int, ...], m: int, mode: EmbedMode) -> tuple[int, ...]:
-    """A label (or any set of indices) under `embed_tree`'s inclusion into n+1 coordinates."""
+    """A label (or any set of indices) under the inclusion into n+1 coordinates,
+    the new one at slot m: indices at or above m shift up by one, and mode
+    "kappa" adjoins m itself."""
     shifted = tuple(_shift(i, m) for i in label)
     return shifted if mode == "iota" else tuple(sorted((m, *shifted)))
-
-
-def embed_tree(tree: "DecoratedTree", m: int, mode: EmbedMode) -> "DecoratedTree":
-    """Push a fixed tree into the next Grassmannian up.
-
-    The ambient coordinate set grows from {1..n} to {1..n+1}, the new
-    coordinate taking slot m (existing indices at or above m shift up by
-    one).  Mode "iota" keeps every label as it was; mode "kappa" adjoins the
-    new coordinate to every label, raising k by one.
-    """
-    n = tree.n
-    if not 1 <= m <= n + 1:
-        raise ValueError(f"new coordinate slot {m} outside 1..{n + 1}")
-    if mode not in ("iota", "kappa"):
-        raise ValueError(f"unknown embedding mode {mode!r}")
-    verts = tuple(_embed_label(lab, m, mode) for lab in tree.vertices)
-    k = tree.k + (mode == "kappa")
-    return tree._replace(k=k, n=n + 1, vertices=verts)
 
 
 @cache
@@ -205,7 +190,7 @@ def _point_surplus_ints(label: tuple[int, ...], n: int, m: int, mode: EmbedMode)
 
 
 def _embedding_delta_ints(tree: "DecoratedTree", m: int, mode: EmbedMode) -> Counter:
-    """The tangent-weight surplus of `embed_tree(tree, m, mode)`, as signed multiplicities.
+    """The tangent-weight surplus of the tree embedded at slot m, as signed multiplicities.
 
     Computed in the n+1 characters of the embedded tree (module docstring):
     per edge, its piece `_edge_surplus_ints`; per vertex of valence v >= 2,
@@ -213,12 +198,13 @@ def _embedding_delta_ints(tree: "DecoratedTree", m: int, mode: EmbedMode) -> Cou
 
         tangent(embedded tree) == tangent(tree) lifted to slot m + surplus.
 
-    `m` and `mode` are taken as valid (`embed_tree` checks them), and the
-    caller checks that no multiplicity is negative.  Moving each weight's digit
-    n+1 down to slot m, and digits m..n up one, maps the surplus at slot n+1
-    onto the one at slot m.  That rotation fixes only 0, so it keeps the zero
-    count, every multiplicity and the size, and `embedding_verdicts` checks
-    them at slot n+1 only.
+    `m` is taken in 1..n+1 and `mode` in `localization.MODES`, as every
+    caller loops over them, and the caller checks that no multiplicity is
+    negative.  Moving each weight's digit n+1 down to slot m, and digits m..n
+    up one, maps the surplus at slot n+1 onto the one at slot m.  That rotation
+    fixes only 0, so it keeps the zero count, every multiplicity and the size,
+    and `embedding_verdicts` checks them at slot n+1, and slot by slot only
+    where they fail there.
     """
     n = tree.n
     delta = Counter(chain.from_iterable(

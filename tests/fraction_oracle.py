@@ -14,7 +14,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 
-from grassmap.weights import WEIGHT_BASE, WEIGHT_SCALE, embed_tree
+from grassmap.weights import WEIGHT_BASE, WEIGHT_SCALE
+from residual_oracle import embed_tree
 
 
 def weight(n, *terms):

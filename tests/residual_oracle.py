@@ -1,15 +1,59 @@
-"""The embedding residuals one case at a time: the tests' oracle for the
-misfit sets of `grassmap.localization._edge_misfits` and `_point_misfits`.
+"""The embedding check one case at a time: the tests' oracle for
+`grassmap.localization.embedding_verdicts` and its misfit sets.
 
-A residual is an embedded family minus its lifted family minus its surplus
-piece, at one slot m and one mode, built as a `Counter` and tested for
-emptiness.  Every family is read through the `grassmap.weights` module at
-call time, so a test that patches one there patches it here too.
+`embedding_cross_check` pushes a tree into the next Grassmannian up
+(`embed_tree`), assembles the tangent there and compares it with the lifted
+tangent plus the surplus, at one slot m and one mode.  `edge_embeds_exactly`
+and `point_embeds_exactly` check one residual, an embedded family minus its
+lifted family minus its surplus piece, built as a `Counter` and tested for
+emptiness, the oracle of `_edge_misfits` and `_point_misfits`.
+
+Every family is read through the `grassmap.weights` module, and the tangent,
+its checks, the lift and the surplus through `grassmap.localization`, at call
+time, so a test that patches one there patches it here too.
 """
 
 from collections import Counter
 
+import grassmap.localization as loc
 import grassmap.weights as weights
+
+
+def embed_tree(tree, m, mode):
+    """Push a fixed tree into the next Grassmannian up.
+
+    The ambient coordinate set grows from {1..n} to {1..n+1}, the new
+    coordinate taking slot m (existing indices at or above m shift up by
+    one).  Mode "iota" keeps every label as it was; mode "kappa" adjoins the
+    new coordinate to every label, raising k by one.
+    """
+    n = tree.n
+    if not 1 <= m <= n + 1:
+        raise ValueError(f"new coordinate slot {m} outside 1..{n + 1}")
+    if mode not in ("iota", "kappa"):
+        raise ValueError(f"unknown embedding mode {mode!r}")
+    verts = tuple(weights._embed_label(lab, m, mode) for lab in tree.vertices)
+    return tree._replace(k=tree.k + (mode == "kappa"), n=n + 1, vertices=verts)
+
+
+def embedding_cross_check(tree, m, mode):
+    """Does tangent(embed_tree(tree, m, mode)) equal the lifted tangent of the
+    tree plus the surplus?
+
+    Both tangents are assembled in full and pass the checks of
+    `tangent_sign_counts`; the lift reads the base tangent through
+    `_lift`, and a negative surplus raises WeightConsistencyError.
+    """
+    embedded = embed_tree(tree, m, mode)
+    direct = loc._int_tangent(embedded)
+    loc._checked_int_counts(embedded, direct)
+    lifted = Counter({loc._lift(w, m): mult for w, mult in loc._int_tangent(tree).items()})
+    loc._checked_int_counts(tree, lifted)
+    surplus = loc._embedding_delta_ints(tree, m, mode)
+    if any(mult < 0 for mult in surplus.values()):
+        raise weights.WeightConsistencyError(f"embedding surplus went negative for m={m}, mode={mode}")
+    lifted.update(surplus)
+    return direct == lifted  # a Counter compares missing entries as 0
 
 
 def edge_embeds_exactly(shared, b_u, b_v, deg, n, m, mode):

@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 import grassmap
-from grassmap import checks, cli
+from grassmap import checks, cli, localization
 from grassmap.checks import PUBLISHED_ROWS
 from grassmap.cli import main
 from test_acceptance import assert_suite
 from test_fixedgraphs import validate
+from test_localization import fresh_int_families  # a fixture, used by name
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
@@ -464,6 +465,21 @@ class TestVerify:
         assert out.splitlines()[-1] == "CHECKS FAILED"
         with pytest.raises(AssertionError):
             assert_suite(checks.tables)
+
+    def test_embedding_fault_fails_verify(self, capsys, monkeypatch, fresh_int_families):
+        # one zero too many in every edge family in 4 coordinates only: the trees
+        # with n = 3 embed wrongly in every case, those with n = 2 rightly
+        orig = localization._edge_h0_ints
+        monkeypatch.setattr(localization, "_edge_h0_ints",
+                            lambda *args: (*orig(*args), *((0,) if args[-1] == 4 else ())))
+        code, out, _ = run(capsys, "verify", "--suite", "embeddings", "--max-n", "3")
+        assert code == 1
+        *rows, verdict = (line.split() for line in out.splitlines())
+        assert verdict == ["CHECKS", "FAILED"]
+        # PASS  embeddings (1,2) d=1, then FAIL  embeddings (1,3) d=1  N failures in N cases
+        assert [(row[0], row[2]) for row in rows] == [
+            *[("PASS", "(1,2)")] * 3, *[("FAIL", "(1,3)")] * 3, *[("FAIL", "(2,3)")] * 3]
+        assert all(row[4:] == [row[4], "failures", "in", row[4], "cases"] for row in rows[3:])
 
     def test_census_suite_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "census", "--max-n", "4")

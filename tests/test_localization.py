@@ -11,7 +11,6 @@ from grassmap.checks import SWEEP
 from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs, fixed_graphs
 from grassmap.localization import (
     FAMILIES,
-    embedding_cross_check,
     embedding_verdicts,
     fixed_point_report,
     moduli_dimension,
@@ -20,8 +19,8 @@ from grassmap.localization import (
     tangent_sign_counts,
 )
 from grassmap.qpoly import QPolynomial, qbinomial, reverse
-from grassmap.weights import WeightConsistencyError, embed_tree
-from residual_oracle import edge_embeds_exactly, point_embeds_exactly
+from grassmap.weights import WeightConsistencyError
+from residual_oracle import edge_embeds_exactly, embed_tree, embedding_cross_check, point_embeds_exactly
 
 SMALL_CELLS = [(k, n, d) for n in range(2, 6) for k in range(1, n) for d in (1, 2, 3)]
 
@@ -259,6 +258,49 @@ class TestFamilies:
             stratum_family_contribution(1, 2, "nonsense")
 
 
+def _lift_last(monkeypatch):
+    # the new character always last: right at slot n+1 only
+    for module in (loc, weights):
+        monkeypatch.setattr(module, "_lift", lambda code, m: code)
+
+
+def _extra_at_first_iota_slot(monkeypatch):
+    for name in ("_edge_surplus_ints", "_point_surplus_ints"):
+        orig = getattr(weights, name)
+
+        def extra(*args, orig=orig):
+            piece = orig(*args)
+            return (*piece, piece[0]) if args[-2:] == (1, "iota") else piece
+
+        for module in (loc, weights):
+            monkeypatch.setattr(module, name, extra)
+
+
+def _extra_at_top_iota_slot(monkeypatch):
+    # each edge piece one weight too many at slot n+1 in mode iota, the `top`
+    # fault of test_surplus_wrong_at_one_slot_fails_that_slot_only: the top-slot
+    # surplus checked for every slot is wrong
+    orig = weights._edge_surplus_ints
+
+    def extra(shared, b_u, b_v, deg, n, m, mode):
+        piece = orig(shared, b_u, b_v, deg, n, m, mode)
+        return (*piece, piece[0]) if (m, mode) == (n + 1, "iota") else piece
+
+    for module in (loc, weights):
+        monkeypatch.setattr(module, "_edge_surplus_ints", extra)
+
+
+def _record_tangents_and_surpluses(monkeypatch):
+    """Record each tree whose tangent is assembled, and each (tree, m, mode)
+    whose surplus is built."""
+    orig, orig_delta = loc._int_tangent, loc._embedding_delta_ints
+    calls, deltas = [], []
+    monkeypatch.setattr(loc, "_int_tangent", lambda t: calls.append(t) or orig(t))
+    monkeypatch.setattr(loc, "_embedding_delta_ints",
+                        lambda t, m, mode: deltas.append((t, m, mode)) or orig_delta(t, m, mode))
+    return calls, deltas
+
+
 class TestEmbeddingConsistency:
     def test_every_slot_and_mode_on_small_cells(self):
         for k, n, d in [(1, 2, 2), (1, 2, 3), (2, 3, 2), (1, 3, 2)]:
@@ -279,16 +321,9 @@ class TestEmbeddingConsistency:
         assert cases == 9404
 
     def test_one_tangent_per_tree(self, monkeypatch):
-        # the base tangent is assembled and checked once per tree, and on correct
-        # input no case falls back to embedding_cross_check, which assembles two
-        orig = loc._int_tangent
-        calls = []
-        monkeypatch.setattr(loc, "_int_tangent", lambda t: calls.append(t) or orig(t))
-        # and the surplus is built once per mode, at the top slot only
-        orig_delta = loc._embedding_delta_ints
-        deltas = []
-        monkeypatch.setattr(loc, "_embedding_delta_ints",
-                            lambda t, m, mode: deltas.append((t, m, mode)) or orig_delta(t, m, mode))
+        # the base tangent is assembled and checked once per tree, and no case
+        # assembles another; the surplus is built once per mode, at the top slot only
+        calls, deltas = _record_tangents_and_surpluses(monkeypatch)
         for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
             for t in enumerate_fixed_graphs(k, n, d):
                 calls.clear()
@@ -296,6 +331,25 @@ class TestEmbeddingConsistency:
                 embedding_verdicts(t)
                 assert calls == [t]
                 assert deltas == [(t, n + 1, "iota"), (t, n + 1, "kappa")]
+
+    @pytest.mark.parametrize("fault,rebuilt", [
+        (_lift_last, ()),
+        (_extra_at_first_iota_slot, ()),
+        (_extra_at_top_iota_slot, ("iota",)),
+    ], ids=["lift-last", "extra-at-1-iota", "extra-at-top-iota"])
+    def test_one_tangent_per_tree_under_a_fault(self, monkeypatch, fresh_int_families, fault, rebuilt):
+        # a failing case assembles no tangent either, and the surplus is built
+        # slot by slot only in a mode whose top-slot surplus fails
+        fault(monkeypatch)
+        calls, deltas = _record_tangents_and_surpluses(monkeypatch)
+        for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
+            for t in enumerate_fixed_graphs(k, n, d):
+                calls.clear()
+                deltas.clear()
+                assert not all(embedding_verdicts(t).values()), t
+                assert calls == [t]
+                assert deltas == [(t, m, mode) for mode in loc.MODES
+                                  for m in (n + 1, *(range(1, n + 1) if mode in rebuilt else ()))]
 
 
 @pytest.fixture
@@ -377,7 +431,7 @@ class TestIntegerEmbedding:
         # in mode iota, each edge piece adds one weight too many at one slot only.
         # Residuals and surplus share the piece, so both bindings are patched.  At
         # the top slot the surplus checked for every slot is wrong, and every iota
-        # slot falls back to embedding_cross_check.
+        # slot's surplus is checked slot by slot.
         orig = weights._edge_surplus_ints
 
         def extra_at_one_slot(shared, b_u, b_v, deg, n, m, mode):
@@ -451,8 +505,17 @@ class TestIntegerEmbedding:
             return broken(orig(*args)) if side == "both" or direct == (side == "direct") else orig(*args)
 
         monkeypatch.setattr(loc, family, patched)
-        with pytest.raises(WeightConsistencyError, match=message):
-            embedding_verdicts(t)
+        if side != "direct":
+            with pytest.raises(WeightConsistencyError, match=message):
+                embedding_verdicts(t)
+            return
+        # broken on the embedded side only: every case fails, and the per-case
+        # oracle, which assembles the embedded tangent, raises on each
+        assert not any(embedding_verdicts(t).values())
+        for m in range(1, t.n + 2):
+            for mode in loc.MODES:
+                with pytest.raises(WeightConsistencyError, match=message):
+                    embedding_cross_check(t, m, mode)
 
     # wrong lifts of the (2,3) two-edge path's weights, n = 3, and the slots
     # each gets right: the new character always last (right at m = 4 only), or
@@ -480,24 +543,6 @@ class TestIntegerEmbedding:
             assert verdicts[4, mode] == (4 in right_slots)
         assert all(embedding_cross_check(t, m, mode) == ok for (m, mode), ok in verdicts.items())
         assert {m for (m, _), ok in verdicts.items() if ok} == right_slots
-
-
-def _lift_last(monkeypatch):
-    # the new character always last: right at slot n+1 only
-    for module in (loc, weights):
-        monkeypatch.setattr(module, "_lift", lambda code, m: code)
-
-
-def _extra_at_first_iota_slot(monkeypatch):
-    for name in ("_edge_surplus_ints", "_point_surplus_ints"):
-        orig = getattr(weights, name)
-
-        def extra(*args, orig=orig):
-            piece = orig(*args)
-            return (*piece, piece[0]) if args[-2:] == (1, "iota") else piece
-
-        for module in (loc, weights):
-            monkeypatch.setattr(module, name, extra)
 
 
 class TestMisfitSets:

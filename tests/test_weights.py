@@ -9,7 +9,8 @@ import grassmap.localization as loc
 from fraction_oracle import edge_h0, embedding_delta, encode, encoded, lift, point_tangent, sign, weight
 from grassmap import weights
 from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs
-from grassmap.weights import MAX_SCALED_COEFF, WEIGHT_SCALE, WeightConsistencyError, embed_tree
+from grassmap.weights import MAX_SCALED_COEFF, WEIGHT_SCALE, WeightConsistencyError
+from residual_oracle import embed_tree
 
 
 def w(*coeffs):
@@ -92,8 +93,8 @@ class TestWeightMultiset:
 
     def test_signed_assembly_then_equality(self):
         # the assembly keeps the netted zero weight as an entry of multiplicity
-        # 0, and compares equal to its nonzero part (embedding_cross_check
-        # relies on both)
+        # 0, and compares equal to its nonzero part (the per-case oracle of
+        # tests/residual_oracle.py relies on both)
         t = DecoratedTree(2, 3, ((1, 2), (2, 3), (1, 3)), (Edge(0, 1, 1), Edge(0, 2, 1)))
         ws = loc._int_tangent(t)
         assert 0 in ws and ws[0] == 0
