@@ -4,7 +4,7 @@ Three subcommands:
 
   betti    Betti numbers / Poincare polynomial of the degree-d stable-map
            space for G(k, n), by localization, closed form, or both
-           (a disagreement between the two exits nonzero);
+           (Betti rows that disagree between the two exit nonzero);
   graphs   the fixed decorated trees behind the localization sum, either
            in full or as a census by shape and minimal stratum;
   verify   the self-check suites (identity sweeps, published tables,
@@ -26,11 +26,13 @@ on stdout.
 
 Results of `betti` can be cached as JSON files named {k}-{n}-{d}-{method}
 under a directory given by --cache-dir or the GRASSMAP_CACHE environment
-variable; cache writes are atomic (write-then-rename) and cache hits
-reproduce byte-identical output.  A cache file holds the same text that
-`--format json` prints for its payload (`_payload_text`, which equals
-`json.dumps(payload, indent=2)`), so a fresh payload is rendered once for
-both.  A cache file that is not valid JSON, that holds another cell's or
+variable; cache writes are atomic (write-then-rename).  A payload holds k, n,
+d, method, dim and the Betti row (and reports, uncached); `_payload_text`
+renders it as `json.dumps(indent=2)` in a fixed field order, `poincare`
+written from the Betti row.  A cache file holds that text, so a fresh
+payload is rendered once for both, and a hit, its stored `poincare` checked
+and dropped, is re-rendered: byte-identical output whatever the file's
+layout.  A cache file that is not valid JSON, that holds another cell's or
 method's payload, or whose payload is not self-consistent (dimension, Betti
 row against the polynomial, palindromic row with ends 1, total against the
 fixed-point census, integers where integers belong) counts as a miss and is
@@ -177,21 +179,14 @@ def _betti_payload(k: int, n: int, d: int, method: str) -> dict:
         poly = localization.poincare_localization(k, n, d)
     else:
         poly = closedform.closed_form_result(k, n, d)
-    return {
-        "k": k,
-        "n": n,
-        "d": d,
-        "method": method,
-        "dim": localization.moduli_dimension(k, n, d),
-        "poincare": poly.to_json_dict(),
-        "betti": poly.coefficient_list(),
-    }
+    return {"k": k, "n": n, "d": d, "method": method,
+            "dim": localization.moduli_dimension(k, n, d), "betti": poly.coefficient_list()}
 
 
 def _is_consistent(payload: dict, k: int, n: int, d: int, method: str) -> bool:
-    """Is `payload` a well-formed result for this cell and method?
+    """Is `payload` a well-formed cache entry for this cell and method?
 
-    It holds the fields `_betti_payload` writes and no others, names this
+    It holds k, n, d, method, dim, poincare and betti and no others, names this
     cell and method with the cell's dimension; `betti` is a list of dim+1
     ints, palindromic with ends 1, summing to the cell's fixed-point census;
     and `poincare` is the polynomial with those coefficients.  Integers are
@@ -211,16 +206,15 @@ def _is_consistent(payload: dict, k: int, n: int, d: int, method: str) -> bool:
         and betti == betti[::-1]
         and betti[0] == 1
         and sum(betti) == sum(fixedgraphs.census_formula(k, n, d).values())
-        # QPolynomial.to_json_dict of these coefficients, written out: a warm
-        # sweep checks every hit, and building the polynomial doubles the cost
         and payload["poincare"] == {"coeffs": [[e, str(c)] for e, c in enumerate(betti) if c]}
         and all(type(e) is int for e, _ in payload["poincare"]["coeffs"])
     )
 
 
 def _read_cached(path: str, k: int, n: int, d: int, method: str) -> dict | None:
-    """The payload stored at `path`, or None if it is missing, unreadable as
-    JSON, or not a consistent payload of this cell and method."""
+    """The payload stored at `path`, less its checked `poincare`, or None if
+    it is missing, unreadable as JSON, or not a consistent payload of this
+    cell and method."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -228,6 +222,7 @@ def _read_cached(path: str, k: int, n: int, d: int, method: str) -> dict | None:
         return None
     if not isinstance(payload, dict) or not _is_consistent(payload, k, n, d, method):
         return None
+    del payload["poincare"]
     return payload
 
 
@@ -253,25 +248,24 @@ def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str) -> tupl
     return payload, text
 
 
-def _payload_text(payload: dict) -> str:
-    """`json.dumps(payload, indent=2)` for a payload of `_betti_payload`, with
-    `reports` if present, or one that `_is_consistent` accepts.
+def _payload_text(p: dict) -> str:
+    """`json.dumps(indent=2)` of a `_betti_payload` payload, with `reports`
+    if present, in the fixed field order: k, n, d, method, dim, then
+    `poincare` (each nonzero Betti number as a string, by exponent), betti
+    and reports.
 
-    json's indenting encoder runs in pure Python, and a sweep's output is
-    mostly `poincare` and `betti`, so those two are laid out here; the other
-    fields go through json.dumps.
+    json's indenting encoder runs in pure Python, so all but `reports` is
+    laid out here, from one `str` of each Betti number.
     """
-    fields = []
-    for key, value in payload.items():
-        if key == "poincare":
-            pairs = ",\n".join(f'      [\n        {e},\n        "{c}"\n      ]' for e, c in value["coeffs"])
-            text = '{\n    "coeffs": [\n' + pairs + "\n    ]\n  }"
-        elif key == "betti":
-            text = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        fields.append(f'  "{key}": {text}')
-    return "{\n" + ",\n".join(fields) + "\n}"
+    betti = list(map(str, p["betti"]))
+    pairs = ",\n".join(f'      [\n        {e},\n        "{c}"\n      ]'
+                       for e, c in enumerate(betti) if c != "0")
+    fields = [f'"k": {p["k"]}', f'"n": {p["n"]}', f'"d": {p["d"]}', f'"method": "{p["method"]}"',
+              f'"dim": {p["dim"]}', '"poincare": {\n    "coeffs": [\n' + pairs + "\n    ]\n  }",
+              '"betti": [\n    ' + ",\n    ".join(betti) + "\n  ]"]
+    if "reports" in p:
+        fields.append('"reports": ' + json.dumps(p["reports"], indent=2).replace("\n", "\n  "))
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def _tree_text(tree: dict, gap: str) -> str:
@@ -333,7 +327,7 @@ def cmd_betti(args, parser) -> int:
                 else:
                     payload = _betti_payload(k, n, d, method)
                 per_method.append((payload, text))
-            if len(per_method) == 2 and per_method[0][0]["poincare"] != per_method[1][0]["poincare"]:
+            if len(per_method) == 2 and per_method[0][0]["betti"] != per_method[1][0]["betti"]:
                 disagreements.append(f"k={k} n={n} d={d}")
             yield from per_method
 

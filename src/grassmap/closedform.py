@@ -2,11 +2,12 @@
 
 The localization sum of `localization` has, for each degree d <= 3, a
 closed-form companion: a rational expression in q that must collapse to the
-same polynomial.  Each evaluation here builds the complete numerator as an
-exact polynomial product and performs a *single* exact division at the end;
-a remainder at that point means the formula and the inputs are inconsistent
-(a transcription or reasoning bug, never a user error) and surfaces as
-TheoremViolationError.
+same polynomial.  Each evaluation here builds the complete numerator as one
+integer product (every factor at q = 2^(8w), w bytes per coefficient from a
+bound on the numerator's), reads its coefficients back once, and performs a
+*single* exact division at the end; a remainder at that point means the
+formula and the inputs are inconsistent (a transcription or reasoning bug,
+never a user error) and surfaces as TheoremViolationError.
 
 Degrees:
   1  product of two Gaussian binomials -- the space fibers over the
@@ -25,9 +26,14 @@ six-term form (`repeated_leaf_family_closed_form`).
 
 from __future__ import annotations
 
+from math import comb
+
 from .qpoly import (
     QPolynomial,
     DivisibilityError,
+    _dense,
+    _pack,
+    _unpack,
     exact_div,
     q_power,
     qbinomial,
@@ -48,14 +54,6 @@ def _divide_or_die(numerator: QPolynomial, factors: tuple[int, ...], what: str) 
         ) from exc
 
 
-def _one_minus(e: int) -> QPolynomial:
-    return QPolynomial({0: 1, e: -1})
-
-
-def _one_plus(e: int) -> QPolynomial:
-    return QPolynomial({0: 1, e: 1})
-
-
 # The denominators of the degree-2 and degree-3 forms, shared by every cell,
 # as the exponents j of their factors (1 - q^j).
 _D2_DENOMINATOR = (1, 1, 2, 2)
@@ -69,13 +67,30 @@ _D3_EVEN = QPolynomial({0: 1, 2: 5, 3: 2, 4: -2, 5: -5, 7: -1})
 _D3_CROSS = QPolynomial({0: 2, 2: 3, 3: 1, 4: -1, 5: -3, 7: -2})
 
 
+# Bounds on the L1 norm of each degree's bracket, read term by term off the
+# expressions in `closed_form_result`: each 1 + q^e and each q^a + q^b has
+# norm 2, so the degree-2 bracket's norm is at most 2*2 + 2*2, and the
+# degree-3 blocks' norms weigh 2, 2, 2*2*2 and 2*2*2*2.
+_BRACKET_NORM = {2: 8, 3: sum(weight * sum(map(abs, block._c)) for weight, block
+                              in ((2, _D3_MAIN), (2, _D3_SPLIT), (8, _D3_EVEN), (16, _D3_CROSS)))}
+
+
+def _coefficient_bound(k: int, n: int, d: int) -> int:
+    """A bound on |coefficient| of the degree-2 or -3 numerator at G(k, n):
+    the product of its factors' L1 norms, C(n, k) being the norm of the
+    non-negative Gaussian binomial [n, k]."""
+    return 2 * 2 * _BRACKET_NORM[d] * comb(n, k)
+
+
 def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
     """The closed form of degree d at G(k, n).
 
     Degree 1 is the Gaussian-binomial product from the flag-variety
     fibration, with no division.  Degrees 2 and 3 multiply a bracket by
     (1-q^k)(1-q^(n-k)) and the Grassmannian's Poincare polynomial, then
-    divide once by the degree's fixed denominator.
+    divide once by the degree's fixed denominator.  That numerator is one
+    integer product at q = 2^(8w), w bytes holding `_coefficient_bound`,
+    read back once into coefficients.
     """
     if d not in (1, 2, 3):
         raise ValueError(f"no closed form for degree {d} (supported: 1, 2, 3)")
@@ -83,23 +98,26 @@ def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if d == 1:
         return qbinomial(n, k - 1) * qbinomial(n - k + 1, 2)
+    width = _coefficient_bound(k, n, d).bit_length() // 8 + 1  # as in QPolynomial.__mul__
+
+    def q(e: int) -> int:
+        return 1 << (8 * width * e)
+
     if d == 2:
-        bracket = _one_plus(n) * _one_plus(3) - q_power(1) * _one_plus(1) * (
-            q_power(k) + q_power(n - k)
-        )
+        bracket = (1 + q(n)) * (1 + q(3)) - q(1) * (1 + q(1)) * (q(k) + q(n - k))
         den = _D2_DENOMINATOR
     else:
+        main, split, even, cross = (_pack(block._c, width)
+                                    for block in (_D3_MAIN, _D3_SPLIT, _D3_EVEN, _D3_CROSS))
         bracket = (
-            _D3_MAIN * _one_plus(2 * n)
-            + _D3_SPLIT * q_power(2) * (q_power(2 * k) + q_power(2 * (n - k)))
-            + _one_plus(1) * _one_plus(1)
-            * (
-                _D3_EVEN * q_power(n) * _one_plus(2)
-                - _D3_CROSS * q_power(1) * _one_plus(n) * (q_power(k) + q_power(n - k))
-            )
+            main * (1 + q(2 * n))
+            + split * q(2) * (q(2 * k) + q(2 * (n - k)))
+            + (1 + q(1)) * (1 + q(1))
+            * (even * q(n) * (1 + q(2)) - cross * q(1) * (1 + q(n)) * (q(k) + q(n - k)))
         )
         den = _D3_DENOMINATOR
-    num = _one_minus(k) * _one_minus(n - k) * bracket * qbinomial(n, k)
+    value = (1 - q(k)) * (1 - q(n - k)) * bracket * _pack(qbinomial(n, k)._c, width)
+    num = _dense(_unpack(value, width, value.bit_length() // (8 * width) + 1))
     return _divide_or_die(num, den, f"degree-{d} closed form at (k={k}, n={n})")
 
 

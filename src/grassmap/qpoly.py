@@ -26,8 +26,9 @@ not a user error, and is treated as such by callers.  A product of two
 polynomials is one product of two integers (Kronecker substitution): each
 factor is evaluated at q = 2^(8w), with w bytes per coefficient chosen from a
 bound on the product's coefficients, and the product's coefficients are read
-back from the digits of the integer product.  Python integers are exact at
-any size, so this is exact too.
+back from the digits of the integer product (`_pack` evaluates, `_unpack`
+reads back; `closedform` uses the same pair for a whole numerator).  Python
+integers are exact at any size, so this is exact too.
 """
 
 from __future__ import annotations
@@ -113,19 +114,11 @@ class QPolynomial:
             return ZERO
         # Kronecker substitution: evaluate both factors at q = 2^(8*width),
         # multiply the two integers, and read the product's coefficients back
-        # from its base-2^(8*width) digits.  `width` bytes hold every product
-        # coefficient strictly inside +-2^(8*width-1); adding `half` in every
-        # slot makes each digit c + half, in [0, 2^(8*width)), so no digit
-        # borrows from the next.
+        # from its base-2^(8*width) digits; `width` bytes hold every product
+        # coefficient strictly inside +-2^(8*width-1)
         bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
         width = bound.bit_length() // 8 + 1
-        half = 1 << (8 * width - 1)
-        slots = len(a) + len(b) - 1
-        offset = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
-        product = _pack(a, width) * _pack(b, width) + offset
-        digits = product.to_bytes(width * slots, "little")
-        return _dense([int.from_bytes(digits[at : at + width], "little") - half
-                       for at in range(0, len(digits), width)])
+        return _dense(_unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -171,12 +164,6 @@ class QPolynomial:
     def __repr__(self) -> str:
         return f"QPolynomial({dict(self.terms())!r})"
 
-    # -- serialization --------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """{"coeffs": [[exponent, coefficient-as-string], ...]} ascending."""
-        return {"coeffs": [[e, str(c)] for e, c in self.terms()]}
-
 
 def _trimmed(coeffs: list[int]) -> tuple[int, ...]:
     while coeffs and not coeffs[-1]:
@@ -198,6 +185,20 @@ ONE = QPolynomial({0: 1})
 def _pack(coeffs: tuple[int, ...], width: int) -> int:
     """The integer sum(c * 2^(8*width*e)): the polynomial at q = 2^(8*width)."""
     return sum(map(lshift, coeffs, range(0, 8 * width * len(coeffs), 8 * width)))
+
+
+def _unpack(value: int, width: int, slots: int) -> list[int]:
+    """The coefficients c_0..c_(slots-1) of value = sum(c_e * 2^(8*width*e)),
+    each strictly inside +-2^(8*width-1), none above slot slots-1.
+
+    Adding `half` in every slot makes each digit c + half, in [0, 2^(8*width)),
+    so no digit borrows from the next.
+    """
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    digits = (value + offset).to_bytes(width * slots, "little")
+    return [int.from_bytes(digits[at : at + width], "little") - half
+            for at in range(0, len(digits), width)]
 
 
 def q_power(exponent: int) -> QPolynomial:

@@ -224,6 +224,30 @@ class TestCache:
         assert code == 0 and warm == cold
         assert entry.read_bytes() == good
 
+    def test_reordered_compact_hit_prints_the_cold_bytes(self, capsys, tmp_path):
+        # a hit is re-rendered from its Betti row, not printed in the file's layout
+        argv = ["betti", "-k", "1", "-n", "3", "-d", "2", "--format", "json",
+                "--cache-dir", str(tmp_path)]
+        _, cold, _ = run(capsys, *argv)
+        entry = tmp_path / "1-3-2-localization.json"
+        stored = json.loads(entry.read_bytes())
+        entry.write_text(json.dumps(dict(reversed(stored.items())), separators=(",", ":")))
+        code, warm, _ = run(capsys, *argv)
+        assert code == 0 and warm == cold
+
+    def test_wrong_but_consistent_hit_is_a_route_disagreement(self, capsys, tmp_path):
+        # (1,3,2) has betti 1,2,3,3,2,1; this row passes every hit check
+        # (length, palindrome, ends, census total) but is not the cell's
+        row = [1, 3, 2, 2, 3, 1]
+        (tmp_path / "1-3-2-localization.json").write_text(json.dumps({
+            "k": 1, "n": 3, "d": 2, "method": "localization", "dim": 5,
+            "poincare": {"coeffs": [[e, str(c)] for e, c in enumerate(row)]}, "betti": row}))
+        code, out, err = run(capsys, "betti", "-k", "1", "-n", "3", "-d", "2", "--method", "both",
+                             "--format", "csv", "--cache-dir", str(tmp_path))
+        assert code == 1
+        assert out == "1,3,2,2,3,1\n1,2,3,3,2,1\n"
+        assert "route disagreement at k=1 n=3 d=2" in err
+
     def test_deeply_nested_cache_file_is_recomputed(self, capsys, tmp_path):
         # nested too deep for the decoder (a RecursionError): a miss, not a crash
         argv = ["betti", "-k", "1", "-n", "3", "-d", "1"]
@@ -306,6 +330,27 @@ class TestJsonRendering:
         for entry in entries:
             data = entry.read_bytes()
             assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()
+
+    def test_full_closed_sweep_matches_benchmark_golden(self, capsys, tmp_path):
+        # the exact bytes the closed-sweep workload times, cold then warm
+        want = json.loads(GOLDEN.read_text(encoding="utf-8"))["full"]["closed-sweep"]
+        argv = ["betti", "--method", "closed", "--format", "json", "--k-range", "1..27",
+                "--n-range", "2..28", "--d-range", "1..3", "--cache-dir", str(tmp_path)]
+        for _ in ("cold", "warm"):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    def test_payload_text_is_json_dumps(self):
+        # zeros drop out of `poincare` but not of `betti`; big numbers stay exact
+        want = {"k": 2, "n": 5, "d": 3, "method": "closedform", "dim": 4,
+                "poincare": {"coeffs": [[0, "1"], [2, str(10**40)], [4, "1"]]},
+                "betti": [1, 0, 10**40, 0, 1]}
+        payload = {key: value for key, value in want.items() if key != "poincare"}
+        assert cli._payload_text(payload) == json.dumps(want, indent=2)
+        reports = [{"tree": {"edges": []}, "positives": 3, "weights": [["1/2", "-1"]]}]
+        assert (cli._payload_text({**payload, "reports": reports})
+                == json.dumps({**want, "reports": reports}, indent=2))
 
     @pytest.mark.parametrize("argv", [
         ["-k", "1", "-n", "3", "-d", "2", "--reports"],

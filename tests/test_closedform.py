@@ -15,7 +15,11 @@ from grassmap.closedform import (
     triangle_family_index_sum,
 )
 from grassmap.localization import moduli_dimension, poincare_localization
-from grassmap.qpoly import ONE, QPolynomial, exact_div, qbinomial, reverse
+from grassmap.qpoly import ONE, QPolynomial, exact_div, q_power, qbinomial, reverse
+
+# the closed-sweep benchmark grid, and cells with Betti numbers past 60 bits
+CLOSED_SWEEP = [(k, n, d) for n in range(2, 29) for k in range(1, n) for d in (1, 2, 3)]
+WIDE_CELLS = [(20, 45, 3), (30, 60, 2), (45, 90, 2)]
 
 
 def poincare_grassmannian(k, n):
@@ -28,6 +32,36 @@ def poincare_grassmannian(k, n):
     for i in range(1, n + 1):
         num = num * QPolynomial({0: 1, i: -1})
     return exact_div(num, (*range(1, k + 1), *range(1, n - k + 1)))
+
+
+def one_plus(e):
+    return QPolynomial({0: 1, e: 1})
+
+
+def numerator_oracle(k, n, d):
+    """The degree-2 or -3 numerator (1-q^k)(1-q^(n-k)) * bracket * [n,k] as a
+    product of polynomials (the oracle for the one packed integer product)."""
+    if d == 2:
+        bracket = one_plus(n) * one_plus(3) - q_power(1) * one_plus(1) * (q_power(k) + q_power(n - k))
+    else:
+        bracket = (
+            _D3_MAIN * one_plus(2 * n)
+            + _D3_SPLIT * q_power(2) * (q_power(2 * k) + q_power(2 * (n - k)))
+            + one_plus(1) * one_plus(1)
+            * (
+                _D3_EVEN * q_power(n) * one_plus(2)
+                - _D3_CROSS * q_power(1) * one_plus(n) * (q_power(k) + q_power(n - k))
+            )
+        )
+    one_minus = (ONE - q_power(k)) * (ONE - q_power(n - k))
+    return one_minus * bracket * qbinomial(n, k)
+
+
+def closed_form_oracle(k, n, d):
+    if d == 1:
+        return qbinomial(n, k - 1) * qbinomial(n - k + 1, 2)
+    den = closedform._D2_DENOMINATOR if d == 2 else closedform._D3_DENOMINATOR
+    return exact_div(numerator_oracle(k, n, d), den)
 
 
 class TestGrassmannian:
@@ -51,6 +85,32 @@ class TestNumeratorBlocks:
         # and their degrees
         assert _D3_MAIN.degree == 11 and _D3_SPLIT.degree == 7
         assert _D3_EVEN.degree == 7 and _D3_CROSS.degree == 7
+        # and the bracket norms their L1 norms 20, 24, 16 and 12 give
+        assert closedform._BRACKET_NORM == {2: 8, 3: 408}
+
+
+class TestPackedNumerator:
+    """`closed_form_result` packs its numerator into one integer; the
+    polynomial product is the oracle."""
+
+    @pytest.mark.parametrize("cells", [CLOSED_SWEEP, WIDE_CELLS], ids=["closed-sweep", "wide"])
+    def test_matches_the_product_oracle(self, cells):
+        for k, n, d in cells:
+            assert closed_form_result(k, n, d) == closed_form_oracle(k, n, d), (k, n, d)
+
+    @pytest.mark.parametrize("cells", [CLOSED_SWEEP, WIDE_CELLS], ids=["closed-sweep", "wide"])
+    def test_width_bound_holds(self, cells):
+        # every coefficient is under the bound the byte width is chosen from
+        for k, n, d in cells:
+            if d > 1:
+                top = max(map(abs, numerator_oracle(k, n, d).coefficient_list()))
+                assert top <= closedform._coefficient_bound(k, n, d), (k, n, d)
+
+    def test_wide_cells_are_wide(self):
+        # Betti numbers past 2^60; the numerator of (45, 90, 2) itself passes 64 bits
+        for cell in WIDE_CELLS:
+            assert max(closed_form_oracle(*cell).coefficient_list()) >= 2**60
+        assert max(map(abs, numerator_oracle(45, 90, 2).coefficient_list())) >= 2**64
 
 
 class TestClosedForms:

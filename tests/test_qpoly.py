@@ -136,10 +136,6 @@ class TestBasics:
         assert str(P({0: 1, 1: 1, 2: 2, 4: -1})) == "1 + q + 2*q^2 - q^4"
         assert str(ZERO) == "0"
 
-    def test_json_dict(self):
-        p = P({0: 1, 3: -7, 12: 10**40})
-        assert p.to_json_dict() == {"coeffs": [[0, "1"], [3, "-7"], [12, str(10**40)]]}
-
 
 class TestExactDiv:
     def test_simple(self):
