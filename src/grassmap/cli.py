@@ -29,15 +29,17 @@ under a directory given by --cache-dir or the GRASSMAP_CACHE environment
 variable; cache writes are atomic (write-then-rename).  A payload holds k, n,
 d, method, dim and the Betti row (and reports, uncached); `_payload_text`
 renders it as `json.dumps(indent=2)` in a fixed field order, `poincare`
-written from the Betti row.  A cache file holds that text, so a fresh
-payload is rendered once for both, and a hit, its stored `poincare` checked
-and dropped, is re-rendered: byte-identical output whatever the file's
-layout.  A cache file that is not valid JSON, that holds another cell's or
-method's payload, or whose payload is not self-consistent (dimension, Betti
-row against the polynomial, palindromic row with ends 1, total against the
-fixed-point census, integers where integers belong) counts as a miss and is
-recomputed and overwritten.  `verify --max-n` below 2 is a usage error;
-`verify --stats` adds one JSON line of per-suite timings on stderr.
+written from the Betti row.  A cache file holds that text and a newline, so
+a fresh payload is rendered once for both.  A hit must be, byte for byte, the
+rendering of this cell and method with the file's Betti row, and that row
+must be sound (dim+1 entries, palindromic with ends 1, total equal to the
+fixed-point census); the hit's text is that rendering, and no JSON is
+decoded.  Any other file (another cell's or method's payload, an unsound
+row, a truncated, hand-edited or differently laid out file, one written by
+an older version) is a miss, recomputed and overwritten.
+
+`verify --max-n` below 2 is a usage error; `verify --stats` adds one JSON
+line of per-suite timings on stderr.
 """
 
 from __future__ import annotations
@@ -183,56 +185,40 @@ def _betti_payload(k: int, n: int, d: int, method: str) -> dict:
             "dim": localization.moduli_dimension(k, n, d), "betti": poly.coefficient_list()}
 
 
-def _is_consistent(payload: dict, k: int, n: int, d: int, method: str) -> bool:
-    """Is `payload` a well-formed cache entry for this cell and method?
-
-    It holds k, n, d, method, dim, poincare and betti and no others, names this
-    cell and method with the cell's dimension; `betti` is a list of dim+1
-    ints, palindromic with ends 1, summing to the cell's fixed-point census;
-    and `poincare` is the polynomial with those coefficients.  Integers are
-    ints, not bools, so that `_payload_text` renders them as json.dumps does.
-    """
-    fields = ("k", "n", "d", "method", "dim")
-    dim = localization.moduli_dimension(k, n, d)
-    stored = [payload.get(key) for key in fields]
-    betti = payload.get("betti")
-    return (
-        stored == [k, n, d, method, dim]
-        and list(map(type, stored)) == [int, int, int, str, int]
-        and payload.keys() == {*fields, "poincare", "betti"}
-        and isinstance(betti, list)
-        and len(betti) == dim + 1
-        and all(type(b) is int for b in betti)
-        and betti == betti[::-1]
-        and betti[0] == 1
-        and sum(betti) == sum(fixedgraphs.census_formula(k, n, d).values())
-        and payload["poincare"] == {"coeffs": [[e, str(c)] for e, c in enumerate(betti) if c]}
-        and all(type(e) is int for e, _ in payload["poincare"]["coeffs"])
-    )
-
-
-def _read_cached(path: str, k: int, n: int, d: int, method: str) -> dict | None:
-    """The payload stored at `path`, less its checked `poincare`, or None if
-    it is missing, unreadable as JSON, or not a consistent payload of this
-    cell and method."""
+def _read_cached(path: str, k: int, n: int, d: int, method: str) -> tuple[dict, str] | None:
+    """The payload stored at `path` with its `_payload_text`, or None unless the
+    file is byte for byte that text and a newline, rendered from this cell and
+    method and the file's Betti row, which must be dim+1 entries, palindromic
+    with ends 1, summing to the cell's fixed-point census.  No JSON is decoded:
+    a hit is the program's own output, so any other layout is a miss."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (FileNotFoundError, ValueError, RecursionError):  # truncated, undecodable, too deep
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
         return None
-    if not isinstance(payload, dict) or not _is_consistent(payload, k, n, d, method):
+    # the Betti block, from the end: `betti` is the last field (a file without
+    # it reads as junk, which int() or the byte comparison refuses)
+    block = data.rpartition(b'"betti": [\n    ')[2].partition(b"\n  ]")[0]
+    try:
+        betti = list(map(int, block.decode("ascii").split(",\n    ")))
+    except ValueError:  # UnicodeDecodeError too
         return None
-    del payload["poincare"]
-    return payload
+    dim = localization.moduli_dimension(k, n, d)
+    if not (len(betti) == dim + 1 and betti == betti[::-1] and betti[0] == 1
+            and sum(betti) == sum(fixedgraphs.census_formula(k, n, d).values())):
+        return None
+    payload = {"k": k, "n": n, "d": d, "method": method, "dim": dim, "betti": betti}
+    text = _payload_text(payload)
+    return (payload, text) if data == (text + "\n").encode() else None
 
 
-def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str) -> tuple[dict, str | None]:
+def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str) -> tuple[dict, str]:
     """A cache hit, or a fresh payload that atomically replaces a missing or
-    bad entry; with the `_payload_text` written for it, None on a hit."""
+    bad entry; either way with its `_payload_text`."""
     path = os.path.join(cache_dir, f"{k}-{n}-{d}-{method}.json")
-    payload = _read_cached(path, k, n, d, method)
-    if payload is not None:
-        return payload, None
+    hit = _read_cached(path, k, n, d, method)
+    if hit is not None:
+        return hit
     payload = _betti_payload(k, n, d, method)
     text = _payload_text(payload)
     os.makedirs(cache_dir, exist_ok=True)
@@ -313,20 +299,19 @@ def cmd_betti(args, parser) -> int:
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     disagreements: list[str] = []
 
-    def payloads():  # (payload, its `_payload_text` if already rendered, else None)
+    def payloads():  # (payload, its `_payload_text` if it went through the cache, else None)
         for k, n, d in cells:
             per_method = []
             for method in methods:
-                text = None
                 if args.reports and method == "localization":
                     payload = _betti_payload(k, n, d, method)
                     trees = fixedgraphs.enumerate_fixed_graphs(k, n, d)
                     payload["reports"] = [localization.fixed_point_report(t) for t in trees]
+                    per_method.append((payload, None))
                 elif cache_dir:
-                    payload, text = _cached_payload(cache_dir, k, n, d, method)
+                    per_method.append(_cached_payload(cache_dir, k, n, d, method))
                 else:
-                    payload = _betti_payload(k, n, d, method)
-                per_method.append((payload, text))
+                    per_method.append((_betti_payload(k, n, d, method), None))
             if len(per_method) == 2 and per_method[0][0]["betti"] != per_method[1][0]["betti"]:
                 disagreements.append(f"k={k} n={n} d={d}")
             yield from per_method

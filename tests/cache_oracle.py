@@ -1,0 +1,53 @@
+"""A cache file read as JSON and checked field by field: the tests' oracle
+for `grassmap.cli._read_cached`.
+
+`read_consistent` accepts any layout of a self-consistent payload of the
+requested cell and method (keys in any order, any spacing), so it is looser
+than `_read_cached`, which accepts only the program's own bytes; a hit of
+`_read_cached` must pass it with the same Betti row.
+"""
+
+import json
+
+from grassmap import fixedgraphs, localization
+
+
+def is_consistent(payload: dict, k: int, n: int, d: int, method: str) -> bool:
+    """Is `payload` a well-formed cache entry for this cell and method?
+
+    It holds k, n, d, method, dim, poincare and betti and no others, names this
+    cell and method with the cell's dimension; `betti` is a list of dim+1
+    ints, palindromic with ends 1, summing to the cell's fixed-point census;
+    and `poincare` is the polynomial with those coefficients.  Integers are
+    ints, not bools.
+    """
+    fields = ("k", "n", "d", "method", "dim")
+    dim = localization.moduli_dimension(k, n, d)
+    stored = [payload.get(key) for key in fields]
+    betti = payload.get("betti")
+    return (
+        stored == [k, n, d, method, dim]
+        and list(map(type, stored)) == [int, int, int, str, int]
+        and payload.keys() == {*fields, "poincare", "betti"}
+        and isinstance(betti, list)
+        and len(betti) == dim + 1
+        and all(type(b) is int for b in betti)
+        and betti == betti[::-1]
+        and betti[0] == 1
+        and sum(betti) == sum(fixedgraphs.census_formula(k, n, d).values())
+        and payload["poincare"] == {"coeffs": [[e, str(c)] for e, c in enumerate(betti) if c]}
+        and all(type(e) is int for e, _ in payload["poincare"]["coeffs"])
+    )
+
+
+def read_consistent(data: bytes, k: int, n: int, d: int, method: str) -> dict | None:
+    """The payload in `data`, less its checked `poincare`, or None if it is
+    not UTF-8 JSON or not a consistent payload of this cell and method."""
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError):  # truncated, undecodable, too deep
+        return None
+    if not isinstance(payload, dict) or not is_consistent(payload, k, n, d, method):
+        return None
+    del payload["poincare"]
+    return payload

@@ -6,11 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grassmap
 from grassmap import checks, cli, localization
 from grassmap.checks import PUBLISHED_ROWS
 from grassmap.cli import main
+from cache_oracle import read_consistent
 from test_acceptance import assert_suite
 from test_fixedgraphs import validate
 from test_localization import fresh_int_families  # a fixture, used by name
@@ -224,32 +226,48 @@ class TestCache:
         assert code == 0 and warm == cold
         assert entry.read_bytes() == good
 
-    def test_reordered_compact_hit_prints_the_cold_bytes(self, capsys, tmp_path):
-        # a hit is re-rendered from its Betti row, not printed in the file's layout
+    def test_reordered_compact_entry_is_rewritten_with_the_cold_bytes(self, capsys, tmp_path):
+        # a consistent payload in another layout is not the program's own
+        # bytes: a miss, recomputed, printed and stored in the fixed layout
         argv = ["betti", "-k", "1", "-n", "3", "-d", "2", "--format", "json",
                 "--cache-dir", str(tmp_path)]
         _, cold, _ = run(capsys, *argv)
         entry = tmp_path / "1-3-2-localization.json"
-        stored = json.loads(entry.read_bytes())
+        good = entry.read_bytes()
+        stored = json.loads(good)
         entry.write_text(json.dumps(dict(reversed(stored.items())), separators=(",", ":")))
         code, warm, _ = run(capsys, *argv)
         assert code == 0 and warm == cold
+        assert entry.read_bytes() == good
+
+    # (1,3,2) has betti 1,2,3,3,2,1; this row passes every row check (length,
+    # palindrome, ends, census total) but is not the cell's
+    WRONG_ROW = [1, 3, 2, 2, 3, 1]
+    WRONG_PAYLOAD = {"k": 1, "n": 3, "d": 2, "method": "localization", "dim": 5,
+                     "poincare": {"coeffs": [[e, str(c)] for e, c in enumerate(WRONG_ROW)]},
+                     "betti": WRONG_ROW}
+    BOTH_CSV = ["betti", "-k", "1", "-n", "3", "-d", "2", "--method", "both", "--format", "csv"]
 
     def test_wrong_but_consistent_hit_is_a_route_disagreement(self, capsys, tmp_path):
-        # (1,3,2) has betti 1,2,3,3,2,1; this row passes every hit check
-        # (length, palindrome, ends, census total) but is not the cell's
-        row = [1, 3, 2, 2, 3, 1]
-        (tmp_path / "1-3-2-localization.json").write_text(json.dumps({
-            "k": 1, "n": 3, "d": 2, "method": "localization", "dim": 5,
-            "poincare": {"coeffs": [[e, str(c)] for e, c in enumerate(row)]}, "betti": row}))
-        code, out, err = run(capsys, "betti", "-k", "1", "-n", "3", "-d", "2", "--method", "both",
-                             "--format", "csv", "--cache-dir", str(tmp_path))
+        # in the fixed layout the wrong row is a hit: --method both catches it
+        (tmp_path / "1-3-2-localization.json").write_text(json.dumps(self.WRONG_PAYLOAD, indent=2) + "\n")
+        code, out, err = run(capsys, *self.BOTH_CSV, "--cache-dir", str(tmp_path))
         assert code == 1
         assert out == "1,3,2,2,3,1\n1,2,3,3,2,1\n"
         assert "route disagreement at k=1 n=3 d=2" in err
 
+    def test_wrong_but_consistent_compact_entry_is_a_miss(self, capsys, tmp_path):
+        # the same wrong row laid out compactly is not the program's bytes
+        run(capsys, *self.BOTH_CSV, "--cache-dir", str(tmp_path / "fresh"))
+        entry = tmp_path / "1-3-2-localization.json"
+        entry.write_text(json.dumps(self.WRONG_PAYLOAD))
+        code, out, err = run(capsys, *self.BOTH_CSV, "--cache-dir", str(tmp_path))
+        assert code == 0 and err == ""
+        assert out == "1,2,3,3,2,1\n1,2,3,3,2,1\n"
+        assert entry.read_bytes() == (tmp_path / "fresh" / entry.name).read_bytes()
+
     def test_deeply_nested_cache_file_is_recomputed(self, capsys, tmp_path):
-        # nested too deep for the decoder (a RecursionError): a miss, not a crash
+        # nested too deep for a JSON decoder (a RecursionError): a miss, not a crash
         argv = ["betti", "-k", "1", "-n", "3", "-d", "1"]
         _, want, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / "fresh"))
         entry = tmp_path / "1-3-1-localization.json"
@@ -287,12 +305,20 @@ class TestCache:
             ("bool-k", {"k": True}, None),
             ("bool-exponent", {"poincare": {"coeffs": [[0, "1"], [True, "2"], [2, "3"],
                                                        [3, "3"], [4, "2"], [5, "1"]]}}, None),
+            # the program's own layout, so that only the row checks can refuse
+            # these; a row of 7 for the stored dim 6 fails the length check
+            ("dim-canonical", {"dim": 6, "betti": [1, 2, 2, 2, 2, 2, 1]}, [1, 2, 2, 2, 2, 2, 1]),
+            ("length-canonical", {"betti": [1, 3, 4, 3, 1]}, [1, 3, 4, 3, 1]),
+            ("palindrome-canonical", {"betti": [1, 3, 2, 3, 2, 1]}, [1, 3, 2, 3, 2, 1]),
+            ("ends-canonical", {"betti": [2, 2, 2, 2, 2, 2]}, [2, 2, 2, 2, 2, 2]),
+            ("census-total-canonical", {"betti": [1, 2, 4, 4, 2, 1]}, [1, 2, 4, 4, 2, 1]),
         ],
     )
     def test_inconsistent_cache_entry_is_recomputed(self, capsys, tmp_path, field, change, row):
         # (1,3,2) has dim 5 and betti 1,2,3,3,2,1 over 12 fixed trees; each
         # change breaks one requirement and keeps the others; `row`, if
-        # given, is the coefficient row the stored polynomial is set to
+        # given, is the coefficient row the stored polynomial is set to; the
+        # entry is compact unless the case is `-canonical`
         argv = ["betti", "-k", "1", "-n", "3", "-d", "2", "--format", "json",
                 "--cache-dir", str(tmp_path)]
         _, cold, _ = run(capsys, *argv)
@@ -302,10 +328,88 @@ class TestCache:
         bad.update(change)
         if row is not None:
             bad["poincare"] = {"coeffs": [[e, str(c)] for e, c in enumerate(row)]}
-        entry.write_text(json.dumps(bad))
+        if field.endswith("-canonical"):
+            text = json.dumps(bad, indent=2)
+            assert text == cli._payload_text({key: bad[key] for key in bad if key != "poincare"})
+            entry.write_text(text + "\n")
+        else:
+            entry.write_text(json.dumps(bad))
         code, warm, _ = run(capsys, *argv)
         assert code == 0 and warm == cold
         assert entry.read_bytes() == good
+
+
+# cells whose canonical cache files the hit property edits: a zero-dimensional
+# cell, and two closed-form cells of degrees 3 and 2
+EDITED_CELLS = [(1, 2, 1, "localization"), (2, 4, 3, "closedform"), (5, 11, 2, "closedform")]
+EDIT_BYTES = st.one_of(st.binary(min_size=1, max_size=3),
+                       st.text(" +-_0123456789,\n\"]", min_size=1, max_size=3).map(str.encode))
+
+
+@pytest.fixture(scope="module")
+def cold_entries(tmp_path_factory):
+    """Each edited cell's cache file, as a cold run writes it."""
+    cache_dir = tmp_path_factory.mktemp("cold")
+    entries = {}
+    for cell in EDITED_CELLS:
+        cli._cached_payload(str(cache_dir), *cell)
+        k, n, d, method = cell
+        entries[cell] = (cache_dir / f"{k}-{n}-{d}-{method}.json").read_bytes()
+    return entries
+
+
+class TestByteExactHit:
+    """A cache file is a hit only if it is byte for byte what a cold run
+    writes; the JSON reader in cache_oracle.py accepts every hit, with the
+    same row.  One edit of a sound file cannot yield another sound file in
+    the fixed layout: a new row needs matching edits in `poincare` and in the
+    mirrored entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_hit_only_on_the_cold_bytes(self, cold_entries, tmp_path_factory, data):
+        cell = data.draw(st.sampled_from(EDITED_CELLS))
+        cold = cold_entries[cell]
+        edit = data.draw(st.sampled_from(["none", "replace", "insert", "delete", "relayout"]))
+        i = data.draw(st.integers(0, len(cold) - 1))
+        if edit == "replace":
+            entry = cold[:i] + data.draw(EDIT_BYTES) + cold[i + 1:]
+        elif edit == "insert":
+            entry = cold[:i] + data.draw(EDIT_BYTES) + cold[i:]
+        elif edit == "delete":
+            entry = cold[:i] + cold[i + data.draw(st.integers(1, 8)):]
+        elif edit == "relayout":  # keys in any order; indented, spaced or compact
+            stored = json.loads(cold)
+            keys = data.draw(st.permutations(list(stored)))
+            layout = data.draw(st.sampled_from([{"indent": 2}, {}, {"separators": (",", ":")}]))
+            entry = (json.dumps({key: stored[key] for key in keys}, **layout) + "\n").encode()
+        else:
+            entry = cold
+        path = tmp_path_factory.getbasetemp() / "edited-entry.json"
+        path.write_bytes(entry)
+        hit = cli._read_cached(str(path), *cell)
+        assert (hit is not None) == (entry == cold)
+        if hit is not None:
+            payload, text = hit
+            assert (text + "\n").encode() == entry
+            assert read_consistent(entry, *cell) == payload
+
+    def test_warm_pass_decodes_no_json(self, capsys, tmp_path, monkeypatch):
+        # a hit renders and compares; a miss would now raise
+        want = json.loads(GOLDEN.read_text(encoding="utf-8"))["small"]["closed-sweep"]
+        argv = ["betti", "--method", "closed", "--format", "json", "--k-range", "1..4",
+                "--n-range", "2..5", "--d-range", "1..3", "--cache-dir", str(tmp_path)]
+        assert run(capsys, *argv)[0] == 0
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("a warm pass decoded JSON")
+
+        monkeypatch.setattr(cli.json, "loads", no_decode)
+        monkeypatch.setattr(cli.json, "load", no_decode)
+        monkeypatch.setattr(cli, "_betti_payload", None)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 class TestJsonRendering:
