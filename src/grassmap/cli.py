@@ -18,11 +18,13 @@ Exit codes: 0 success; 1 a mathematical disagreement or failed check;
 as a cache path that cannot be read or written).  A reader that closes stdout
 early ends the run with exit 2 and nothing on stderr.
 
-`betti` and `graphs` check every cell before printing anything, then print
-each item (a payload, a census or a tree) as soon as it is computed, keeping
-nothing per sweep; a JSON list comes out as `json.dumps(items, indent=2)`.  So
-a failure mid-sweep (exit 1, or 2 for an I/O fault) leaves the earlier items
-on stdout.
+`betti` and `graphs` take exactly one of -k and --k-range a..b (an inclusive,
+non-empty range), and likewise for n and d; argparse refuses any other request
+with exit 2.  They check every cell before printing anything, then print each
+item (a payload, a census or a tree) as soon as it is computed, keeping nothing
+per sweep; a JSON list comes out as `json.dumps(items, indent=2)`.  So a
+failure mid-sweep (exit 1, or 2 for an I/O fault) leaves the earlier items on
+stdout.
 
 Results of `betti` can be cached as JSON files named {k}-{n}-{d}-{method}
 under a directory given by --cache-dir or the GRASSMAP_CACHE environment
@@ -32,11 +34,12 @@ renders it as `json.dumps(indent=2)` in a fixed field order, `poincare`
 written from the Betti row.  A cache file holds that text and a newline, so
 a fresh payload is rendered once for both.  A hit must be, byte for byte, the
 rendering of this cell and method with the file's Betti row, and that row
-must be sound (dim+1 entries, palindromic with ends 1, total equal to the
-fixed-point census); the hit's text is that rendering, and no JSON is
-decoded.  Any other file (another cell's or method's payload, an unsound
-row, a truncated, hand-edited or differently laid out file, one written by
-an older version) is a miss, recomputed and overwritten.
+must be sound (`localization.sound_row`: dim+1 non-negative entries,
+palindromic with ends 1, total equal to the fixed-point census); the hit's
+text is that rendering, and no JSON is decoded.  Any other file (another
+cell's or method's payload, an unsound row, a truncated, hand-edited or
+differently laid out file, one written by an older version) is a miss,
+recomputed and overwritten.
 
 `verify --max-n` below 2 is a usage error; `verify --stats` adds one JSON
 line of per-suite timings on stderr.
@@ -60,12 +63,16 @@ CACHE_ENV = "GRASSMAP_CACHE"
 _METHODS = {"loc": ("localization",), "closed": ("closedform",), "both": ("localization", "closedform")}
 
 
-def _parse_span(value: str) -> tuple[int, int]:
+def _parse_span(value: str) -> range:
+    """The inclusive range a..b; an empty one is a usage error."""
     lo, _, hi = value.partition("..")
     try:
-        return int(lo), int(hi)
+        span = range(int(lo), int(hi) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a..b, got {value!r}") from None
+    if not span:
+        raise argparse.ArgumentTypeError(f"empty range {value}")
+    return span
 
 
 def _parse_max_n(value: str) -> int:
@@ -79,28 +86,13 @@ def _parse_max_n(value: str) -> int:
     return number
 
 
-def _axis_values(parser: argparse.ArgumentParser, name: str, single: int | None,
-                 span: tuple[int, int] | None) -> list[int]:
-    if single is not None and span is not None:
-        parser.error(f"give -{name} or --{name}-range, not both")
-    if single is not None:
-        return [single]
-    if span is not None:
-        lo, hi = span
-        if hi < lo:
-            parser.error(f"empty range for {name}: {lo}..{hi}")
-        return list(range(lo, hi + 1))
-    parser.error(f"missing -{name} (or --{name}-range)")
-    raise AssertionError  # parser.error raises
-
-
 def _add_cell_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-k", type=int, default=None, help="subspace dimension")
-    sub.add_argument("-n", type=int, default=None, help="ambient dimension")
-    sub.add_argument("-d", type=int, default=None, help="map degree (1..3)")
-    sub.add_argument("--k-range", type=_parse_span, default=None, metavar="A..B")
-    sub.add_argument("--n-range", type=_parse_span, default=None, metavar="A..B")
-    sub.add_argument("--d-range", type=_parse_span, default=None, metavar="A..B")
+    """Each axis of the cell takes exactly one of -X and --X-range."""
+    for axis, meaning in (("k", "subspace dimension"), ("n", "ambient dimension"),
+                          ("d", "map degree (1..3)")):
+        group = sub.add_mutually_exclusive_group(required=True)
+        group.add_argument(f"-{axis}", type=int, help=meaning)
+        group.add_argument(f"--{axis}-range", type=_parse_span, metavar="A..B")
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
 
@@ -158,10 +150,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 # -- betti ----------------------------------------------------------------------
 
 
-def _cells(args, parser) -> list[tuple[int, int, int]]:
-    ks = _axis_values(parser, "k", args.k, args.k_range)
-    ns = _axis_values(parser, "n", args.n, args.n_range)
-    ds = _axis_values(parser, "d", args.d, args.d_range)
+def _cells(args) -> list[tuple[int, int, int]]:
+    ks = args.k_range or [args.k]
+    ns = args.n_range or [args.n]
+    ds = args.d_range or [args.d]
     # a range over k or n skips the empty corners k >= n; every other cell is
     # checked, so a bad one anywhere is refused before anything is printed
     sweeping = args.k_range is not None or args.n_range is not None
@@ -188,9 +180,9 @@ def _betti_payload(k: int, n: int, d: int, method: str) -> dict:
 def _read_cached(path: str, k: int, n: int, d: int, method: str) -> tuple[dict, str] | None:
     """The payload stored at `path` with its `_payload_text`, or None unless the
     file is byte for byte that text and a newline, rendered from this cell and
-    method and the file's Betti row, which must be dim+1 entries, palindromic
-    with ends 1, summing to the cell's fixed-point census.  No JSON is decoded:
-    a hit is the program's own output, so any other layout is a miss."""
+    method and the file's Betti row, which must be sound
+    (`localization.sound_row`).  No JSON is decoded: a hit is the program's
+    own output, so any other layout is a miss."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -203,11 +195,10 @@ def _read_cached(path: str, k: int, n: int, d: int, method: str) -> tuple[dict, 
         betti = list(map(int, block.decode("ascii").split(",\n    ")))
     except ValueError:  # UnicodeDecodeError too
         return None
-    dim = localization.moduli_dimension(k, n, d)
-    if not (len(betti) == dim + 1 and betti == betti[::-1] and betti[0] == 1
-            and sum(betti) == sum(fixedgraphs.census_formula(k, n, d).values())):
+    if not localization.sound_row(k, n, d, betti):
         return None
-    payload = {"k": k, "n": n, "d": d, "method": method, "dim": dim, "betti": betti}
+    payload = {"k": k, "n": n, "d": d, "method": method,
+               "dim": localization.moduli_dimension(k, n, d), "betti": betti}
     text = _payload_text(payload)
     return (payload, text) if data == (text + "\n").encode() else None
 
@@ -294,7 +285,7 @@ def _print_payload(p: dict, fmt: str) -> None:
 def cmd_betti(args, parser) -> int:
     if args.reports and (args.method == "closed" or args.format == "csv"):
         parser.error("--reports needs --method loc or both, and --format text or json")
-    cells = _cells(args, parser)
+    cells = _cells(args)
     methods = _METHODS[args.method]
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     disagreements: list[str] = []
@@ -349,7 +340,7 @@ def _census_payload(k: int, n: int, d: int) -> dict:
 
 
 def cmd_graphs(args, parser) -> int:
-    cells = _cells(args, parser)
+    cells = _cells(args)
     if args.count:
         payloads = (_census_payload(k, n, d) for k, n, d in cells)
         if args.format == "json":

@@ -90,6 +90,13 @@ def moduli_dimension(k: int, n: int, d: int) -> int:
     return k * (n - k) + d * n - 3
 
 
+def sound_row(k: int, n: int, d: int, row: list[int]) -> bool:
+    """Is `row` a sound Betti row of the cell: dim+1 non-negative entries,
+    palindromic, starting with 1, summing to `census_formula`'s total?"""
+    return (len(row) == moduli_dimension(k, n, d) + 1 and row == row[::-1] and row[0] == 1
+            and min(row) >= 0 and sum(row) == sum(census_formula(k, n, d).values()))
+
+
 def _int_tangent(tree: DecoratedTree) -> Counter:
     """The tangent weight multiset at a fixed tree, int-encoded, as signed multiplicities.
 
@@ -307,25 +314,14 @@ def _is_repeated_leaf_config(tree: DecoratedTree) -> bool:
     return tree.vertices[leaf1] == tree.vertices[leaf2] and drop1 < add1
 
 
-FAMILIES: dict[str, Callable[[DecoratedTree], bool]] = {
-    "G23_triangle": _is_triangle_config,
-    "G12_repeated": _is_repeated_leaf_config,
-}
+def stratum_family_contribution(k: int, n: int, predicate: Callable[[DecoratedTree], bool]) -> QPolynomial:
+    """Partial localization sum over the degree-2 trees `predicate` selects.
 
-
-def stratum_family_contribution(k: int, n: int, family: str) -> QPolynomial:
-    """Partial localization sum over one named degree-2 sub-family.
-
-    Families select degree-2 fixed trees by the shape of their minimal
-    stratum; summing q^(positive count) over just those trees isolates one
-    block of the full localization sum for independent cross-examination.
+    Each family predicate (`_is_triangle_config`, `_is_repeated_leaf_config`)
+    selects degree-2 fixed trees by the shape of their minimal stratum;
+    summing q^(positive count) over just those trees isolates one block of the
+    full localization sum for independent cross-examination.
     """
-    try:
-        predicate = FAMILIES[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}"
-        ) from None
     counts: Counter = Counter()
     for tree in fixed_graphs(k, n, 2):
         if predicate(tree):

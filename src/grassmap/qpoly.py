@@ -258,17 +258,6 @@ def qbinomial_or_zero(n: int, k: int) -> QPolynomial:
     return qbinomial(n, k)
 
 
-def reverse(p: QPolynomial, top: int) -> QPolynomial:
-    """Reverse coefficients against exponent `top`: q^top * p(1/q).
-
-    Defined when p has degree <= top.  A polynomial is palindromic for `top`
-    exactly when reverse(p, top) == p.
-    """
-    if len(p._c) > top + 1:
-        raise ValueError(f"degree {p.degree} exceeds the reversal bound {top}")
-    return _dense([0] * (top + 1 - len(p._c)) + list(reversed(p._c)))
-
-
 def partition_sum(s_size: int, t_size: int) -> QPolynomial:
     """Sum q^(crossing count) over splits of {1..s+t} into parts of the given sizes.
 

@@ -12,6 +12,7 @@ import grassmap
 from grassmap import checks, cli, localization
 from grassmap.checks import PUBLISHED_ROWS
 from grassmap.cli import main
+from grassmap.qpoly import QPolynomial
 from cache_oracle import read_consistent
 from test_acceptance import assert_suite
 from test_fixedgraphs import validate
@@ -163,6 +164,22 @@ class TestBetti:
         assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["betti", "graphs"])
+@pytest.mark.parametrize("axes,named", [
+    (["-k", "1", "--k-range", "1..2", "-n", "3", "-d", "1"], "--k-range"),
+    (["--k-range", "3..1", "-n", "3", "-d", "1"], "empty range"),
+    (["--k-range", "1.", "-n", "3", "-d", "1"], "expected a..b"),
+    (["-k", "1", "-n", "3"], "-d"),
+], ids=["both-forms", "empty-range", "malformed-range", "missing-axis"])
+def test_bad_cell_request_is_usage_error(capsys, command, axes, named):
+    # each axis takes exactly one of -X and a non-empty --X-range a..b
+    with pytest.raises(SystemExit) as exc:
+        main([command, *axes])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and named in err
+
+
 class TestCache:
     def test_cache_round_trip(self, capsys, tmp_path):
         argv = ["betti", "-k", "1", "-n", "3", "-d", "2", "--format", "json",
@@ -264,6 +281,20 @@ class TestCache:
         code, out, err = run(capsys, *self.BOTH_CSV, "--cache-dir", str(tmp_path))
         assert code == 0 and err == ""
         assert out == "1,2,3,3,2,1\n1,2,3,3,2,1\n"
+        assert entry.read_bytes() == (tmp_path / "fresh" / entry.name).read_bytes()
+
+    def test_negative_entry_is_a_miss(self, capsys, tmp_path):
+        # (2,4,2) has betti 1,3,7,11,14,14,11,7,3,1 over 72 fixed trees; this row
+        # is palindromic with ends 1 and sums to 72, in the program's own
+        # layout, so only the non-negativity of a sound row refuses it
+        argv = ["betti", "-k", "2", "-n", "4", "-d", "2", "--format", "csv"]
+        _, want, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / "fresh"))
+        entry = tmp_path / "2-4-2-localization.json"
+        payload = {"k": 2, "n": 4, "d": 2, "method": "localization", "dim": 9,
+                   "betti": [1, 18, 7, 11, -1, -1, 11, 7, 18, 1]}
+        entry.write_text(cli._payload_text(payload) + "\n")
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0 and out == want == "1,3,7,11,14,14,11,7,3,1\n"
         assert entry.read_bytes() == (tmp_path / "fresh" / entry.name).read_bytes()
 
     def test_deeply_nested_cache_file_is_recomputed(self, capsys, tmp_path):
@@ -614,6 +645,22 @@ class TestVerify:
         assert out.splitlines()[-1] == "CHECKS FAILED"
         with pytest.raises(AssertionError):
             assert_suite(checks.tables)
+
+    def test_negative_entry_fails_duality(self, capsys, monkeypatch):
+        # (1,3,2) has 12 fixed trees; this row is palindromic with ends 1 and
+        # sums to 12, so only its negative entries fail the sound-row rule
+        real = localization.poincare_localization
+
+        def negative_at_132(k, n, d):
+            wrong = QPolynomial(dict(enumerate([1, 6, -1, -1, 6, 1])))
+            return wrong if (k, n, d) == (1, 3, 2) else real(k, n, d)
+
+        monkeypatch.setattr(localization, "poincare_localization", negative_at_132)
+        code, out, _ = run(capsys, "verify", "--suite", "duality", "--max-n", "3")
+        assert code == 1
+        assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+            "FAIL  duality (1,3) d=2  P=1 + 6*q - q^2 - q^3 + 6*q^4 + q^5 dim=5 trees=12",
+            "CHECKS FAILED"]
 
     def test_embedding_fault_fails_verify(self, capsys, monkeypatch, fresh_int_families):
         # one zero too many in every edge family in 4 coordinates only: the trees

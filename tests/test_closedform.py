@@ -15,7 +15,7 @@ from grassmap.closedform import (
     triangle_family_index_sum,
 )
 from grassmap.localization import moduli_dimension, poincare_localization
-from grassmap.qpoly import ONE, QPolynomial, exact_div, q_power, qbinomial, reverse
+from grassmap.qpoly import ONE, QPolynomial, exact_div, q_power, qbinomial
 
 # the closed-sweep benchmark grid, and cells with Betti numbers past 60 bits
 CLOSED_SWEEP = [(k, n, d) for n in range(2, 29) for k in range(1, n) for d in (1, 2, 3)]
@@ -127,8 +127,9 @@ class TestClosedForms:
                 for k in range(1, n):
                     p = closed_form_result(k, n, d)
                     dim = moduli_dimension(k, n, d)
+                    row = p.coefficient_list()
                     assert p.degree == dim
-                    assert reverse(p, dim) == p
+                    assert row == row[::-1]
                     assert p == closed_form_result(n - k, n, d)
 
     def test_degree1_is_flag_product(self):
