@@ -36,10 +36,12 @@ a fresh payload is rendered once for both.  A hit must be, byte for byte, the
 rendering of this cell and method with the file's Betti row, and that row
 must be sound (`localization.sound_row`: dim+1 non-negative entries,
 palindromic with ends 1, total equal to the fixed-point census); the hit's
-text is that rendering, and no JSON is decoded.  Any other file (another
-cell's or method's payload, an unsound row, a truncated, hand-edited or
-differently laid out file, one written by an older version) is a miss,
-recomputed and overwritten.
+text is that rendering, and no JSON is decoded.  The rendering is made from
+the file's own digit strings, which must already be canonical decimals, so
+the check stays byte-exact with no int-to-str round trip.  Any other file
+(another cell's or method's payload, an unsound row, a truncated,
+hand-edited or differently laid out file, one written by an older version)
+is a miss, recomputed and overwritten.
 
 `verify --max-n` below 2 is a usage error; `verify --stats` adds one JSON
 line of per-suite timings on stderr.
@@ -50,6 +52,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -60,6 +63,13 @@ from .qpoly import QPolynomial
 from .weights import WeightConsistencyError
 
 CACHE_ENV = "GRASSMAP_CACHE"
+# a cache file's Betti block: its entries as `str(int)` writes them, with no
+# sign, padding or leading zero (compiled by `re` on the first cache read)
+_CANONICAL_ROW = r"(?:0|[1-9][0-9]*)(?:,\n    (?:0|[1-9][0-9]*))*"
+# `_payload_text`'s `poincare` separators by exponent e: each closes the pair
+# before and opens the pair at e up to its coefficient; extended on demand
+_PAIR_SEPS: list[str] = []
+_NO_PAIR_BEFORE = len('"\n      ],\n')  # the first pair's separator closes nothing
 _METHODS = {"loc": ("localization",), "closed": ("closedform",), "both": ("localization", "closedform")}
 
 
@@ -182,25 +192,34 @@ def _read_cached(path: str, k: int, n: int, d: int, method: str) -> tuple[dict, 
     file is byte for byte that text and a newline, rendered from this cell and
     method and the file's Betti row, which must be sound
     (`localization.sound_row`).  No JSON is decoded: a hit is the program's
-    own output, so any other layout is a miss."""
+    own output, so any other layout is a miss.  The Betti block must already
+    be canonical decimals (`str(int(s)) == s` for each entry), so the text
+    is rendered from the file's own digit strings, not from the ints."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         return None
-    # the Betti block, from the end: `betti` is the last field (a file without
-    # it reads as junk, which int() or the byte comparison refuses)
-    block = data.rpartition(b'"betti": [\n    ')[2].partition(b"\n  ]")[0]
     try:
-        betti = list(map(int, block.decode("ascii").split(",\n    ")))
-    except ValueError:  # UnicodeDecodeError too
+        text = data.decode("ascii")
+    except UnicodeDecodeError:
+        return None
+    # the Betti block, from the end: `betti` is the last field (a file without
+    # it reads as junk, which the pattern or the comparison refuses)
+    block = text.rpartition('"betti": [\n    ')[2].partition("\n  ]")[0]
+    if not re.fullmatch(_CANONICAL_ROW, block):
+        return None
+    digits = block.split(",\n    ")
+    try:
+        betti = list(map(int, digits))
+    except ValueError:  # more digits than int() converts
         return None
     if not localization.sound_row(k, n, d, betti):
         return None
     payload = {"k": k, "n": n, "d": d, "method": method,
                "dim": localization.moduli_dimension(k, n, d), "betti": betti}
-    text = _payload_text(payload)
-    return (payload, text) if data == (text + "\n").encode() else None
+    rendered = _payload_text(payload, digits)
+    return (payload, rendered) if rendered + "\n" == text else None
 
 
 def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str) -> tuple[dict, str]:
@@ -225,21 +244,35 @@ def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str) -> tupl
     return payload, text
 
 
-def _payload_text(p: dict) -> str:
+def _payload_text(p: dict, digits: list[str] | None = None) -> str:
     """`json.dumps(indent=2)` of a `_betti_payload` payload, with `reports`
     if present, in the fixed field order: k, n, d, method, dim, then
     `poincare` (each nonzero Betti number as a string, by exponent), betti
-    and reports.
+    and reports.  `digits` are the Betti numbers as decimal strings,
+    `map(str, p["betti"])` if not given; at least one must be nonzero, as in
+    every Betti row (b_0 = 1).
 
     json's indenting encoder runs in pure Python, so all but `reports` is
-    laid out here, from one `str` of each Betti number.
+    laid out here: the `poincare` pairs are the digit strings slotted between
+    per-exponent separators from `_PAIR_SEPS`, joined once.
     """
-    betti = list(map(str, p["betti"]))
-    pairs = ",\n".join(f'      [\n        {e},\n        "{c}"\n      ]'
-                       for e, c in enumerate(betti) if c != "0")
+    if digits is None:
+        digits = list(map(str, p["betti"]))
+    if len(_PAIR_SEPS) < len(digits):
+        _PAIR_SEPS.extend(f'"\n      ],\n      [\n        {e},\n        "'
+                          for e in range(len(_PAIR_SEPS), len(digits)))
+    seps, coeffs = _PAIR_SEPS[:len(digits)], digits
+    if "0" in digits:  # zeros drop out of `poincare`
+        seps = [sep for sep, c in zip(seps, digits) if c != "0"]
+        coeffs = [c for c in digits if c != "0"]
+    pairs = [""] * (2 * len(coeffs))
+    pairs[::2] = seps
+    pairs[1::2] = coeffs
+    pairs[0] = pairs[0][_NO_PAIR_BEFORE:]
     fields = [f'"k": {p["k"]}', f'"n": {p["n"]}', f'"d": {p["d"]}', f'"method": "{p["method"]}"',
-              f'"dim": {p["dim"]}', '"poincare": {\n    "coeffs": [\n' + pairs + "\n    ]\n  }",
-              '"betti": [\n    ' + ",\n    ".join(betti) + "\n  ]"]
+              f'"dim": {p["dim"]}',
+              '"poincare": {\n    "coeffs": [\n' + "".join(pairs) + '"\n      ]\n    ]\n  }',
+              '"betti": [\n    ' + ",\n    ".join(digits) + "\n  ]"]
     if "reports" in p:
         fields.append('"reports": ' + json.dumps(p["reports"], indent=2).replace("\n", "\n  "))
     return "{\n  " + ",\n  ".join(fields) + "\n}"

@@ -1,15 +1,21 @@
-"""A cache file read as JSON and checked field by field: the tests' oracle
-for `grassmap.cli._read_cached`.
+"""Two readers of a cache file: the tests' oracles for
+`grassmap.cli._read_cached`.
 
-`read_consistent` accepts any layout of a self-consistent payload of the
-requested cell and method (keys in any order, any spacing), so it is looser
-than `_read_cached`, which accepts only the program's own bytes; a hit of
+`read_consistent` reads the file as JSON and checks it field by field.  It
+accepts any layout of a self-consistent payload of the requested cell and
+method (keys in any order, any spacing), so it is looser than
+`_read_cached`, which accepts only the program's own bytes; a hit of
 `_read_cached` must pass it with the same Betti row.
+
+`read_rendered` is the byte-exact reader `_read_cached` replaced: it converts
+every Betti entry with `int`, renders the payload again from those ints and
+compares bytes.  `_read_cached` renders from the file's own digit strings
+instead, and must agree with it on every file.
 """
 
 import json
 
-from grassmap import fixedgraphs, localization
+from grassmap import cli, fixedgraphs, localization
 
 
 def is_consistent(payload: dict, k: int, n: int, d: int, method: str) -> bool:
@@ -51,3 +57,28 @@ def read_consistent(data: bytes, k: int, n: int, d: int, method: str) -> dict | 
         return None
     del payload["poincare"]
     return payload
+
+
+def read_rendered(path: str, k: int, n: int, d: int, method: str) -> tuple[dict, str] | None:
+    """The payload stored at `path` with its `_payload_text`, or None unless the
+    file is byte for byte that text and a newline, rendered from this cell and
+    method and the file's Betti row, which must be sound
+    (`localization.sound_row`)."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    # the Betti block, from the end: `betti` is the last field (a file without
+    # it reads as junk, which int() or the byte comparison refuses)
+    block = data.rpartition(b'"betti": [\n    ')[2].partition(b"\n  ]")[0]
+    try:
+        betti = list(map(int, block.decode("ascii").split(",\n    ")))
+    except ValueError:  # UnicodeDecodeError too
+        return None
+    if not localization.sound_row(k, n, d, betti):
+        return None
+    payload = {"k": k, "n": n, "d": d, "method": method,
+               "dim": localization.moduli_dimension(k, n, d), "betti": betti}
+    text = cli._payload_text(payload)
+    return (payload, text) if data == (text + "\n").encode() else None

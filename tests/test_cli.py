@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grassmap
-from grassmap import checks, cli, localization
+from grassmap import checks, cli, fixedgraphs, localization
 from grassmap.checks import PUBLISHED_ROWS
 from grassmap.cli import main
 from grassmap.qpoly import QPolynomial
-from cache_oracle import read_consistent
+from cache_oracle import read_consistent, read_rendered
 from test_acceptance import assert_suite
 from test_fixedgraphs import validate
 from test_localization import fresh_int_families  # a fixture, used by name
@@ -375,6 +375,55 @@ class TestCache:
 EDITED_CELLS = [(1, 2, 1, "localization"), (2, 4, 3, "closedform"), (5, 11, 2, "closedform")]
 EDIT_BYTES = st.one_of(st.binary(min_size=1, max_size=3),
                        st.text(" +-_0123456789,\n\"]", min_size=1, max_size=3).map(str.encode))
+EDIT_KINDS = ["none", "replace", "insert", "delete", "relayout"]
+# edits of one Betti entry's digits: the first six are spellings that int()
+# may accept and str() of a non-negative int never writes; the last three are
+# canonical, the last one longer than int() converts
+DIGIT_EDITS = ["leading-zero", "plus", "minus", "underscore", "space", "arabic-digit",
+               "zero", "huge", "too-long"]
+
+
+def edited_entry(data, cold: bytes, edit: str) -> bytes:
+    """`cold` with one edit of kind `edit` (one of EDIT_KINDS), drawn from `data`."""
+    i = data.draw(st.integers(0, len(cold) - 1))
+    if edit == "replace":
+        return cold[:i] + data.draw(EDIT_BYTES) + cold[i + 1:]
+    if edit == "insert":
+        return cold[:i] + data.draw(EDIT_BYTES) + cold[i:]
+    if edit == "delete":
+        return cold[:i] + cold[i + data.draw(st.integers(1, 8)):]
+    if edit == "relayout":  # keys in any order; indented, spaced or compact
+        stored = json.loads(cold)
+        keys = data.draw(st.permutations(list(stored)))
+        layout = data.draw(st.sampled_from([{"indent": 2}, {}, {"separators": (",", ":")}]))
+        return (json.dumps({key: stored[key] for key in keys}, **layout) + "\n").encode()
+    return cold
+
+
+def digit_edited_entry(data, cold: bytes, edit: str) -> bytes:
+    """`cold` with one Betti entry, or it and its mirror, respelled by `edit`
+    (one of DIGIT_EDITS): in the Betti block alone, or in `poincare` too."""
+    head, sep, block = cold.rpartition(b'"betti": [\n    ')
+    digits = block.partition(b"\n  ]")[0].decode().split(",\n    ")
+    j = data.draw(st.integers(0, len(digits) - 1))
+    for at in {j, data.draw(st.sampled_from([j, len(digits) - 1 - j]))}:
+        entry = digits[at]
+        cut = data.draw(st.integers(0, len(entry)))
+        digits[at] = {
+            "leading-zero": "0" + entry,
+            "plus": "+" + entry,
+            "minus": "-" + entry,
+            "underscore": entry[:cut] + "_" + entry[cut:],
+            "space": entry[:cut] + " " + entry[cut:],
+            "arabic-digit": entry[:cut] + "\u0663" + entry[cut + 1:],
+            "zero": "0",
+            "huge": str(10**40),
+            "too-long": "1" + "0" * sys.get_int_max_str_digits(),
+        }[edit]
+        if data.draw(st.booleans()):  # the pair at this exponent too
+            pair = f'        {at},\n        "'
+            head = head.replace(f'{pair}{entry}"'.encode(), f'{pair}{digits[at]}"'.encode())
+    return head + sep + ",\n    ".join(digits).encode() + b"\n  ]\n}\n"
 
 
 @pytest.fixture(scope="module")
@@ -401,21 +450,7 @@ class TestByteExactHit:
     def test_hit_only_on_the_cold_bytes(self, cold_entries, tmp_path_factory, data):
         cell = data.draw(st.sampled_from(EDITED_CELLS))
         cold = cold_entries[cell]
-        edit = data.draw(st.sampled_from(["none", "replace", "insert", "delete", "relayout"]))
-        i = data.draw(st.integers(0, len(cold) - 1))
-        if edit == "replace":
-            entry = cold[:i] + data.draw(EDIT_BYTES) + cold[i + 1:]
-        elif edit == "insert":
-            entry = cold[:i] + data.draw(EDIT_BYTES) + cold[i:]
-        elif edit == "delete":
-            entry = cold[:i] + cold[i + data.draw(st.integers(1, 8)):]
-        elif edit == "relayout":  # keys in any order; indented, spaced or compact
-            stored = json.loads(cold)
-            keys = data.draw(st.permutations(list(stored)))
-            layout = data.draw(st.sampled_from([{"indent": 2}, {}, {"separators": (",", ":")}]))
-            entry = (json.dumps({key: stored[key] for key in keys}, **layout) + "\n").encode()
-        else:
-            entry = cold
+        entry = edited_entry(data, cold, data.draw(st.sampled_from(EDIT_KINDS)))
         path = tmp_path_factory.getbasetemp() / "edited-entry.json"
         path.write_bytes(entry)
         hit = cli._read_cached(str(path), *cell)
@@ -424,6 +459,37 @@ class TestByteExactHit:
             payload, text = hit
             assert (text + "\n").encode() == entry
             assert read_consistent(entry, *cell) == payload
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_reader_agrees_with_the_int_oracle(self, cold_entries, tmp_path_factory, data):
+        # the digit strings are checked in place; the oracle converts each
+        # with int() and renders again from the ints
+        cell = data.draw(st.sampled_from(EDITED_CELLS))
+        cold = cold_entries[cell]
+        edit = data.draw(st.sampled_from(EDIT_KINDS + DIGIT_EDITS))
+        if edit in DIGIT_EDITS:
+            entry = digit_edited_entry(data, cold, edit)
+        else:
+            entry = edited_entry(data, cold, edit)
+        path = str(tmp_path_factory.getbasetemp() / "agreeing-entry.json")
+        Path(path).write_bytes(entry)
+        assert cli._read_cached(path, *cell) == read_rendered(path, *cell)
+
+    def test_sound_row_with_zeros_is_a_hit(self, tmp_path):
+        # (2,4,3): dim 13; a row with zero entries that passes `sound_row`,
+        # written in the program's layout, is a hit with that very row
+        k, n, d = 2, 4, 3
+        total = sum(fixedgraphs.census_formula(k, n, d).values())
+        row = [1, 0, 0, 0, 0, 0, (total - 2) // 2, (total - 2) // 2, 0, 0, 0, 0, 0, 1]
+        assert localization.sound_row(k, n, d, row)
+        payload = {"k": k, "n": n, "d": d, "method": "closedform", "dim": 13, "betti": row}
+        path = tmp_path / "2-4-3-closedform.json"
+        path.write_text(cli._payload_text(payload) + "\n")
+        hit = cli._read_cached(str(path), k, n, d, "closedform")
+        assert hit == read_rendered(str(path), k, n, d, "closedform")
+        assert hit is not None and hit[0] == payload
+        assert (hit[1] + "\n").encode() == path.read_bytes()
 
     def test_warm_pass_decodes_no_json(self, capsys, tmp_path, monkeypatch):
         # a hit renders and compares; a miss would now raise
@@ -441,6 +507,27 @@ class TestByteExactHit:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    def test_warm_pass_renders_from_the_file_digits(self, capsys, tmp_path, monkeypatch):
+        # a hit renders from the digit strings it read, never from str() of ints
+        want = json.loads(GOLDEN.read_text(encoding="utf-8"))["small"]["closed-sweep"]
+        argv = ["betti", "--method", "closed", "--format", "json", "--k-range", "1..4",
+                "--n-range", "2..5", "--d-range", "1..3", "--cache-dir", str(tmp_path)]
+        assert run(capsys, *argv)[0] == 0
+        render = cli._payload_text
+        calls = []
+
+        def spy(p, digits=None):
+            calls.append(digits)
+            return render(p, digits)
+
+        monkeypatch.setattr(cli, "_payload_text", spy)
+        monkeypatch.setattr(cli, "_betti_payload", None)  # a miss would now raise
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+        assert calls and all(isinstance(digits, list) and all(type(c) is str for c in digits)
+                             for digits in calls)
 
 
 class TestJsonRendering:
@@ -486,6 +573,17 @@ class TestJsonRendering:
         reports = [{"tree": {"edges": []}, "positives": 3, "weights": [["1/2", "-1"]]}]
         assert (cli._payload_text({**payload, "reports": reports})
                 == json.dumps({**want, "reports": reports}, indent=2))
+        # interior zeros, and a row longer than any separator table so far
+        longest = len(cli._PAIR_SEPS)
+        for row in ([1, 0, 0, 7, 0, 0, 1], [1, 0, 5, 0, 10**30, 0, 5, 0, 1],
+                    [e % 3 * 10**e for e in range(longest + 5)]):
+            head = {"k": 3, "n": 7, "d": 2, "method": "localization", "dim": len(row) - 1}
+            payload = {**head, "betti": row}
+            want = {**head, "poincare": {"coeffs": [[e, str(c)] for e, c in enumerate(row) if c]},
+                    "betti": row}
+            assert cli._payload_text(payload) == json.dumps(want, indent=2)
+            assert cli._payload_text(payload, list(map(str, row))) == cli._payload_text(payload)
+        assert len(cli._PAIR_SEPS) > longest
 
     @pytest.mark.parametrize("argv", [
         ["-k", "1", "-n", "3", "-d", "2", "--reports"],
