@@ -33,8 +33,8 @@ than skew a Betti number.
 `weights`, and `_checked_int_counts` runs the checks.  On them rest
 `tangent_sign_counts`, for the sub-family sums and as the tests' oracle for
 the localization sum; `fixed_point_report`, which decodes the weights for
-`grassmap betti --reports`; and `embedding_verdicts`, which checks each
-tree's base tangent once.
+`grassmap betti --reports`; and `embedding_verdicts`, which falls back on
+them for a tree its memoized residuals do not certify.
 `poincare_localization` builds no trees: each family enters with a fixed
 multiplicity, so a tree's positive count is a sum of local terms, and
 `_positive_counts` sums each tree shape from tables of them, under three
@@ -50,13 +50,29 @@ family minus its lifted family minus its surplus piece; per vertex of valence
 v >= 2, minus v-1 times the same for its Grassmannian tangent.  The residuals
 depend on an edge frame or a label, the slot and the mode only.  They are
 checked once per frame or label over every slot and mode, and the cases with
-a non-empty residual are memoized as its misfit set.  The base tangent is
-checked once per tree, which checks every lift of it, and the surplus once
-per mode, at slot n+1, which checks it at every slot: rotating each weight's
-digit n+1 down to slot m fixes only 0 and maps that surplus onto the one at
-slot m; only where it fails there is it checked slot by slot.  A case passes
-iff it is in no misfit set and its surplus holds.  The tests hold these
-verdicts to a per-case check that assembles both tangents.
+a non-empty residual are memoized as its misfit set.  The base tangent must
+pass the checks above, which checks every lift of it, and the surplus must
+hold (no negative multiplicity, no zero, the right size) at slot n+1 in each
+mode, which checks it at every slot: rotating each weight's digit n+1 down
+to slot m fixes only 0 and maps that surplus onto the one at slot m.  A case
+passes iff it is in no misfit set and its surplus holds.
+
+Both checks are sums of local terms too.  Hang the tree from a leaf and
+orient each edge from its parent end p to its child end: a vertex of valence
+v >= 2 is then the parent of exactly v-1 edges, so each of its v-1 tangent
+removals, and each of its v-1 surplus pieces, falls to one edge.  Per
+oriented edge, the base residual is its family less the zero, less the
+domain character at each leaf end and, unless p is the leaf, less T(p); the
+surplus residual in each mode is its piece at slot n+1 less p's piece unless
+p is the leaf.  They are memoized with the edge's misfits (`_edge_share`).
+A tree whose residuals are all clean (no zero, no negative multiplicity),
+whose node weights are nonzero, and whose residual sizes plus node count
+make the dimension, and each mode's surplus size, is certified: both checks
+then pass exactly, and no tangent or surplus is built.  Only an uncertified
+tree assembles its tangent for `_checked_int_counts`, which raises as above,
+and builds its surplus at slot n+1, and slot by slot only where it fails
+there.  The tests hold these verdicts to a per-case check that assembles
+both tangents, and the certificate to the full checks it stands for.
 """
 
 from __future__ import annotations
@@ -65,13 +81,14 @@ import itertools
 import math
 from collections import Counter
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .fixedgraphs import DecoratedTree, _label_frame, _neighbor_labels, census_formula, fixed_graphs
 from .qpoly import QPolynomial
 from .weights import (
     WEIGHT_SCALE,
     WeightConsistencyError,
+    _clean_size,
     _digits,
     _domain_tangent_int,
     _edge_h0_ints,
@@ -82,6 +99,7 @@ from .weights import (
     _point_surplus_ints,
     _point_tangent_ints,
     _shift,
+    _top_surplus_residual,
 )
 
 
@@ -336,6 +354,12 @@ MODES = ("iota", "kappa")
 
 
 @cache
+def _cases(n: int) -> tuple[tuple[int, str], ...]:
+    """Every case (m, mode) of a tree in n coordinates: slots 1..n+1, both modes."""
+    return tuple((m, mode) for m in range(1, n + 2) for mode in MODES)
+
+
+@cache
 def _edge_misfits(shared: tuple[int, ...], b_u: int, b_v: int, deg: int, n: int) -> frozenset:
     """The cases (m, mode), over every slot m in 1..n+1 and both modes, where
     the edge's residual r_e is not empty or its domain character is not the
@@ -381,34 +405,118 @@ def _surplus_holds(tree: DecoratedTree, m: int, mode, size: int) -> bool:
     return not surplus[0] and sum(surplus.values()) == size
 
 
+class _EdgeShare(NamedTuple):
+    """One oriented edge's share of its tree's checks (`_edge_share`)."""
+
+    # the sizes of its base residual, then of its surplus residual per mode; None if one is unclean
+    sizes: tuple[int, ...] | None
+    omega: int  # the domain tangent character at the edge's u end (-omega at its v end)
+    misfits: frozenset  # of its frame, and of its parent end's label unless that end is a leaf
+
+
+@cache
+def _edge_share(label_u: tuple[int, ...], label_v: tuple[int, ...], deg: int, n: int,
+                leaf_u: bool, leaf_v: bool, parent: tuple[int, ...] | None) -> _EdgeShare:
+    """An edge's share of every check of its tree, the tree hung from a leaf:
+    `parent` is the label of the edge's end nearer that leaf, or None if that
+    end is the leaf itself.
+
+    Its base residual is its family less the zero, less the domain character
+    at each end that is a leaf, and less the parent's Grassmannian tangent;
+    its surplus residuals are `weights._top_surplus_residual`.  A residual is
+    clean when it holds no zero and no negative multiplicity.  Hung from a
+    leaf, a vertex of valence v >= 2 is the parent of exactly v-1 edges, so
+    the base residuals plus the node weights are `_int_tangent` of the tree,
+    and the surplus residuals its surplus at slot n+1.  Families are read as
+    `_int_tangent` reads them, and the surplus pieces as
+    `weights._embedding_delta_ints` does.
+    """
+    shared, b_u, b_v = _label_frame(label_u, label_v)
+    omega = _domain_tangent_int(n, deg, b_u, b_v)
+    residual = Counter(_edge_h0_ints(shared, b_u, b_v, deg, n))
+    residual.subtract((0, *(omega,) * leaf_u, *(-omega,) * leaf_v))
+    misfits = _edge_misfits(shared, b_u, b_v, deg, n)
+    if parent is not None:
+        residual.subtract(_point_tangent_ints(parent, n))
+        misfits |= _point_misfits(parent, n)
+    sizes = (_clean_size(residual),
+             *(_top_surplus_residual(shared, b_u, b_v, deg, n, parent, mode) for mode in MODES))
+    return _EdgeShare(None if None in sizes else sizes, omega, misfits)
+
+
+def _edge_shares(tree: DecoratedTree) -> list[_EdgeShare]:
+    """Each edge's `_edge_share`, the tree hung from its first leaf."""
+    valences = tree.valences()
+    labels = tree.vertices
+    parents: dict[int, int] = {}
+    reached = [valences.index(1)]
+    for x in reached:  # breadth first from the leaf; each edge is met first from its parent end
+        for i, (u, v, _) in enumerate(tree.edges):
+            if i not in parents and x in (u, v):
+                parents[i] = x
+                reached.append(v if x == u else u)
+    return [_edge_share(labels[u], labels[v], deg, tree.n, valences[u] == 1, valences[v] == 1,
+                        labels[parents[i]] if valences[parents[i]] > 1 else None)
+            for i, (u, v, deg) in enumerate(tree.edges)]
+
+
+def _certified(tree: DecoratedTree, shares: list[_EdgeShare]) -> bool:
+    """Do the edges' shares certify that the tree's base tangent passes
+    `_checked_int_counts` and its surplus at slot n+1 holds in both modes?
+
+    They do when every residual is clean, no node weight is zero, the base
+    residual sizes plus the node count make the dimension, and each mode's
+    surplus residual sizes make the size the embedding adds to it: a sum of
+    clean residuals is clean.
+    """
+    omegas: list[list[int]] = [[] for _ in tree.vertices]
+    for (u, v, _), share in zip(tree.edges, shares):
+        if share.sizes is None:
+            return False
+        omegas[u].append(share.omega)
+        omegas[v].append(-share.omega)
+    nodes = [w for ws in omegas for w in ((sum(ws),) if len(ws) == 2 else ws if len(ws) == 3 else ())]
+    if 0 in nodes:
+        return False
+    base, iota, kappa = map(sum, zip(*(share.sizes for share in shares)))
+    k, n, d = tree.k, tree.n, tree.d
+    dim = moduli_dimension(k, n, d)
+    return (base + len(nodes), dim + iota, dim + kappa) == (
+        dim, moduli_dimension(k, n + 1, d), moduli_dimension(k + 1, n + 1, d))
+
+
 def embedding_verdicts(tree: DecoratedTree) -> dict[tuple[int, str], bool]:
     """Does the tree embedded at slot m in mode `mode` have the lifted tangent
     plus the surplus?  For every slot m in 1..n+1 and both modes, keyed (m, mode).
 
     A case passes iff it is in no edge's or vertex's misfit set and its surplus
     holds.  Each edge frame's residuals (`_edge_misfits`) and each label's
-    (`_point_misfits`) are checked once over every slot and mode, so a tree
-    takes one lookup per edge and per vertex of valence >= 2, and a case in
-    none has direct == lifted + surplus exactly.  The base tangent is checked
-    once, and a fault raises: `weights._lift` is injective, maps 0 to 0 and
-    keeps every sign, so each lifted tangent passes `_checked_int_counts` iff
-    the base one does.  With the lifted tangent checked, the direct tangent
-    then passes iff the surplus holds: no negative multiplicity (which
-    raises), no zero, and the size the embedding adds to the dimension.  The
-    surplus is checked at m = n+1 once per mode, which checks it at every slot
-    (`weights._embedding_delta_ints`); only when it fails there is it checked
-    slot by slot, so a fault at one slot fails that slot only.
+    (`_point_misfits`) are checked once over every slot and mode, and a case in
+    none has direct == lifted + surplus exactly.  The base tangent must pass
+    `_checked_int_counts`, and a fault raises: `weights._lift` is injective,
+    maps 0 to 0 and keeps every sign, so each lifted tangent passes iff the
+    base one does.  With the lifted tangent checked, the direct tangent then
+    passes iff the surplus holds: no negative multiplicity (which raises), no
+    zero, and the size the embedding adds to the dimension.  Holding at slot
+    n+1 it holds at every slot (`weights._embedding_delta_ints`).
+
+    The tree is hung from a leaf, and each edge, oriented away from it, looks
+    up its memoized share (`_edge_share`): its misfits, and its clean residuals
+    of the base tangent and of the surplus at slot n+1.  Where they certify
+    the tree (`_certified`), both checks pass, and no tangent or surplus is
+    built.  Otherwise the base tangent is assembled and checked, the surplus
+    is checked at m = n+1 once per mode, and only where it fails there is it
+    checked slot by slot, so a fault at one slot fails that slot only.
     """
-    n, d = tree.n, tree.d
-    _checked_int_counts(tree, _int_tangent(tree))
-    base = moduli_dimension(tree.k, n, d)
-    failed = set().union(
-        *(_edge_misfits(*tree.edge_frame(edge), edge.deg, n) for edge in tree.edges),
-        *(_point_misfits(label, n) for label, v in zip(tree.vertices, tree.valences()) if v >= 2),
-    )
-    for mode, k_up in zip(MODES, (tree.k, tree.k + 1)):
-        size = moduli_dimension(k_up, n + 1, d) - base
-        if not _surplus_holds(tree, n + 1, mode, size):
-            failed.update((m, mode) for m in range(1, n + 2)
-                          if m > n or not _surplus_holds(tree, m, mode, size))
-    return {(m, mode): (m, mode) not in failed for m in range(1, n + 2) for mode in MODES}
+    n = tree.n
+    shares = _edge_shares(tree)
+    failed = set().union(*(share.misfits for share in shares))
+    if not _certified(tree, shares):
+        _checked_int_counts(tree, _int_tangent(tree))
+        base = moduli_dimension(tree.k, n, tree.d)
+        for mode, k_up in zip(MODES, (tree.k, tree.k + 1)):
+            size = moduli_dimension(k_up, n + 1, tree.d) - base
+            if not _surplus_holds(tree, n + 1, mode, size):
+                failed.update((m, mode) for m in range(1, n + 2)
+                              if m > n or not _surplus_holds(tree, m, mode, size))
+    return {case: case not in failed for case in _cases(n)}

@@ -269,6 +269,20 @@ def _extra_at_top_iota_slot(monkeypatch):
         monkeypatch.setattr(module, "_edge_surplus_ints", extra)
 
 
+def _short_point_piece_at_first_iota_slot(monkeypatch):
+    # each vertex piece one weight short at slot 1 in mode iota: only the
+    # misfits of labels at vertices of valence >= 2 see it, and the surplus
+    # there gains a weight without going negative
+    orig = weights._point_surplus_ints
+
+    def short(label, n, m, mode):
+        piece = orig(label, n, m, mode)
+        return piece[:-1] if (m, mode) == (1, "iota") else piece
+
+    for module in (loc, weights):
+        monkeypatch.setattr(module, "_point_surplus_ints", short)
+
+
 def _record_tangents_and_surpluses(monkeypatch):
     """Record each tree whose tangent is assembled, and each (tree, m, mode)
     whose surplus is built."""
@@ -300,25 +314,24 @@ class TestEmbeddingConsistency:
         assert cases == 9404
 
     def test_one_tangent_per_tree(self, monkeypatch):
-        # the base tangent is assembled and checked once per tree, and no case
-        # assembles another; the surplus is built once per mode, at the top slot only
+        # every tree is certified by its edges' memoized residuals, so none
+        # assembles a tangent or builds a surplus
         calls, deltas = _record_tangents_and_surpluses(monkeypatch)
         for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
             for t in enumerate_fixed_graphs(k, n, d):
-                calls.clear()
-                deltas.clear()
                 embedding_verdicts(t)
-                assert calls == [t]
-                assert deltas == [(t, n + 1, "iota"), (t, n + 1, "kappa")]
+                assert calls == deltas == [], t
 
     @pytest.mark.parametrize("fault,rebuilt", [
-        (_lift_last, ()),
-        (_extra_at_first_iota_slot, ()),
+        (_lift_last, None),
+        (_extra_at_first_iota_slot, None),
         (_extra_at_top_iota_slot, ("iota",)),
     ], ids=["lift-last", "extra-at-1-iota", "extra-at-top-iota"])
     def test_one_tangent_per_tree_under_a_fault(self, monkeypatch, fresh_int_families, fault, rebuilt):
-        # a failing case assembles no tangent either, and the surplus is built
-        # slot by slot only in a mode whose top-slot surplus fails
+        # a fault the misfits see leaves every tree certified (rebuilt None): no
+        # tangent, no surplus.  A fault in the top-slot surplus certifies no tree:
+        # each assembles its tangent once and builds its surplus at the top slot
+        # per mode, and slot by slot only in a mode whose top-slot surplus fails
         fault(monkeypatch)
         calls, deltas = _record_tangents_and_surpluses(monkeypatch)
         for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
@@ -326,23 +339,32 @@ class TestEmbeddingConsistency:
                 calls.clear()
                 deltas.clear()
                 assert not all(embedding_verdicts(t).values()), t
+                if rebuilt is None:
+                    assert calls == deltas == [], t
+                    continue
                 assert calls == [t]
                 assert deltas == [(t, m, mode) for mode in loc.MODES
                                   for m in (n + 1, *(range(1, n + 1) if mode in rebuilt else ()))]
 
 
+def _clear_memos():
+    """Empty every memo of `grassmap.weights` and `grassmap.localization`: each
+    of their attributes with a `cache_clear`."""
+    for module in (weights, loc):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
 @pytest.fixture
 def fresh_int_families():
-    """Empty the memoized int families, surplus pieces and embedding residuals
-    before and after a test that patches them: no value computed from a patched
-    family outlives the test, and no stale residual meets the patched family."""
-    memos = (weights._point_tangent_ints, weights._edge_h0_ints, weights._point_surplus_ints,
-             weights._edge_surplus_ints, loc._point_misfits, loc._edge_misfits)
-    for memo in memos:
-        memo.cache_clear()
+    """Empty every memo of the int families and of what is built from them
+    (`_clear_memos`) before and after a test that patches a family: no value
+    computed from a patched family outlives the test, and no stale residual,
+    misfit set or certificate meets the patched family."""
+    _clear_memos()
     yield
-    for memo in memos:
-        memo.cache_clear()
+    _clear_memos()
 
 
 class TestIntegerEmbedding:
@@ -551,3 +573,102 @@ class TestMisfitSets:
             assert loc._point_misfits(label, n) == want, (label, n)
             misfits.append(want)
         assert any(misfits) == (fault is not None)
+
+
+def _broken_family(family, n_at, broken, side):
+    """The faults of `test_each_tangent_is_checked_tree_by_tree` for the trees in
+    n coordinates: the family read by `localization` is broken on the direct
+    side (its argument `n_at`, the family's n, above n), the lifted side or both."""
+    def fault(monkeypatch, n):
+        orig = getattr(loc, family)
+
+        def patched(*args):
+            direct = args[n_at] > n
+            return broken(orig(*args)) if side == "both" or direct == (side == "direct") else orig(*args)
+
+        monkeypatch.setattr(loc, family, patched)
+    return fault
+
+
+TANGENT_FAULTS = {f"{name}-{side}": _broken_family(family, n_at, broken, side)
+                  for name, family, n_at, broken in [
+                      ("edge", "_edge_h0_ints", 4, lambda ws: (*ws, 0)),
+                      ("edge-extra", "_edge_h0_ints", 4, lambda ws: (*ws, ws[0])),
+                      ("point", "_point_tangent_ints", 1, lambda ws: (*ws, 0)),
+                      ("omega", "_domain_tangent_int", 0, lambda w: w + 1)]
+                  for side in ("direct", "lifted", "both")}
+# every fault patched for the trees in n coordinates
+CERTIFICATE_FAULTS = {
+    **{name: lambda monkeypatch, n, fault=fault: fault(monkeypatch)
+       for name, fault in [("lift-last", _lift_last), ("extra-at-1-iota", _extra_at_first_iota_slot),
+                           ("extra-at-top-iota", _extra_at_top_iota_slot)]},
+    **TANGENT_FAULTS,
+}
+
+
+def rehung(t):
+    """The tree with its vertices renumbered, one of the highest valence first,
+    and its edges listed in reverse, each from its v end to its u end: vertex 0
+    is no leaf unless the tree is one edge, and edges run child-first."""
+    valences = t.valences()
+    order = sorted(range(len(t.vertices)), key=lambda i: -valences[i])
+    new = {old: i for i, old in enumerate(order)}
+    return t._replace(vertices=tuple(t.vertices[i] for i in order),
+                      edges=tuple(Edge(new[e.v], new[e.u], e.deg) for e in reversed(t.edges)))
+
+
+class TestCertificate:
+    """The per-edge residual certificate against the full checks it stands for."""
+
+    def test_every_small_tree_is_certified(self):
+        # no tree with n <= 5 falls back on assembling its tangent or surplus
+        trees = [t for n in range(2, 6) for k in range(1, n) for d in (1, 2, 3) for t in fixed_graphs(k, n, d)]
+        assert len(trees) == 6406
+        assert [t for t in trees if not loc._certified(t, loc._edge_shares(t))] == []
+
+    @pytest.mark.parametrize("fault", CERTIFICATE_FAULTS.values(), ids=CERTIFICATE_FAULTS)
+    def test_certified_iff_the_full_check_passes(self, monkeypatch, fresh_int_families, fault):
+        # under each fault, a tree is certified iff its tangent passes
+        # `_checked_int_counts` and its top-slot surplus holds in both modes
+        def passes(t, k, n, d):
+            base = moduli_dimension(k, n, d)
+            try:
+                loc._checked_int_counts(t, loc._int_tangent(t))
+                return all(loc._surplus_holds(t, n + 1, mode, moduli_dimension(k_up, n + 1, d) - base)
+                           for mode, k_up in zip(loc.MODES, (k, k + 1)))
+            except WeightConsistencyError:
+                return False
+
+        for n in range(2, 5):
+            with monkeypatch.context() as patch:
+                fault(patch, n)
+                _clear_memos()
+                for k, d in [(k, d) for k in range(1, n) for d in (1, 2, 3)]:
+                    for t in fixed_graphs(k, n, d):
+                        assert loc._certified(t, loc._edge_shares(t)) == passes(t, k, n, d), t
+        _clear_memos()
+
+    def test_a_zero_node_weight_is_not_certified(self):
+        # the folded unit path (2)-(1)-(2): its legs' domain characters at the
+        # centre, made opposite, smooth the node to a zero weight
+        t = tree(1, 2, [(1,), (2,), (2,)], [(0, 1, 1), (0, 2, 1)])
+        shares = loc._edge_shares(t)
+        assert loc._certified(t, shares)
+        assert not loc._certified(t, [shares[0], shares[1]._replace(omega=-shares[0].omega)])
+
+    @pytest.mark.parametrize("fault", [None, _short_point_piece_at_first_iota_slot, _extra_at_top_iota_slot],
+                             ids=["none", "short-point-at-1-iota", "extra-at-top-iota"])
+    def test_rehung_trees_keep_their_verdicts(self, monkeypatch, fresh_int_families, fault):
+        # hung from another leaf, with edges oriented the other way, a tree keeps
+        # its verdicts, case by case equal to the per-case check
+        if fault:
+            fault(monkeypatch)
+        cells = [(k, n, d) for n in (2, 3) for k in range(1, n) for d in (1, 2, 3)] + [(2, 4, 2)]
+        for t in (t for cell in cells for t in fixed_graphs(*cell)):
+            s = rehung(t)
+            assert s.valences()[0] > 1 or len(s.edges) == 1
+            verdicts = embedding_verdicts(s)
+            assert verdicts == embedding_verdicts(t), s
+            assert verdicts == {case: embedding_cross_check(s, *case) for case in verdicts}, s
+            if fault is None:
+                assert loc._certified(s, loc._edge_shares(s)), s
