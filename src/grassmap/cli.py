@@ -171,7 +171,7 @@ def _cells(args) -> list[tuple[int, int, int]]:
     for k in ks:
         for n in ns:
             for d in ds:
-                if sweeping and not 1 <= k < n:
+                if sweeping and k >= n:
                     continue
                 fixedgraphs._check_cell(k, n, d)
                 cells.append((k, n, d))

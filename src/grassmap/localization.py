@@ -32,9 +32,9 @@ than skew a Betti number.
 `_int_tangent` assembles the multiset from the int-encoded families of
 `weights`, and `_checked_int_counts` runs the checks.  On them rest
 `tangent_sign_counts`, for the sub-family sums and as the tests' oracle for
-the localization sum; `fixed_point_report`, which decodes the weights for
-`grassmap betti --reports`; and `embedding_verdicts`, which falls back on
-them for a tree its memoized residuals do not certify.
+the localization sum, and `fixed_point_report`, which decodes the weights for
+`grassmap betti --reports`; `embedding_verdicts` calls them only to name the
+fault in a tangent its residuals do not certify.
 `poincare_localization` builds no trees: each family enters with a fixed
 multiplicity, so a tree's positive count is a sum of local terms, and
 `_positive_counts` sums each tree shape from tables of them, under three
@@ -43,10 +43,10 @@ total); the tests hold it to the per-tree sum.
 
 `embedding_verdicts` checks, for every slot and mode of one tree, that the
 embedded tree's tangent is the lifted tangent plus the surplus, without
-assembling the embedded tangent.  Embedding changes no edge, valence or
-domain character, so the node and reparametrization terms cancel, and
-direct - lifted - surplus is a sum of local residuals: per edge, its embedded
-family minus its lifted family minus its surplus piece; per vertex of valence
+assembling either tangent.  Embedding changes no edge, valence or domain
+character, so the node and reparametrization terms cancel, and direct -
+lifted - surplus is a sum of local residuals: per edge, its embedded family
+minus its lifted family minus its surplus piece; per vertex of valence
 v >= 2, minus v-1 times the same for its Grassmannian tangent.  The residuals
 depend on an edge frame or a label, the slot and the mode only.  They are
 checked once per frame or label over every slot and mode, and the cases with
@@ -54,8 +54,7 @@ a non-empty residual are memoized as its misfit set.  The base tangent must
 pass the checks above, which checks every lift of it, and the surplus must
 hold (no negative multiplicity, no zero, the right size) at slot n+1 in each
 mode, which checks it at every slot: rotating each weight's digit n+1 down
-to slot m fixes only 0 and maps that surplus onto the one at slot m.  A case
-passes iff it is in no misfit set and its surplus holds.
+to slot m fixes only 0 and maps that surplus onto the one at slot m.
 
 Both checks are sums of local terms too.  Hang the tree from a leaf and
 orient each edge from its parent end p to its child end: a vertex of valence
@@ -65,14 +64,19 @@ oriented edge, the base residual is its family less the zero, less the
 domain character at each leaf end and, unless p is the leaf, less T(p); the
 surplus residual in each mode is its piece at slot n+1 less p's piece unless
 p is the leaf.  They are memoized with the edge's misfits (`_edge_share`).
-A tree whose residuals are all clean (no zero, no negative multiplicity),
-whose node weights are nonzero, and whose residual sizes plus node count
-make the dimension, and each mode's surplus size, is certified: both checks
-then pass exactly, and no tangent or surplus is built.  Only an uncertified
-tree assembles its tangent for `_checked_int_counts`, which raises as above,
-and builds its surplus at slot n+1, and slot by slot only where it fails
-there.  The tests hold these verdicts to a per-case check that assembles
-both tangents, and the certificate to the full checks it stands for.
+Clean residuals (no zero, no negative multiplicity) whose sizes, with the
+node count, make the dimension, and nonzero node weights, certify the base
+tangent; clean surplus residuals whose sizes make the size the embedding
+adds certify that mode's surplus (`_certified`).  A sum of clean residuals
+is clean, so a certified check passes exactly.  That is the one rule: a
+tree whose base tangent is not certified raises WeightConsistencyError, a
+surplus residual with a negative multiplicity raises, and a case passes iff
+it is in no misfit set and its mode's surplus is certified.  No tangent or
+surplus is built.  Without a fault these verdicts equal the tests' per-case
+check, which assembles both tangents; under a fault they may fail a case
+that check passes, since each residual is judged before the residuals
+cancel, but they never pass a case that it fails, and the tests hold them to
+that under each fault they inject.
 """
 
 from __future__ import annotations
@@ -88,18 +92,15 @@ from .qpoly import QPolynomial
 from .weights import (
     WEIGHT_SCALE,
     WeightConsistencyError,
-    _clean_size,
     _digits,
     _domain_tangent_int,
     _edge_h0_ints,
     _edge_surplus_ints,
     _embed_label,
-    _embedding_delta_ints,
     _lift,
     _point_surplus_ints,
     _point_tangent_ints,
     _shift,
-    _top_surplus_residual,
 )
 
 
@@ -396,20 +397,11 @@ def _point_misfits(label: tuple[int, ...], n: int) -> frozenset:
     return frozenset(misfits)
 
 
-def _surplus_holds(tree: DecoratedTree, m: int, mode, size: int) -> bool:
-    """Does the surplus at slot m hold no zero and `size` weights?  Raises
-    WeightConsistencyError on a negative multiplicity."""
-    surplus = _embedding_delta_ints(tree, m, mode)
-    if min(surplus.values(), default=0) < 0:
-        raise WeightConsistencyError(f"embedding surplus went negative for m={m}, mode={mode}")
-    return not surplus[0] and sum(surplus.values()) == size
-
-
 class _EdgeShare(NamedTuple):
     """One oriented edge's share of its tree's checks (`_edge_share`)."""
 
-    # the sizes of its base residual, then of its surplus residual per mode; None if one is unclean
-    sizes: tuple[int, ...] | None
+    # the sizes of its base residual, then of its surplus residual per mode; None for an unclean one
+    sizes: tuple[int | None, ...]
     omega: int  # the domain tangent character at the edge's u end (-omega at its v end)
     misfits: frozenset  # of its frame, and of its parent end's label unless that end is a leaf
 
@@ -423,25 +415,31 @@ def _edge_share(label_u: tuple[int, ...], label_v: tuple[int, ...], deg: int, n:
 
     Its base residual is its family less the zero, less the domain character
     at each end that is a leaf, and less the parent's Grassmannian tangent;
-    its surplus residuals are `weights._top_surplus_residual`.  A residual is
-    clean when it holds no zero and no negative multiplicity.  Hung from a
-    leaf, a vertex of valence v >= 2 is the parent of exactly v-1 edges, so
-    the base residuals plus the node weights are `_int_tangent` of the tree,
-    and the surplus residuals its surplus at slot n+1.  Families are read as
-    `_int_tangent` reads them, and the surplus pieces as
-    `weights._embedding_delta_ints` does.
+    its surplus residual in each mode is its piece at slot n+1 less the
+    parent's piece.  A residual is clean when it holds no zero and no
+    negative multiplicity, and a surplus residual with a negative
+    multiplicity raises WeightConsistencyError.  Hung from a leaf, a vertex
+    of valence v >= 2 is the parent of exactly v-1 edges, so the base
+    residuals plus the node weights are `_int_tangent` of the tree, and the
+    surplus residuals its surplus at slot n+1.
     """
     shared, b_u, b_v = _label_frame(label_u, label_v)
     omega = _domain_tangent_int(n, deg, b_u, b_v)
-    residual = Counter(_edge_h0_ints(shared, b_u, b_v, deg, n))
-    residual.subtract((0, *(omega,) * leaf_u, *(-omega,) * leaf_v))
+    base = Counter(_edge_h0_ints(shared, b_u, b_v, deg, n))
+    base.subtract((0, *(omega,) * leaf_u, *(-omega,) * leaf_v))
+    surpluses = {mode: Counter(_edge_surplus_ints(shared, b_u, b_v, deg, n, n + 1, mode)) for mode in MODES}
     misfits = _edge_misfits(shared, b_u, b_v, deg, n)
     if parent is not None:
-        residual.subtract(_point_tangent_ints(parent, n))
+        base.subtract(_point_tangent_ints(parent, n))
+        for mode, residual in surpluses.items():
+            residual.subtract(_point_surplus_ints(parent, n, n + 1, mode))
         misfits |= _point_misfits(parent, n)
-    sizes = (_clean_size(residual),
-             *(_top_surplus_residual(shared, b_u, b_v, deg, n, parent, mode) for mode in MODES))
-    return _EdgeShare(None if None in sizes else sizes, omega, misfits)
+    for mode, residual in surpluses.items():
+        if min(residual.values(), default=0) < 0:
+            raise WeightConsistencyError(f"embedding surplus went negative for m={n + 1}, mode={mode}")
+    sizes = tuple(None if residual[0] or min(residual.values(), default=0) < 0 else sum(residual.values())
+                  for residual in (base, *surpluses.values()))
+    return _EdgeShare(sizes, omega, misfits)
 
 
 def _edge_shares(tree: DecoratedTree) -> list[_EdgeShare]:
@@ -460,63 +458,55 @@ def _edge_shares(tree: DecoratedTree) -> list[_EdgeShare]:
             for i, (u, v, deg) in enumerate(tree.edges)]
 
 
-def _certified(tree: DecoratedTree, shares: list[_EdgeShare]) -> bool:
+def _certified(tree: DecoratedTree, shares: list[_EdgeShare]) -> tuple[bool, bool, bool]:
     """Do the edges' shares certify that the tree's base tangent passes
-    `_checked_int_counts` and its surplus at slot n+1 holds in both modes?
+    `_checked_int_counts`, and that its surplus at slot n+1 holds in each
+    mode?  One flag each, the base first, then the modes in MODES order.
 
-    They do when every residual is clean, no node weight is zero, the base
-    residual sizes plus the node count make the dimension, and each mode's
-    surplus residual sizes make the size the embedding adds to it: a sum of
-    clean residuals is clean.
+    The base is certified when its residuals are clean, their sizes plus the
+    node count make the dimension, and no node weight is zero; a mode when
+    its surplus residuals are clean and their sizes make the size the
+    embedding adds to the dimension.  A sum of clean residuals is clean.
     """
     omegas: list[list[int]] = [[] for _ in tree.vertices]
     for (u, v, _), share in zip(tree.edges, shares):
-        if share.sizes is None:
-            return False
         omegas[u].append(share.omega)
         omegas[v].append(-share.omega)
     nodes = [w for ws in omegas for w in ((sum(ws),) if len(ws) == 2 else ws if len(ws) == 3 else ())]
-    if 0 in nodes:
-        return False
-    base, iota, kappa = map(sum, zip(*(share.sizes for share in shares)))
     k, n, d = tree.k, tree.n, tree.d
     dim = moduli_dimension(k, n, d)
-    return (base + len(nodes), dim + iota, dim + kappa) == (
-        dim, moduli_dimension(k, n + 1, d), moduli_dimension(k + 1, n + 1, d))
+    base, iota, kappa = [None if None in sizes else sum(sizes) for sizes in zip(*[share.sizes for share in shares])]
+    return (base == dim - len(nodes) and 0 not in nodes, iota == moduli_dimension(k, n + 1, d) - dim,
+            kappa == moduli_dimension(k + 1, n + 1, d) - dim)
 
 
 def embedding_verdicts(tree: DecoratedTree) -> dict[tuple[int, str], bool]:
     """Does the tree embedded at slot m in mode `mode` have the lifted tangent
     plus the surplus?  For every slot m in 1..n+1 and both modes, keyed (m, mode).
 
-    A case passes iff it is in no edge's or vertex's misfit set and its surplus
-    holds.  Each edge frame's residuals (`_edge_misfits`) and each label's
-    (`_point_misfits`) are checked once over every slot and mode, and a case in
-    none has direct == lifted + surplus exactly.  The base tangent must pass
-    `_checked_int_counts`, and a fault raises: `weights._lift` is injective,
-    maps 0 to 0 and keeps every sign, so each lifted tangent passes iff the
-    base one does.  With the lifted tangent checked, the direct tangent then
-    passes iff the surplus holds: no negative multiplicity (which raises), no
-    zero, and the size the embedding adds to the dimension.  Holding at slot
-    n+1 it holds at every slot (`weights._embedding_delta_ints`).
-
     The tree is hung from a leaf, and each edge, oriented away from it, looks
-    up its memoized share (`_edge_share`): its misfits, and its clean residuals
-    of the base tangent and of the surplus at slot n+1.  Where they certify
-    the tree (`_certified`), both checks pass, and no tangent or surplus is
-    built.  Otherwise the base tangent is assembled and checked, the surplus
-    is checked at m = n+1 once per mode, and only where it fails there is it
-    checked slot by slot, so a fault at one slot fails that slot only.
+    up its memoized share (`_edge_share`): its misfits, and its residuals of
+    the base tangent and of the surplus at slot n+1.  A case passes iff it is
+    in no share's misfit set and the shares certify its mode's surplus
+    (`_certified`); a case in no misfit set has direct == lifted + surplus
+    exactly, and a surplus that holds at slot n+1 holds at every slot.  The
+    shares must certify the base tangent, which checks every lift of it
+    (`weights._lift` is injective, maps 0 to 0 and keeps every sign);
+    otherwise the tangent is assembled, so that `_checked_int_counts` names
+    the fault, and WeightConsistencyError is raised either way.  No tangent
+    or surplus is built for a certified tree.
+
+    Without a fault the verdicts equal the per-case check of the tests; under
+    a fault they may fail a case it passes, never pass one it fails.
     """
     n = tree.n
     shares = _edge_shares(tree)
-    failed = set().union(*(share.misfits for share in shares))
-    if not _certified(tree, shares):
+    base, *modes = _certified(tree, shares)
+    if not base:
         _checked_int_counts(tree, _int_tangent(tree))
-        base = moduli_dimension(tree.k, n, tree.d)
-        for mode, k_up in zip(MODES, (tree.k, tree.k + 1)):
-            size = moduli_dimension(k_up, n + 1, tree.d) - base
-            if not _surplus_holds(tree, n + 1, mode, size):
-                failed.update((m, mode) for m in range(1, n + 2)
-                              if m > n or not _surplus_holds(tree, m, mode, size))
+        raise WeightConsistencyError(f"edge residuals do not certify the tangent at tree {tree.to_json_dict()}")
+    failed = set().union(*(share.misfits for share in shares))
+    for mode, ok in zip(MODES, modes):
+        if not ok:
+            failed.update((m, mode) for m in range(1, n + 2))
     return {case: case not in failed for case in _cases(n)}

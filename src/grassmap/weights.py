@@ -45,29 +45,19 @@ the new coordinate to the ambient space *and* to every label.  The embedded
 tree's edge families and vertex tangents are the lifted ones plus the weights
 that involve the new character, so both modes change the tangent weight
 multiset by a pure surplus (no cancellations): the edges add their new
-weights, and each vertex of valence v >= 2 removes v-1 copies of its own
-(`_embedding_delta_ints`).  These pieces are defined once, memoized per edge
-frame (`_edge_surplus_ints`) and per label (`_point_surplus_ints`), and
-`localization` checks the embedding from them piece by piece, without building
-the embedded tree: an edge or vertex whose embedded family is its lifted family
-plus its piece has an empty residual, and where every residual is empty the
-embedded tangent is the lifted tangent plus the surplus.  The surplus itself
-must hold no zero and no negative multiplicity; `localization` checks that at
-slot n+1 edge by edge too, the tree hung from a leaf so that each vertex's v-1
-pieces fall to the v-1 edges it is the parent end of
-(`_top_surplus_residual`), and builds the surplus only for a tree those
-residuals do not certify.
+weights, and each vertex of valence v >= 2 removes v-1 copies of its own.
+These pieces are defined once, memoized per edge frame
+(`_edge_surplus_ints`) and per label (`_point_surplus_ints`), and
+`localization.embedding_verdicts` checks the embedding from them piece by
+piece: an edge or vertex whose embedded family is its lifted family plus its
+piece has an empty residual, and the surplus is checked edge by edge at slot
+n+1.  No surplus of a whole tree is built outside the tests.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
-from itertools import chain
-from typing import TYPE_CHECKING, Literal
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from .fixedgraphs import DecoratedTree
+from typing import Literal
 
 GrassmannPoint = tuple[int, ...]
 EmbedMode = Literal["iota", "kappa"]
@@ -192,57 +182,3 @@ def _point_surplus_ints(label: tuple[int, ...], n: int, m: int, mode: EmbedMode)
     if mode == "iota":
         return tuple(new - p[a] for a in shifted)
     return tuple(p[b] - new for b in range(1, n1 + 1) if b != m and b not in shifted)
-
-
-def _embedding_delta_ints(tree: "DecoratedTree", m: int, mode: EmbedMode) -> Counter:
-    """The tangent-weight surplus of the tree embedded at slot m, as signed multiplicities.
-
-    Computed in the n+1 characters of the embedded tree (module docstring):
-    per edge, its piece `_edge_surplus_ints`; per vertex of valence v >= 2,
-    minus v-1 copies of its piece `_point_surplus_ints`.  So that
-
-        tangent(embedded tree) == tangent(tree) lifted to slot m + surplus.
-
-    `m` is taken in 1..n+1 and `mode` in `localization.MODES`, as every
-    caller loops over them, and the caller checks that no multiplicity is
-    negative.  Moving each weight's digit n+1 down to slot m, and digits m..n
-    up one, maps the surplus at slot n+1 onto the one at slot m.  That rotation
-    fixes only 0, so it keeps the zero count, every multiplicity and the size,
-    and `localization.embedding_verdicts` checks them at slot n+1 from the
-    per-edge residuals of `_top_surplus_residual`.  It builds this surplus
-    only for a tree they do not certify: at slot n+1, and slot by slot only
-    where the check fails there.
-    """
-    n = tree.n
-    delta = Counter(chain.from_iterable(
-        _edge_surplus_ints(*tree.edge_frame(edge), edge.deg, n, m, mode) for edge in tree.edges
-    ))
-    for label, v in zip(tree.vertices, tree.valences()):
-        if v >= 2:
-            for w in _point_surplus_ints(label, n, m, mode):
-                delta[w] -= v - 1
-    return delta
-
-
-def _top_surplus_residual(
-    shared: tuple[int, ...], b_u: int, b_v: int, deg: int, n: int, parent: GrassmannPoint | None,
-    mode: EmbedMode,
-) -> int | None:
-    """An oriented edge's share of the surplus at slot n+1: the size of its piece
-    less its parent end's piece (`parent`, that end's label, or None when the
-    parent end is a leaf), or None if that residual holds a zero or a negative
-    multiplicity.
-
-    Hung from a leaf, a tree's vertex of valence v >= 2 is the parent end of
-    exactly v-1 edges, so these residuals sum to `_embedding_delta_ints` at
-    slot n+1, and where each is clean their sizes sum to its size.
-    """
-    residual = Counter(_edge_surplus_ints(shared, b_u, b_v, deg, n, n + 1, mode))
-    if parent is not None:
-        residual.subtract(_point_surplus_ints(parent, n, n + 1, mode))
-    return _clean_size(residual)
-
-
-def _clean_size(residual: Counter) -> int | None:
-    """The size of a residual with no zero and no negative multiplicity, else None."""
-    return None if residual[0] or min(residual.values(), default=0) < 0 else sum(residual.values())

@@ -8,12 +8,14 @@ and `point_embeds_exactly` check one residual, an embedded family minus its
 lifted family minus its surplus piece, built as a `Counter` and tested for
 emptiness, the oracle of `_edge_misfits` and `_point_misfits`.
 
-Every family is read through the `grassmap.weights` module, and the tangent,
-its checks, the lift and the surplus through `grassmap.localization`, at call
-time, so a test that patches one there patches it here too.
+Every family and surplus piece is read through the `grassmap.weights`
+module, and the tangent, its checks and the lift through
+`grassmap.localization`, at call time, so a test that patches one there
+patches it here too.
 """
 
 from collections import Counter
+from itertools import chain
 
 import grassmap.localization as loc
 import grassmap.weights as weights
@@ -36,6 +38,31 @@ def embed_tree(tree, m, mode):
     return tree._replace(k=tree.k + (mode == "kappa"), n=n + 1, vertices=verts)
 
 
+def _embedding_delta_ints(tree, m, mode):
+    """The tangent-weight surplus of the tree embedded at slot m, as signed multiplicities.
+
+    Computed in the n+1 characters of the embedded tree: per edge, its piece
+    `_edge_surplus_ints`; per vertex of valence v >= 2, minus v-1 copies of
+    its piece `_point_surplus_ints`.  So that
+
+        tangent(embed_tree(tree, m, mode)) == tangent(tree) lifted to slot m + surplus.
+
+    Moving each weight's digit n+1 down to slot m, and digits m..n up one,
+    maps the surplus at slot n+1 onto the one at slot m.  That rotation fixes
+    only 0, so it keeps the zero count, every multiplicity and the size, and
+    `embedding_verdicts` checks them at slot n+1 only.
+    """
+    n = tree.n
+    delta = Counter(chain.from_iterable(
+        weights._edge_surplus_ints(*tree.edge_frame(edge), edge.deg, n, m, mode) for edge in tree.edges
+    ))
+    for label, v in zip(tree.vertices, tree.valences()):
+        if v >= 2:
+            for w in weights._point_surplus_ints(label, n, m, mode):
+                delta[w] -= v - 1
+    return delta
+
+
 def embedding_cross_check(tree, m, mode):
     """Does tangent(embed_tree(tree, m, mode)) equal the lifted tangent of the
     tree plus the surplus?
@@ -49,7 +76,7 @@ def embedding_cross_check(tree, m, mode):
     loc._checked_int_counts(embedded, direct)
     lifted = Counter({loc._lift(w, m): mult for w, mult in loc._int_tangent(tree).items()})
     loc._checked_int_counts(tree, lifted)
-    surplus = loc._embedding_delta_ints(tree, m, mode)
+    surplus = _embedding_delta_ints(tree, m, mode)
     if any(mult < 0 for mult in surplus.values()):
         raise weights.WeightConsistencyError(f"embedding surplus went negative for m={m}, mode={mode}")
     lifted.update(surplus)

@@ -170,11 +170,14 @@ class TestBetti:
     (["--k-range", "3..1", "-n", "3", "-d", "1"], "empty range"),
     (["--k-range", "1.", "-n", "3", "-d", "1"], "expected a..b"),
     (["-k", "1", "-n", "3"], "-d"),
-], ids=["both-forms", "empty-range", "malformed-range", "missing-axis"])
+    (["--k-range", "0..1", "-n", "3", "-d", "1"], "1 <= k < n"),
+], ids=["both-forms", "empty-range", "malformed-range", "missing-axis", "k-below-1-in-a-range"])
 def test_bad_cell_request_is_usage_error(capsys, command, axes, named):
-    # each axis takes exactly one of -X and a non-empty --X-range a..b
+    # each axis takes exactly one of -X and a non-empty --X-range a..b, and a
+    # range skips only the empty corners k >= n, so it refuses a k below 1.
+    # argparse exits on the axis forms; main returns 2 on a bad cell
     with pytest.raises(SystemExit) as exc:
-        main([command, *axes])
+        sys.exit(main([command, *axes]))
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and named in err

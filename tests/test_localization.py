@@ -18,7 +18,14 @@ from grassmap.localization import (
 )
 from grassmap.qpoly import QPolynomial, qbinomial
 from grassmap.weights import WeightConsistencyError
-from residual_oracle import edge_embeds_exactly, embed_tree, embedding_cross_check, point_embeds_exactly
+import residual_oracle
+from residual_oracle import (
+    _embedding_delta_ints,
+    edge_embeds_exactly,
+    embed_tree,
+    embedding_cross_check,
+    point_embeds_exactly,
+)
 from test_acceptance import brute_force_flag_poincare
 
 SMALL_CELLS = [(k, n, d) for n in range(2, 6) for k in range(1, n) for d in (1, 2, 3)]
@@ -283,15 +290,12 @@ def _short_point_piece_at_first_iota_slot(monkeypatch):
         monkeypatch.setattr(module, "_point_surplus_ints", short)
 
 
-def _record_tangents_and_surpluses(monkeypatch):
-    """Record each tree whose tangent is assembled, and each (tree, m, mode)
-    whose surplus is built."""
-    orig, orig_delta = loc._int_tangent, loc._embedding_delta_ints
-    calls, deltas = [], []
+def _record_tangents(monkeypatch):
+    """Record each tree whose tangent is assembled."""
+    orig = loc._int_tangent
+    calls = []
     monkeypatch.setattr(loc, "_int_tangent", lambda t: calls.append(t) or orig(t))
-    monkeypatch.setattr(loc, "_embedding_delta_ints",
-                        lambda t, m, mode: deltas.append((t, m, mode)) or orig_delta(t, m, mode))
-    return calls, deltas
+    return calls
 
 
 class TestEmbeddingConsistency:
@@ -315,36 +319,24 @@ class TestEmbeddingConsistency:
 
     def test_one_tangent_per_tree(self, monkeypatch):
         # every tree is certified by its edges' memoized residuals, so none
-        # assembles a tangent or builds a surplus
-        calls, deltas = _record_tangents_and_surpluses(monkeypatch)
+        # assembles a tangent
+        calls = _record_tangents(monkeypatch)
         for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
             for t in enumerate_fixed_graphs(k, n, d):
                 embedding_verdicts(t)
-                assert calls == deltas == [], t
+                assert calls == [], t
 
-    @pytest.mark.parametrize("fault,rebuilt", [
-        (_lift_last, None),
-        (_extra_at_first_iota_slot, None),
-        (_extra_at_top_iota_slot, ("iota",)),
-    ], ids=["lift-last", "extra-at-1-iota", "extra-at-top-iota"])
-    def test_one_tangent_per_tree_under_a_fault(self, monkeypatch, fresh_int_families, fault, rebuilt):
-        # a fault the misfits see leaves every tree certified (rebuilt None): no
-        # tangent, no surplus.  A fault in the top-slot surplus certifies no tree:
-        # each assembles its tangent once and builds its surplus at the top slot
-        # per mode, and slot by slot only in a mode whose top-slot surplus fails
+    @pytest.mark.parametrize("fault", [_lift_last, _extra_at_first_iota_slot, _extra_at_top_iota_slot],
+                             ids=["lift-last", "extra-at-1-iota", "extra-at-top-iota"])
+    def test_one_tangent_per_tree_under_a_fault(self, monkeypatch, fresh_int_families, fault):
+        # a fault the misfits or the surplus residuals see fails cases, but the
+        # base tangent stays certified: no tree assembles its tangent
         fault(monkeypatch)
-        calls, deltas = _record_tangents_and_surpluses(monkeypatch)
+        calls = _record_tangents(monkeypatch)
         for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
             for t in enumerate_fixed_graphs(k, n, d):
-                calls.clear()
-                deltas.clear()
                 assert not all(embedding_verdicts(t).values()), t
-                if rebuilt is None:
-                    assert calls == deltas == [], t
-                    continue
-                assert calls == [t]
-                assert deltas == [(t, m, mode) for mode in loc.MODES
-                                  for m in (n + 1, *(range(1, n + 1) if mode in rebuilt else ()))]
+                assert calls == [], t
 
 
 def _clear_memos():
@@ -381,7 +373,7 @@ class TestIntegerEmbedding:
                     for mode in ("iota", "kappa"):
                         delta = embedding_delta(t, m, mode)
                         assert min(delta.values(), default=0) >= 0, (t, m, mode)
-                        fast_delta = weights._embedding_delta_ints(t, m, mode)
+                        fast_delta = _embedding_delta_ints(t, m, mode)
                         assert nonzero(fast_delta) == encoded(delta), (t, m, mode)
                         merged = lifted.copy()
                         merged.update(delta)
@@ -389,14 +381,14 @@ class TestIntegerEmbedding:
                         assert embedding_cross_check(t, m, mode) == verdict, (t, m, mode)
 
     def test_negative_surplus_raises(self, monkeypatch):
-        orig = loc._embedding_delta_ints
+        orig = _embedding_delta_ints
 
         def overdrawn(*args):
             surplus = orig(*args)
             surplus.subtract({w: mult + 1 for w, mult in surplus.items()})
             return surplus
 
-        monkeypatch.setattr(loc, "_embedding_delta_ints", overdrawn)
+        monkeypatch.setattr(residual_oracle, "_embedding_delta_ints", overdrawn)
         t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
         for mode in ("iota", "kappa"):
             with pytest.raises(WeightConsistencyError, match="surplus went negative"):
@@ -407,10 +399,11 @@ class TestIntegerEmbedding:
         # in one mode, each edge piece adds one weight too many and the center's
         # piece removes two: the surplus keeps its size but goes negative
         edge_piece, point_piece = weights._edge_surplus_ints, weights._point_surplus_ints
-        monkeypatch.setattr(weights, "_edge_surplus_ints",
-                            lambda *a: (*edge_piece(*a), 1) if a[-1] == broken_mode else edge_piece(*a))
-        monkeypatch.setattr(weights, "_point_surplus_ints",
-                            lambda *a: (*point_piece(*a), 2, 2) if a[-1] == broken_mode else point_piece(*a))
+        for module in (loc, weights):
+            monkeypatch.setattr(module, "_edge_surplus_ints",
+                                lambda *a: (*edge_piece(*a), 1) if a[-1] == broken_mode else edge_piece(*a))
+            monkeypatch.setattr(module, "_point_surplus_ints",
+                                lambda *a: (*point_piece(*a), 2, 2) if a[-1] == broken_mode else point_piece(*a))
         t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
         with pytest.raises(WeightConsistencyError, match="surplus went negative"):
             embedding_verdicts(t)
@@ -421,7 +414,8 @@ class TestIntegerEmbedding:
     ], ids=["zero", "extra"])
     def test_wrong_surplus_piece_fails_tree_by_tree(self, monkeypatch, fresh_int_families, broken):
         orig = weights._edge_surplus_ints
-        monkeypatch.setattr(weights, "_edge_surplus_ints", lambda *a: broken(orig(*a)))
+        for module in (loc, weights):
+            monkeypatch.setattr(module, "_edge_surplus_ints", lambda *a: broken(orig(*a)))
         t = tree(2, 4, [(1, 2), (2, 3)], [(0, 1, 3)])
         verdicts = embedding_verdicts(t)
         assert not any(verdicts.values())
@@ -430,9 +424,10 @@ class TestIntegerEmbedding:
     @pytest.mark.parametrize("at_top", [False, True], ids=["first", "top"])
     def test_surplus_wrong_at_one_slot_fails_that_slot_only(self, monkeypatch, fresh_int_families, at_top):
         # in mode iota, each edge piece adds one weight too many at one slot only.
-        # Residuals and surplus share the piece, so both bindings are patched.  At
-        # the top slot the surplus checked for every slot is wrong, and every iota
-        # slot's surplus is checked slot by slot.
+        # The verdicts and the per-case check read the piece through different
+        # bindings, so both are patched.  The misfits single out that slot, and
+        # so does the per-case check.  At the top slot the surplus checked for
+        # every slot is wrong, so it is uncertified and every iota case fails.
         orig = weights._edge_surplus_ints
 
         def extra_at_one_slot(shared, b_u, b_v, deg, n, m, mode):
@@ -444,9 +439,15 @@ class TestIntegerEmbedding:
         monkeypatch.setattr(loc, "_edge_surplus_ints", extra_at_one_slot)
         for t in (tree(2, 4, [(1, 2), (2, 3)], [(0, 1, 3)]),
                   tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])):
+            wrong = (t.n + 1 if at_top else 1, "iota")
             verdicts = embedding_verdicts(t)
-            assert verdicts == {(m, mode): embedding_cross_check(t, m, mode) for m, mode in verdicts}
-            assert [case for case, ok in verdicts.items() if not ok] == [(t.n + 1 if at_top else 1, "iota")]
+            oracle = {case: embedding_cross_check(t, *case) for case in verdicts}
+            assert [case for case, ok in oracle.items() if not ok] == [wrong]
+            assert set().union(*(share.misfits for share in loc._edge_shares(t))) == {wrong}
+            if at_top:
+                assert verdicts == {(m, mode): ok and mode == "kappa" for (m, mode), ok in oracle.items()}
+            else:
+                assert verdicts == oracle
 
     def test_vertex_surplus_wrong_at_one_slot_fails_that_slot_only(self, monkeypatch, fresh_int_families):
         # in mode iota at slot 1 only, each vertex piece removes one weight too
@@ -606,6 +607,18 @@ CERTIFICATE_FAULTS = {
 }
 
 
+# the certificate faults, and one that only the misfits see
+VERDICT_FAULTS = {**CERTIFICATE_FAULTS, "short-point-at-1-iota": lambda monkeypatch, n:
+                  _short_point_piece_at_first_iota_slot(monkeypatch)}
+
+
+def _surplus_holds(t, m, mode, size):
+    """Does the tree's surplus at slot m hold no negative multiplicity, no zero
+    and `size` weights?"""
+    surplus = _embedding_delta_ints(t, m, mode)
+    return min(surplus.values(), default=0) >= 0 and not surplus[0] and sum(surplus.values()) == size
+
+
 def rehung(t):
     """The tree with its vertices renumbered, one of the highest valence first,
     and its edges listed in reverse, each from its v end to its u end: vertex 0
@@ -621,23 +634,25 @@ class TestCertificate:
     """The per-edge residual certificate against the full checks it stands for."""
 
     def test_every_small_tree_is_certified(self):
-        # no tree with n <= 5 falls back on assembling its tangent or surplus
+        # every tree with n <= 5 has its base tangent and both surpluses certified
         trees = [t for n in range(2, 6) for k in range(1, n) for d in (1, 2, 3) for t in fixed_graphs(k, n, d)]
         assert len(trees) == 6406
-        assert [t for t in trees if not loc._certified(t, loc._edge_shares(t))] == []
+        assert [t for t in trees if loc._certified(t, loc._edge_shares(t)) != (True, True, True)] == []
 
     @pytest.mark.parametrize("fault", CERTIFICATE_FAULTS.values(), ids=CERTIFICATE_FAULTS)
     def test_certified_iff_the_full_check_passes(self, monkeypatch, fresh_int_families, fault):
-        # under each fault, a tree is certified iff its tangent passes
-        # `_checked_int_counts` and its top-slot surplus holds in both modes
+        # under each fault, a tree's base tangent is certified iff it passes
+        # `_checked_int_counts`, and its surplus in a mode iff the top-slot
+        # surplus holds there
         def passes(t, k, n, d):
-            base = moduli_dimension(k, n, d)
             try:
-                loc._checked_int_counts(t, loc._int_tangent(t))
-                return all(loc._surplus_holds(t, n + 1, mode, moduli_dimension(k_up, n + 1, d) - base)
-                           for mode, k_up in zip(loc.MODES, (k, k + 1)))
+                tangent_sign_counts(t)
+                base = True
             except WeightConsistencyError:
-                return False
+                base = False
+            dim = moduli_dimension(k, n, d)
+            return (base, *(_surplus_holds(t, n + 1, mode, moduli_dimension(k_up, n + 1, d) - dim)
+                            for mode, k_up in zip(loc.MODES, (k, k + 1))))
 
         for n in range(2, 5):
             with monkeypatch.context() as patch:
@@ -653,14 +668,30 @@ class TestCertificate:
         # centre, made opposite, smooth the node to a zero weight
         t = tree(1, 2, [(1,), (2,), (2,)], [(0, 1, 1), (0, 2, 1)])
         shares = loc._edge_shares(t)
-        assert loc._certified(t, shares)
-        assert not loc._certified(t, [shares[0], shares[1]._replace(omega=-shares[0].omega)])
+        assert loc._certified(t, shares) == (True, True, True)
+        assert loc._certified(t, [shares[0], shares[1]._replace(omega=-shares[0].omega)]) == (False, True, True)
+
+    def test_a_tangent_its_shares_do_not_certify_raises(self, monkeypatch, fresh_int_families):
+        # each edge family gains a weight x and every Grassmannian tangent two:
+        # at the centre of a two-edge path they cancel, so the assembled tangent
+        # passes its checks, but the edge hung from the centre keeps x at -1, and
+        # the shares alone refuse the tree
+        t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
+        family, point = loc._edge_h0_ints, loc._point_tangent_ints
+        monkeypatch.setattr(loc, "_edge_h0_ints", lambda *a: (*family(*a), 5))
+        monkeypatch.setattr(loc, "_point_tangent_ints", lambda *a: (*point(*a), 5, 5))
+        assert tangent_sign_counts(t) == (4, 1)
+        assert loc._certified(t, loc._edge_shares(t))[0] is False
+        with pytest.raises(WeightConsistencyError, match="do not certify"):
+            embedding_verdicts(t)
 
     @pytest.mark.parametrize("fault", [None, _short_point_piece_at_first_iota_slot, _extra_at_top_iota_slot],
                              ids=["none", "short-point-at-1-iota", "extra-at-top-iota"])
     def test_rehung_trees_keep_their_verdicts(self, monkeypatch, fresh_int_families, fault):
         # hung from another leaf, with edges oriented the other way, a tree keeps
-        # its verdicts, case by case equal to the per-case check
+        # its verdicts, case by case equal to the per-case check, except that a
+        # wrong top-slot iota surplus fails every iota case, where the per-case
+        # check fails the top one only
         if fault:
             fault(monkeypatch)
         cells = [(k, n, d) for n in (2, 3) for k in range(1, n) for d in (1, 2, 3)] + [(2, 4, 2)]
@@ -669,6 +700,34 @@ class TestCertificate:
             assert s.valences()[0] > 1 or len(s.edges) == 1
             verdicts = embedding_verdicts(s)
             assert verdicts == embedding_verdicts(t), s
-            assert verdicts == {case: embedding_cross_check(s, *case) for case in verdicts}, s
+            oracle = {case: embedding_cross_check(s, *case) for case in verdicts}
+            if fault is _extra_at_top_iota_slot:
+                assert verdicts == {(m, mode): ok and mode == "kappa" for (m, mode), ok in oracle.items()}, s
+            else:
+                assert verdicts == oracle, s
             if fault is None:
-                assert loc._certified(s, loc._edge_shares(s)), s
+                assert loc._certified(s, loc._edge_shares(s)) == (True, True, True), s
+
+    @pytest.mark.parametrize("fault", VERDICT_FAULTS.values(), ids=VERDICT_FAULTS)
+    def test_no_verdict_passes_a_case_the_per_case_check_fails(self, monkeypatch, fresh_int_families, fault):
+        # under each fault the verdicts may fail cases the per-case check
+        # passes, but never pass one it fails or raises on; a tree whose
+        # verdicts raise passes no case
+        cases = passed = 0
+        for n in (2, 3):
+            with monkeypatch.context() as patch:
+                fault(patch, n)
+                _clear_memos()
+                for t in (t for k in range(1, n) for d in (1, 2, 3) for t in fixed_graphs(k, n, d)):
+                    try:
+                        verdicts = embedding_verdicts(t)
+                    except WeightConsistencyError:
+                        verdicts = dict.fromkeys(loc._cases(n), False)
+                    for case, ok in verdicts.items():
+                        if ok:
+                            assert embedding_cross_check(t, *case), (t, case)
+                    cases += len(verdicts)
+                    passed += sum(verdicts.values())
+        _clear_memos()
+        assert cases == 924
+        assert passed < cases

