@@ -2,12 +2,16 @@
 
 The localization sum of `localization` has, for each degree d <= 3, a
 closed-form companion: a rational expression in q that must collapse to the
-same polynomial.  Each evaluation here builds the complete numerator as one
-integer product (every factor at q = 2^(8w), w bytes per coefficient from a
-bound on the numerator's), reads its coefficients back once, and performs a
-*single* exact division at the end; a remainder at that point means the
-formula and the inputs are inconsistent (a transcription or reasoning bug,
-never a user error) and surfaces as TheoremViolationError.
+same polynomial.  No evaluation here multiplies two polynomials.  Degree 1
+extends a Gaussian binomial by two strided divisions, as `qbinomial` builds
+one.  Degrees 2 and 3 build the complete numerator as one integer product:
+`_pack` evaluates every factor at q = 2^(8w), w bytes per coefficient from a
+bound on the numerator's, and `_unpack` reads the product's coefficients
+back from its digits (Kronecker substitution; Python integers are exact at
+any size).  A *single* exact division follows at the end; a remainder at
+that point means the formula and the inputs are inconsistent (a
+transcription or reasoning bug, never a user error) and surfaces as
+TheoremViolationError.
 
 Degrees:
   1  product of two Gaussian binomials -- the space fibers over the
@@ -27,13 +31,12 @@ six-term form (`repeated_leaf_family_closed_form`).
 from __future__ import annotations
 
 from math import comb
+from operator import lshift
 
 from .qpoly import (
     QPolynomial,
     DivisibilityError,
     _dense,
-    _pack,
-    _unpack,
     exact_div,
     q_power,
     qbinomial,
@@ -71,7 +74,7 @@ _D3_CROSS = QPolynomial({0: 2, 2: 3, 3: 1, 4: -1, 5: -3, 7: -2})
 # expressions in `closed_form_result`: each 1 + q^e and each q^a + q^b has
 # norm 2, so the degree-2 bracket's norm is at most 2*2 + 2*2, and the
 # degree-3 blocks' norms weigh 2, 2, 2*2*2 and 2*2*2*2.
-_BRACKET_NORM = {2: 8, 3: sum(weight * sum(map(abs, block._c)) for weight, block
+_BRACKET_NORM = {2: 8, 3: sum(weight * sum(map(abs, block.coefficient_list())) for weight, block
                               in ((2, _D3_MAIN), (2, _D3_SPLIT), (8, _D3_EVEN), (16, _D3_CROSS)))}
 
 
@@ -82,11 +85,32 @@ def _coefficient_bound(k: int, n: int, d: int) -> int:
     return 2 * 2 * _BRACKET_NORM[d] * comb(n, k)
 
 
+def _pack(coeffs: list[int], width: int) -> int:
+    """The integer sum(c * 2^(8*width*e)): the polynomial at q = 2^(8*width)."""
+    return sum(map(lshift, coeffs, range(0, 8 * width * len(coeffs), 8 * width)))
+
+
+def _unpack(value: int, width: int, slots: int) -> list[int]:
+    """The coefficients c_0..c_(slots-1) of value = sum(c_e * 2^(8*width*e)),
+    each strictly inside +-2^(8*width-1), none above slot slots-1.
+
+    Adding `half` in every slot makes each digit c + half, in [0, 2^(8*width)),
+    so no digit borrows from the next.
+    """
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    digits = (value + offset).to_bytes(width * slots, "little")
+    return [int.from_bytes(digits[at : at + width], "little") - half
+            for at in range(0, len(digits), width)]
+
+
 def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
     """The closed form of degree d at G(k, n).
 
-    Degree 1 is the Gaussian-binomial product from the flag-variety
-    fibration, with no division.  Degrees 2 and 3 multiply a bracket by
+    Degree 1 is the Gaussian-binomial product [n, k-1] * [n-k+1, 2] from
+    the flag-variety fibration, built as `qbinomial` builds its own: from
+    [n, k-1], times 1 - q^(n-k-1+i) and divided by 1 - q^i for i = 1, 2,
+    each step exact.  Degrees 2 and 3 multiply a bracket by
     (1-q^k)(1-q^(n-k)) and the Grassmannian's Poincare polynomial, then
     divide once by the degree's fixed denominator.  That numerator is one
     integer product at q = 2^(8w), w bytes holding `_coefficient_bound`,
@@ -97,8 +121,12 @@ def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if d == 1:
-        return qbinomial(n, k - 1) * qbinomial(n - k + 1, 2)
-    width = _coefficient_bound(k, n, d).bit_length() // 8 + 1  # as in QPolynomial.__mul__
+        result = qbinomial(n, k - 1)
+        for i in (1, 2):
+            result = exact_div(result - result.shifted(n - k - 1 + i), (i,))
+        return result
+    # w bytes hold every coefficient strictly inside +-2^(8w-1)
+    width = _coefficient_bound(k, n, d).bit_length() // 8 + 1
 
     def q(e: int) -> int:
         return 1 << (8 * width * e)
@@ -107,7 +135,7 @@ def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
         bracket = (1 + q(n)) * (1 + q(3)) - q(1) * (1 + q(1)) * (q(k) + q(n - k))
         den = _D2_DENOMINATOR
     else:
-        main, split, even, cross = (_pack(block._c, width)
+        main, split, even, cross = (_pack(block.coefficient_list(), width)
                                     for block in (_D3_MAIN, _D3_SPLIT, _D3_EVEN, _D3_CROSS))
         bracket = (
             main * (1 + q(2 * n))
@@ -116,7 +144,7 @@ def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
             * (even * q(n) * (1 + q(2)) - cross * q(1) * (1 + q(n)) * (q(k) + q(n - k)))
         )
         den = _D3_DENOMINATOR
-    value = (1 - q(k)) * (1 - q(n - k)) * bracket * _pack(qbinomial(n, k)._c, width)
+    value = (1 - q(k)) * (1 - q(n - k)) * bracket * _pack(qbinomial(n, k).coefficient_list(), width)
     num = _dense(_unpack(value, width, value.bit_length() // (8 * width) + 1))
     return _divide_or_die(num, den, f"degree-{d} closed form at (k={k}, n={n})")
 

@@ -190,16 +190,17 @@ def _generate(k: int, n: int, d: int) -> Iterator[DecoratedTree]:
                 )
         for c1 in labels:
             for c2 in nbr[c1]:
+                # a path end1 - c1 - c2 - end2; one orientation (neighbours differ)
+                if c1 > c2:
+                    continue
                 for end1 in nbr[c1]:
                     for end2 in nbr[c2]:
-                        # a path end1 - c1 - c2 - end2; generate one orientation only
-                        if (c1, end1) < (c2, end2):
-                            yield DecoratedTree(
-                                k,
-                                n,
-                                (end1, c1, c2, end2),
-                                (Edge(0, 1, 1), Edge(1, 2, 1), Edge(2, 3, 1)),
-                            )
+                        yield DecoratedTree(
+                            k,
+                            n,
+                            (end1, c1, c2, end2),
+                            (Edge(0, 1, 1), Edge(1, 2, 1), Edge(2, 3, 1)),
+                        )
 
 
 def shape_of(tree: DecoratedTree) -> str:

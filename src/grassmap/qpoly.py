@@ -23,20 +23,16 @@ numerator - quotient * prod(1 - q^j), is attached to the raised
 remainder escaping one of the closed-form evaluations is a mathematical
 inconsistency (the rational expression failed to collapse to a polynomial),
 not a user error, and is treated as such by callers.  A product of two
-polynomials is one product of two integers (Kronecker substitution): each
-factor is evaluated at q = 2^(8w), with w bytes per coefficient chosen from a
-bound on the product's coefficients, and the product's coefficients are read
-back from the digits of the integer product (`_pack` evaluates, `_unpack`
-reads back; `closedform` uses the same pair for a whole numerator).  Python
-integers are exact at any size, so this is exact too.
+polynomials is the schoolbook rule: each coefficient pair adds its product
+into the slot of its exponents' sum.  (`closedform` evaluates its large
+numerators with one integer product instead.)
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cache
-from operator import lshift
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 
 class DivisibilityError(ArithmeticError):
@@ -50,21 +46,16 @@ class DivisibilityError(ArithmeticError):
 class QPolynomial:
     """Integer polynomial in q, held as one dense coefficient tuple.
 
-    Built from {exponent: coefficient} or (exponent, coefficient) pairs, with
-    exponents >= 0 (repeated exponents add up).  Instances are immutable:
-    every operation returns a new polynomial.  They hash by value, so they
-    can key dicts and be cached freely.
+    Built from {exponent: coefficient} with exponents >= 0.  Instances are
+    immutable: every operation returns a new polynomial.
     """
 
     __slots__ = ("_c",)
 
-    def __init__(
-        self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] | None = None
-    ) -> None:
+    def __init__(self, coeffs: Mapping[int, int] | None = None) -> None:
         acc: list[int] = []
         if coeffs is not None:
-            items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-            for e, c in items:
+            for e, c in coeffs.items():
                 if not isinstance(e, int) or not isinstance(c, int):
                     raise TypeError("exponents and coefficients must be integers")
                 if e < 0:
@@ -74,15 +65,6 @@ class QPolynomial:
         self._c = _trimmed(acc)
 
     # -- inspection ---------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        if not self._c:
-            raise ValueError("the zero polynomial has no degree")
-        return len(self._c) - 1
-
-    def coefficient(self, exponent: int) -> int:
-        return self._c[exponent] if 0 <= exponent < len(self._c) else 0
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """Yield the nonzero (exponent, coefficient) pairs in ascending exponent order."""
@@ -104,23 +86,16 @@ class QPolynomial:
             return NotImplemented
         return _dense([a - b for a, b in itertools.zip_longest(self._c, other._c, fillvalue=0)])
 
-    def __mul__(self, other: "QPolynomial | int") -> "QPolynomial":
-        if isinstance(other, int):
-            return _dense([c * other for c in self._c])
+    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
         if not isinstance(other, QPolynomial):
             return NotImplemented
         a, b = self._c, other._c
-        if not a or not b:
-            return ZERO
-        # Kronecker substitution: evaluate both factors at q = 2^(8*width),
-        # multiply the two integers, and read the product's coefficients back
-        # from its base-2^(8*width) digits; `width` bytes hold every product
-        # coefficient strictly inside +-2^(8*width-1)
-        bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-        width = bound.bit_length() // 8 + 1
-        return _dense(_unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1))
-
-    __rmul__ = __mul__
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _dense(out)
 
     def shifted(self, offset: int) -> "QPolynomial":
         """Multiply by q^offset (offset >= 0)."""
@@ -128,19 +103,12 @@ class QPolynomial:
             raise ValueError(f"negative shift {offset}: polynomials in q start at q^0")
         return _dense([0] * offset + list(self._c))
 
-    def __call__(self, x: int) -> int:
-        """Evaluate at an integer point (exactly; q=1 gives Euler numbers)."""
-        return sum(c * x**e for e, c in enumerate(self._c))
-
-    # -- comparison / hashing / display --------------------------------------
+    # -- comparison / display -----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QPolynomial):
             return self._c == other._c
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._c)
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -180,25 +148,6 @@ def _dense(coeffs: list[int]) -> QPolynomial:
 
 ZERO = QPolynomial()
 ONE = QPolynomial({0: 1})
-
-
-def _pack(coeffs: tuple[int, ...], width: int) -> int:
-    """The integer sum(c * 2^(8*width*e)): the polynomial at q = 2^(8*width)."""
-    return sum(map(lshift, coeffs, range(0, 8 * width * len(coeffs), 8 * width)))
-
-
-def _unpack(value: int, width: int, slots: int) -> list[int]:
-    """The coefficients c_0..c_(slots-1) of value = sum(c_e * 2^(8*width*e)),
-    each strictly inside +-2^(8*width-1), none above slot slots-1.
-
-    Adding `half` in every slot makes each digit c + half, in [0, 2^(8*width)),
-    so no digit borrows from the next.
-    """
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
-    digits = (value + offset).to_bytes(width * slots, "little")
-    return [int.from_bytes(digits[at : at + width], "little") - half
-            for at in range(0, len(digits), width)]
 
 
 def q_power(exponent: int) -> QPolynomial:

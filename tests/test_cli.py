@@ -47,6 +47,10 @@ GRAPHS_DIGESTS = {
     "2-4-3-text": "76edb6f832de5b61538c6261eaa2580976cdb7cdadd1311f3b398275dd1707e1",
 }
 
+# sha256 of uncapped `verify --suite all` stdout: a change that widens a check
+# re-pins it
+VERIFY_ALL_DIGEST = "e640980cece7b41af6a0cea204c5b81f591fd002fd6f021e58a8d5a305a642d9"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -721,6 +725,11 @@ class TestVerify:
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == want
             assert bool(err) == bool(flags)
+
+    def test_uncapped_stdout_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST
 
     @pytest.mark.parametrize("suite", ["all", "tables"])
     def test_stats_schema(self, capsys, suite):

@@ -1,19 +1,22 @@
-"""The code names the prose gives resolve to code.
+"""The code names the prose gives resolve to code, and README's examples run.
 
 Every backticked name in README.md and in the docstrings of `grassmap` that
 is dotted, snake_case or `_private` must be an attribute of a grassmap
-module, so a renamed or deleted function cannot linger in the prose.
+module, so a renamed or deleted function cannot linger in the prose.  Every
+`$ grassmap ...` example in README.md must print the lines shown under it.
 """
 
 import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import grassmap
+from grassmap.cli import main
 
 PACKAGE = Path(grassmap.__file__).resolve().parent
 README = PACKAGE.parent.parent / "README.md"
@@ -67,3 +70,36 @@ def test_scan_sees_names():
     # the scan reads the prose at all: these stand in README.md and a docstring
     assert {"grassmap.checks", "fixed_graphs"} <= code_names(SOURCES["README.md"])
     assert "localization.sound_row" in code_names(SOURCES["cli.py"])
+
+
+def readme_examples() -> list[tuple[str, list[str]]]:
+    """(command, shown lines) of each `$ grassmap ...` line in README's sh
+    blocks; the shown lines run up to the next blank line."""
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", SOURCES["README.md"], re.M | re.S):
+        for chunk in block.split("\n\n"):
+            command, *shown = chunk.strip("\n").split("\n")
+            if command.startswith("$ grassmap "):
+                examples.append((command[2:], shown))
+    return examples
+
+
+EXAMPLES = readme_examples()
+
+
+def test_scan_sees_examples():
+    assert [command.split()[1] for command, _ in EXAMPLES] == \
+        ["betti", "betti", "graphs", "graphs", "verify"]
+
+
+@pytest.mark.parametrize("command, shown", EXAMPLES, ids=[command for command, _ in EXAMPLES])
+def test_readme_example_prints_what_it_shows(command, shown, capsys, monkeypatch):
+    # a trailing `# comment` is dropped; `...` stands for any run of lines;
+    # an example that shows no output must still exit 0
+    monkeypatch.delenv("GRASSMAP_CACHE", raising=False)
+    assert main(shlex.split(command, comments=True)[1:]) == 0
+    out = capsys.readouterr().out
+    if shown:
+        pattern = "".join(r"(?:.*\n)*" if line == "..." else re.escape(line) + "\n"
+                          for line in shown)
+        assert re.fullmatch(pattern, out), out

@@ -201,6 +201,12 @@ class TestEnumeration:
                 count += 1
             assert len(keys) == count
 
+    def test_three_edge_paths_run_from_the_smaller_middle_label(self):
+        # each path end1 - c1 - c2 - end2 comes out in the one orientation c1 < c2
+        for k, n in [(1, 3), (2, 4), (2, 5), (3, 6), (1, 6)]:
+            paths = [t for t in fixed_graphs(k, n, 3) if shape_of(t) == "path111"]
+            assert paths and all(t.vertices[1] < t.vertices[2] for t in paths)
+
     def test_output_sorted_and_deterministic(self):
         trees = enumerate_fixed_graphs(2, 4, 3)
         keys = [t.canonical_key() for t in trees]

@@ -143,16 +143,16 @@ class TestPoincare:
     def test_euler_number_is_fixed_point_count(self):
         for k, n, d in [(1, 3, 2), (2, 4, 2), (1, 3, 3)]:
             p = poincare_localization(k, n, d)
-            assert p(1) == len(enumerate_fixed_graphs(k, n, d))
+            assert sum(p.coefficient_list()) == len(enumerate_fixed_graphs(k, n, d))
 
     def test_palindromic_with_unit_ends(self):
         for k, n, d in [(1, 3, 2), (2, 4, 3), (1, 4, 2)]:
             p = poincare_localization(k, n, d)
             dim = moduli_dimension(k, n, d)
             row = p.coefficient_list()
-            assert p.degree == dim
+            assert len(row) - 1 == dim
             assert row == row[::-1]
-            assert p.coefficient(0) == 1 and p.coefficient(dim) == 1
+            assert row[0] == 1 and row[dim] == 1
 
     def test_complement_symmetry(self):
         for d in (1, 2, 3):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassmap import checks
+from grassmap.closedform import _pack, _unpack
 from grassmap.qpoly import (
     ONE,
     ZERO,
@@ -23,8 +24,8 @@ def P(d):
     return QPolynomial(d)
 
 
-# -- the dict algorithms `QPolynomial.__mul__` and `exact_div` replaced, kept
-# as oracles for the packed-integer product and the strided division
+# -- dict algorithms kept as oracles: for the dense product and the packed
+# integer product of `closedform`, and for the strided division
 
 def schoolbook_mul(a, b):
     out = {}
@@ -79,17 +80,10 @@ def division_outcome(divide, numerator, denominator):
 class TestBasics:
     def test_canonicalization_drops_zeros(self):
         assert P({0: 1, 3: 0}) == P({0: 1})
-        assert P([(1, 2), (1, -2)]) == ZERO
 
     def test_rejects_non_integers(self):
         with pytest.raises(TypeError):
             P({0: 1.5})
-
-    def test_degree(self):
-        p = P({1: 2, 4: 1})
-        assert p.degree == 4
-        with pytest.raises(ValueError):
-            _ = ZERO.degree
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -97,26 +91,18 @@ class TestBasics:
 
     def test_dense_coefficients(self):
         assert P({4: 1, 1: 2}).coefficient_list() == [0, 2, 0, 0, 1]
-        assert P([(2, 1), (2, 3)]).coefficient(2) == 4
-        assert P({2: 1}).coefficient(-1) == P({2: 1}).coefficient(3) == 0
 
     def test_no_trailing_zero_survives(self):
         a = P({0: 1, 3: 2})
         b = P({0: 1, 3: -2})
         assert (a - a).coefficient_list() == [0] and not a - a
         assert (a + b).coefficient_list() == [2]
-        assert (a * 0).coefficient_list() == [0]
-        assert not a * ZERO and (a * b).degree == 6
+        assert (a * ZERO).coefficient_list() == [0]
+        assert not a * ZERO and len((a * b).coefficient_list()) - 1 == 6
         assert exact_div(a - a.shifted(3), (3,)).coefficient_list() == [1, 0, 0, 2]
-
-    def test_hash_follows_terms(self):
-        for p in (ZERO, ONE, P({0: 1, 3: -7, 12: 10**40}), P({5: 1}) - P({5: 1})):
-            assert hash(p) == hash(QPolynomial(p.terms()))
-            assert p in {QPolynomial(p.terms())}
 
     def test_never_equals_an_int(self):
         assert ONE != 1 and ZERO != 0 and P({0: 5}) != 5
-        assert 1 not in {ONE} and ONE not in {1}
 
     def test_arithmetic(self):
         a = P({0: 1, 1: 1})
@@ -124,12 +110,6 @@ class TestBasics:
         assert a * b == P({0: 1, 2: -1})
         assert a + b == P({0: 2})
         assert a - a == ZERO
-        assert 3 * a == P({0: 3, 1: 3})
-
-    def test_evaluation(self):
-        p = P({0: 1, 2: 2})
-        assert p(1) == 3
-        assert p(2) == 9
 
     def test_str(self):
         assert str(P({0: 1, 1: 1, 2: 2, 4: -1})) == "1 + q + 2*q^2 - q^4"
@@ -186,14 +166,14 @@ class TestQBinomial:
     @pytest.mark.parametrize("n", range(9))
     def test_specializes_to_binomial(self, n):
         for k in range(n + 1):
-            assert qbinomial(n, k)(1) == math.comb(n, k)
+            assert sum(qbinomial(n, k).coefficient_list()) == math.comb(n, k)
 
     def test_degree_and_palindromy(self):
         for n in range(1, 9):
             for k in range(n + 1):
                 p = qbinomial(n, k)
-                assert p.degree == k * (n - k) if k * (n - k) else p == ONE
                 row = p.coefficient_list()
+                assert len(row) - 1 == k * (n - k) if k * (n - k) else p == ONE
                 assert row == row[::-1]
                 assert all(c > 0 for _, c in p.terms())
 
@@ -267,6 +247,17 @@ def test_mul_matches_schoolbook(a, b):
     assert a * b == schoolbook_mul(a, b)
 
 
+def packed_mul(a, b):
+    """a * b as one integer product (Kronecker substitution) through
+    `closedform`'s packing, with the byte-width rule of `closed_form_result`
+    applied to a bound on the product's coefficients."""
+    a, b = a.coefficient_list(), b.coefficient_list()
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    width = bound.bit_length() // 8 + 1
+    product = _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
+    return P(dict(enumerate(product)))
+
+
 @pytest.mark.parametrize("magnitude", [1, 127, 128, 255, 256, 2**63, 2**64 - 1, 2**64])
 @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
 def test_mul_at_the_coefficient_bound(magnitude, signs):
@@ -275,8 +266,16 @@ def test_mul_at_the_coefficient_bound(magnitude, signs):
     for length in range(1, 5):
         a = P({e: signs[0] * magnitude for e in range(length)})
         b = P({2 * e: signs[1] * magnitude for e in range(length)})
-        assert a * b == schoolbook_mul(a, b)
-        assert a * a == schoolbook_mul(a, a)
+        assert packed_mul(a, b) == schoolbook_mul(a, b)
+        assert packed_mul(a, a) == schoolbook_mul(a, a)
+
+
+@pytest.mark.parametrize("width", [1, 2, 8, 9])
+def test_pack_round_trips_at_the_slot_edges(width):
+    # `_unpack` reads back every coefficient strictly inside +-2^(8*width-1)
+    edge = (1 << (8 * width - 1)) - 1
+    for coeffs in ([edge, -edge, 0, -1, 1], [-edge] * 4, [0, 0, edge], [-1]):
+        assert _unpack(_pack(coeffs, width), width, len(coeffs)) == coeffs
 
 
 @given(wide_polys, factor_lists, wide_polys)
