@@ -8,9 +8,10 @@ on a pass.  `max_n` caps the ambient dimension (None: the suite's default).
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
-from . import closedform, fixedgraphs, localization, qpoly
+from . import closedform, embedding, fixedgraphs, localization, qpoly
 
 Checks = Iterator[tuple[str, bool | None, str]]
 
@@ -32,6 +33,20 @@ def _sweep(max_n: int | None) -> list[tuple[int, int, int]]:
 def _all_degrees(cap: int) -> list[tuple[int, int, int]]:
     """Every cell with n <= cap and d = 1..3, by n, then k, then d."""
     return [(k, n, d) for n in range(2, cap + 1) for k in range(1, n) for d in (1, 2, 3)]
+
+
+def first_differences(rows: dict[str, list[int]]) -> str:
+    """Where each pair of the named Betti rows first differs, as in "first
+    difference at q^3: loc 11, closed 12", joined by "; " (an entry past the
+    end of a row is 0); empty iff all agree."""
+    width = max(map(len, rows.values()))
+    padded = {name: row + [0] * (width - len(row)) for name, row in rows.items()}
+    found = []
+    for (x, a), (y, b) in itertools.combinations(padded.items(), 2):
+        e = next((e for e in range(width) if a[e] != b[e]), None)
+        if e is not None:
+            found.append(f"first difference at q^{e}: {x} {a[e]}, {y} {b[e]}")
+    return "; ".join(found)
 
 
 def _identity(name: str, cases, holds) -> tuple[str, bool, str]:
@@ -125,20 +140,20 @@ def symmetry(max_n: int | None) -> Checks:
     """Over the sweep, G(k,n) and G(n-k,n) give the same polynomial."""
     for k, n, d in _sweep(max_n):
         if 2 * k <= n:
-            ok = localization.poincare_localization(k, n, d) == localization.poincare_localization(n - k, n, d)
-            yield f"symmetry ({k},{n})<->({n-k},{n}) d={d}", ok, ""
+            detail = first_differences({f"({j},{n})": localization.poincare_localization(j, n, d).coefficient_list()
+                                        for j in (k, n - k)})
+            yield f"symmetry ({k},{n})<->({n-k},{n}) d={d}", not detail, detail
 
 
 def embeddings(max_n: int | None) -> Checks:
     """Every fixed tree with n<=6, d=1..3, embedded into every m<=n+1 both ways,
     changes its tangent weights by exactly the predicted delta (tree by tree,
-    `localization.embedding_verdicts`)."""
+    `embedding.failed_cases`)."""
     for k, n, d in _all_degrees(max_n or 6):
         cases = failures = 0
         for tree in fixedgraphs.fixed_graphs(k, n, d):
-            verdicts = localization.embedding_verdicts(tree).values()
-            cases += len(verdicts)
-            failures += sum(not ok for ok in verdicts)
+            cases += 2 * (n + 1)
+            failures += len(embedding.failed_cases(tree))
         ok = cases > 0 and failures == 0
         yield f"embeddings ({k},{n}) d={d}", ok, "" if ok else f"{failures} failures in {cases} cases"
 
@@ -149,21 +164,24 @@ def theorems(max_n: int | None) -> Checks:
     Wider than `SWEEP`, which `duality` enumerates tree by tree: the
     localization sum builds no trees."""
     for k, n, d in [(k, n, d) for d in (2, 3) for n in range(2, (max_n or 9) + 1) for k in range(1, n)]:
-        loc = localization.poincare_localization(k, n, d)
-        yield f"theorems ({k},{n}) d={d}", loc == closedform.closed_form_result(k, n, d), ""
+        detail = first_differences({"loc": localization.poincare_localization(k, n, d).coefficient_list(),
+                                    "closed": closedform.closed_form_result(k, n, d).coefficient_list()})
+        yield f"theorems ({k},{n}) d={d}", not detail, detail
 
 
 def families(max_n: int | None) -> Checks:
     """The degree-2 triangle family, n<=6, by index sum, closed form and
-    localization.  The repeated-leaf family is compared too, but only as
-    information (ok None): its family predicate rests on a resolved ambiguity."""
+    localization, a failure naming each pair that differs.  The repeated-leaf
+    family is compared too, but only as information (ok None): its family
+    predicate rests on a resolved ambiguity."""
     cap = max_n or 6
     for n in range(3, cap + 1):
         for k in range(2, n):
-            idx = closedform.triangle_family_index_sum(k, n)
-            cf = closedform.triangle_family_closed_form(k, n)
-            loc = localization.stratum_family_contribution(k, n, localization._is_triangle_config)
-            yield f"families triangle ({k},{n})", idx == cf == loc, ""
+            sums = {"index": closedform.triangle_family_index_sum(k, n),
+                    "closed": closedform.triangle_family_closed_form(k, n),
+                    "loc": localization.stratum_family_contribution(k, n, localization._is_triangle_config)}
+            detail = first_differences({name: p.coefficient_list() for name, p in sums.items()})
+            yield f"families triangle ({k},{n})", not detail, detail
     for n in range(2, cap + 1):
         for k in range(1, n):
             loc = localization.stratum_family_contribution(k, n, localization._is_repeated_leaf_config)

@@ -13,10 +13,12 @@ Three subcommands:
            `grassmap.checks`, which the acceptance tests assert too; this
            module only renders their results.
 
-Exit codes: 0 success; 1 a mathematical disagreement or failed check;
-2 bad usage (including degrees above 3) or an I/O fault (an OSError, such
-as a cache path that cannot be read or written).  A reader that closes stdout
-early ends the run with exit 2 and nothing on stderr.
+Exit codes: 0 success; 1 a mathematical disagreement or failed check
+(among them a fresh Betti row that is not sound, which is neither printed
+nor cached); 2 bad usage (including degrees above 3), an I/O fault (an
+OSError, such as a cache path that cannot be read or written) or running out
+of memory (a MemoryError).  A reader that closes stdout early ends the run
+with exit 2 and nothing on stderr.
 
 `betti` and `graphs` take exactly one of -k and --k-range a..b (an inclusive,
 non-empty range), and likewise for n and d; argparse refuses any other request
@@ -152,6 +154,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except (closedform.TheoremViolationError, WeightConsistencyError, qpoly.DivisibilityError) as exc:
         print(f"mathematical inconsistency: {exc}", file=sys.stderr)
         return 1
@@ -179,12 +184,16 @@ def _cells(args) -> list[tuple[int, int, int]]:
 
 
 def _betti_payload(k: int, n: int, d: int, method: str) -> dict:
+    """The cell's fresh payload by one method; a Betti row that is not sound
+    (`localization.sound_row`) raises that route's own mathematical error."""
     if method == "localization":
-        poly = localization.poincare_localization(k, n, d)
+        poly, error = localization.poincare_localization(k, n, d), WeightConsistencyError
     else:
-        poly = closedform.closed_form_result(k, n, d)
-    return {"k": k, "n": n, "d": d, "method": method,
-            "dim": localization.moduli_dimension(k, n, d), "betti": poly.coefficient_list()}
+        poly, error = closedform.closed_form_result(k, n, d), closedform.TheoremViolationError
+    row = poly.coefficient_list()
+    if not localization.sound_row(k, n, d, row):
+        raise error(f"unsound Betti row {row} at k={k} n={n} d={d} by {method}")
+    return {"k": k, "n": n, "d": d, "method": method, "dim": localization.moduli_dimension(k, n, d), "betti": row}
 
 
 def _read_cached(path: str, k: int, n: int, d: int, method: str) -> tuple[dict, str] | None:
@@ -337,7 +346,8 @@ def cmd_betti(args, parser) -> int:
                 else:
                     per_method.append((_betti_payload(k, n, d, method), None))
             if len(per_method) == 2 and per_method[0][0]["betti"] != per_method[1][0]["betti"]:
-                disagreements.append(f"k={k} n={n} d={d}")
+                rows = {"loc": per_method[0][0]["betti"], "closed": per_method[1][0]["betti"]}
+                disagreements.append(f"k={k} n={n} d={d}: {checks.first_differences(rows)}")
             yield from per_method
 
     if args.format == "json":

@@ -14,10 +14,7 @@ Scaling by 6 clears every denominator, every scaled coefficient lies in
 equal to the weight's sign; `_digits` reads the scaled coefficients back.
 The encoding is linear, so each family below is built from the encoded
 characters (`_characters`) alone, and each division is exact because every
-encoded character is a multiple of 6.  `_lift` reads a weight in n+1
-characters, the new one at slot m, by inserting a zero digit there: a_i
-becomes a_{i+1} for i >= m, no lifted weight involves the new a_m, and
-every sign is kept.
+encoded character is a multiple of 6.
 
 Torus-fixed points of the Grassmannian G(k, n) are the k-subsets of {1..n}
 (coordinate subspaces).  Its tangent space at a label carries the k(n-k)
@@ -37,30 +34,13 @@ a multiset of size k(n-k) + d*n containing exactly one zero (c = 0 in (d),
 later cancelled by the reparametrization algebra of the edge).  The cover's
 domain has the tangent character (1/d) (a_{b_v} - a_{b_u}) at its end over
 the label holding b_u (`_domain_tangent_int`).
-
-The module also provides the weight bookkeeping for the two coordinate
-inclusions that push a fixed map into a larger Grassmannian: mode "iota"
-adjoins a new ambient coordinate (labels unchanged), mode "kappa" adjoins
-the new coordinate to the ambient space *and* to every label.  The embedded
-tree's edge families and vertex tangents are the lifted ones plus the weights
-that involve the new character, so both modes change the tangent weight
-multiset by a pure surplus (no cancellations): the edges add their new
-weights, and each vertex of valence v >= 2 removes v-1 copies of its own.
-These pieces are defined once, memoized per edge frame
-(`_edge_surplus_ints`) and per label (`_point_surplus_ints`), and
-`localization.embedding_verdicts` checks the embedding from them piece by
-piece: an edge or vertex whose embedded family is its lifted family plus its
-piece has an empty residual, and the surplus is checked edge by edge at slot
-n+1.  No surplus of a whole tree is built outside the tests.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Literal
 
 GrassmannPoint = tuple[int, ...]
-EmbedMode = Literal["iota", "kappa"]
 
 # The integer encoding (module docstring).  The largest scaled coefficient,
 # 12, comes from a node-smoothing weight 2(a_t - a_h) where two unit legs
@@ -91,14 +71,6 @@ def _digits(code: int, n: int) -> tuple[int, ...]:
         digits.append(digit)
         code = (code - digit) // WEIGHT_BASE
     return tuple(digits)
-
-
-def _lift(code: int, m: int) -> int:
-    """An encoded weight read in n+1 characters, the new one at slot m: its
-    digits below slot m stay, and the others move up one slot."""
-    low = WEIGHT_BASE ** (m - 1)
-    rest = (code + low // 2) % low - low // 2  # the digits below slot m
-    return rest + (code - rest) * WEIGHT_BASE
 
 
 # -- integer families -----------------------------------------------------------
@@ -138,47 +110,3 @@ def _edge_h0_ints(shared: tuple[int, ...], b_u: int, b_v: int, deg: int, n: int)
 def _domain_tangent_int(n: int, deg: int, b_here: int, b_there: int) -> int:
     p = _characters(n)
     return (p[b_there] - p[b_here]) // deg
-
-
-# -- coordinate inclusions ----------------------------------------------------
-
-
-def _shift(i: int, m: int) -> int:
-    return i if i < m else i + 1
-
-
-def _embed_label(label: tuple[int, ...], m: int, mode: EmbedMode) -> tuple[int, ...]:
-    """A label (or any set of indices) under the inclusion into n+1 coordinates,
-    the new one at slot m: indices at or above m shift up by one, and mode
-    "kappa" adjoins m itself."""
-    shifted = tuple(_shift(i, m) for i in label)
-    return shifted if mode == "iota" else tuple(sorted((m, *shifted)))
-
-
-@cache
-def _edge_surplus_ints(
-    shared: tuple[int, ...], b_u: int, b_v: int, deg: int, n: int, m: int, mode: EmbedMode
-) -> tuple[int, ...]:
-    """The section weights of an edge's embedded family that involve the new a_m."""
-    n1 = n + 1
-    p = _characters(n1)
-    new = p[m]
-    su = _shift(b_u, m)
-    sv = _shift(b_v, m)
-    covers = _covers(p, su, sv, deg)
-    if mode == "iota":
-        return (*(new - p[_shift(a, m)] for a in shared), *(new - c for c in covers))
-    label_union = {m, su, sv, *(_shift(a, m) for a in shared)}
-    return (*(p[r] - new for r in range(1, n1 + 1) if r not in label_union), *(c - new for c in covers))
-
-
-@cache
-def _point_surplus_ints(label: tuple[int, ...], n: int, m: int, mode: EmbedMode) -> tuple[int, ...]:
-    """The tangent directions of G(k', n+1) at an embedded label that involve the new a_m."""
-    n1 = n + 1
-    p = _characters(n1)
-    new = p[m]
-    shifted = {_shift(i, m) for i in label}
-    if mode == "iota":
-        return tuple(new - p[a] for a in shifted)
-    return tuple(p[b] - new for b in range(1, n1 + 1) if b != m and b not in shifted)

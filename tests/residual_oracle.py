@@ -1,5 +1,5 @@
 """The embedding check one case at a time: the tests' oracle for
-`grassmap.localization.embedding_verdicts` and its misfit sets.
+`grassmap.embedding.failed_cases` and its misfit sets.
 
 `embedding_cross_check` pushes a tree into the next Grassmannian up
 (`embed_tree`), assembles the tangent there and compares it with the lifted
@@ -8,17 +8,18 @@ and `point_embeds_exactly` check one residual, an embedded family minus its
 lifted family minus its surplus piece, built as a `Counter` and tested for
 emptiness, the oracle of `_edge_misfits` and `_point_misfits`.
 
-Every family and surplus piece is read through the `grassmap.weights`
-module, and the tangent, its checks and the lift through
-`grassmap.localization`, at call time, so a test that patches one there
-patches it here too.
+Every piece of the check (the lift, the label map, each family and surplus
+piece) is read through `grassmap.embedding`, and the tangent and its checks
+through `grassmap.localization`, at call time, so a test that patches one
+there patches it here too.
 """
 
 from collections import Counter
 from itertools import chain
 
+import grassmap.embedding as embedding
 import grassmap.localization as loc
-import grassmap.weights as weights
+from grassmap.weights import WeightConsistencyError
 
 
 def embed_tree(tree, m, mode):
@@ -34,7 +35,7 @@ def embed_tree(tree, m, mode):
         raise ValueError(f"new coordinate slot {m} outside 1..{n + 1}")
     if mode not in ("iota", "kappa"):
         raise ValueError(f"unknown embedding mode {mode!r}")
-    verts = tuple(weights._embed_label(lab, m, mode) for lab in tree.vertices)
+    verts = tuple(embedding._embed_label(lab, m, mode) for lab in tree.vertices)
     return tree._replace(k=tree.k + (mode == "kappa"), n=n + 1, vertices=verts)
 
 
@@ -50,15 +51,15 @@ def _embedding_delta_ints(tree, m, mode):
     Moving each weight's digit n+1 down to slot m, and digits m..n up one,
     maps the surplus at slot n+1 onto the one at slot m.  That rotation fixes
     only 0, so it keeps the zero count, every multiplicity and the size, and
-    `embedding_verdicts` checks them at slot n+1 only.
+    `failed_cases` checks them at slot n+1 only.
     """
     n = tree.n
     delta = Counter(chain.from_iterable(
-        weights._edge_surplus_ints(*tree.edge_frame(edge), edge.deg, n, m, mode) for edge in tree.edges
+        embedding._edge_surplus_ints(*tree.edge_frame(edge), edge.deg, n, m, mode) for edge in tree.edges
     ))
     for label, v in zip(tree.vertices, tree.valences()):
         if v >= 2:
-            for w in weights._point_surplus_ints(label, n, m, mode):
+            for w in embedding._point_surplus_ints(label, n, m, mode):
                 delta[w] -= v - 1
     return delta
 
@@ -74,11 +75,11 @@ def embedding_cross_check(tree, m, mode):
     embedded = embed_tree(tree, m, mode)
     direct = loc._int_tangent(embedded)
     loc._checked_int_counts(embedded, direct)
-    lifted = Counter({loc._lift(w, m): mult for w, mult in loc._int_tangent(tree).items()})
+    lifted = Counter({embedding._lift(w, m): mult for w, mult in loc._int_tangent(tree).items()})
     loc._checked_int_counts(tree, lifted)
     surplus = _embedding_delta_ints(tree, m, mode)
     if any(mult < 0 for mult in surplus.values()):
-        raise weights.WeightConsistencyError(f"embedding surplus went negative for m={m}, mode={mode}")
+        raise WeightConsistencyError(f"embedding surplus went negative for m={m}, mode={mode}")
     lifted.update(surplus)
     return direct == lifted  # a Counter compares missing entries as 0
 
@@ -86,20 +87,20 @@ def embedding_cross_check(tree, m, mode):
 def edge_embeds_exactly(shared, b_u, b_v, deg, n, m, mode):
     """Is the edge's residual r_e empty, and its domain character the same int
     before and after the embedding?"""
-    up = (weights._embed_label(shared, m, mode), weights._shift(b_u, m), weights._shift(b_v, m))
-    residual = Counter(weights._edge_h0_ints(*up, deg, n + 1))
-    residual.subtract(weights._lift(w, m) for w in weights._edge_h0_ints(shared, b_u, b_v, deg, n))
-    residual.subtract(weights._edge_surplus_ints(shared, b_u, b_v, deg, n, m, mode))
-    omega = weights._domain_tangent_int(n, deg, b_u, b_v)
+    up = (embedding._embed_label(shared, m, mode), embedding._shift(b_u, m), embedding._shift(b_v, m))
+    residual = Counter(embedding._edge_h0_ints(*up, deg, n + 1))
+    residual.subtract(embedding._lift(w, m) for w in embedding._edge_h0_ints(shared, b_u, b_v, deg, n))
+    residual.subtract(embedding._edge_surplus_ints(shared, b_u, b_v, deg, n, m, mode))
+    omega = embedding._domain_tangent_int(n, deg, b_u, b_v)
     return not any(residual.values()) and (
-        weights._domain_tangent_int(n + 1, deg, up[1], up[2]) == weights._lift(omega, m)
+        embedding._domain_tangent_int(n + 1, deg, up[1], up[2]) == embedding._lift(omega, m)
     )
 
 
 def point_embeds_exactly(label, n, m, mode):
     """Is the vertex residual r_v empty: the embedded label's Grassmannian
     tangent minus the lifted one minus its surplus piece?"""
-    residual = Counter(weights._point_tangent_ints(weights._embed_label(label, m, mode), n + 1))
-    residual.subtract(weights._lift(w, m) for w in weights._point_tangent_ints(label, n))
-    residual.subtract(weights._point_surplus_ints(label, n, m, mode))
+    residual = Counter(embedding._point_tangent_ints(embedding._embed_label(label, m, mode), n + 1))
+    residual.subtract(embedding._lift(w, m) for w in embedding._point_tangent_ints(label, n))
+    residual.subtract(embedding._point_surplus_ints(label, n, m, mode))
     return not any(residual.values())

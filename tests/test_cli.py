@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grassmap
-from grassmap import checks, cli, fixedgraphs, localization
+from grassmap import checks, cli, closedform, embedding, fixedgraphs, localization
 from grassmap.checks import PUBLISHED_ROWS
 from grassmap.cli import main
-from grassmap.qpoly import QPolynomial
+from grassmap.qpoly import QPolynomial, q_power
 from cache_oracle import read_consistent, read_rendered
 from test_acceptance import assert_suite
 from test_fixedgraphs import validate
@@ -89,6 +89,39 @@ class TestBetti:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 2 and lines[0] == lines[1]
+
+    def test_route_disagreement_names_its_first_difference(self, capsys, monkeypatch):
+        # a sound but wrong closed-form row for (1,3,2), whose Betti row is 1,2,3,3,2,1
+        real = closedform.closed_form_result
+        wrong = QPolynomial(dict(enumerate([1, 3, 2, 2, 3, 1])))
+        monkeypatch.setattr(closedform, "closed_form_result", lambda *c: wrong if c == (1, 3, 2) else real(*c))
+        code, out, err = run(capsys, "betti", "-k", "1", "-n", "3", "-d", "2", "--method", "both", "--format", "csv")
+        assert code == 1
+        assert out == "1,2,3,3,2,1\n1,3,2,2,3,1\n"
+        assert err == "route disagreement at k=1 n=3 d=2: first difference at q^1: loc 2, closed 3\n"
+
+    @pytest.mark.parametrize("owner,name,method,flag", [
+        (closedform, "closed_form_result", "closedform", "closed"),
+        (localization, "poincare_localization", "localization", "loc"),
+    ], ids=["closed", "loc"])
+    def test_unsound_fresh_row_is_refused(self, capsys, tmp_path, monkeypatch, owner, name, method, flag):
+        # q^3 added to (2,4,2): 1,3,7,12,14,14,11,7,3,1 is not palindromic
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *c: real(*c) + q_power(3) if c == (2, 4, 2) else real(*c))
+        code, out, err = run(capsys, "betti", "-k", "2", "-n", "4", "-d", "2", "--method", flag,
+                             "--format", "csv", "--cache-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == ("mathematical inconsistency: unsound Betti row [1, 3, 7, 12, 14, 14, 11, 7, 3, 1] "
+                       f"at k=2 n=4 d=2 by {method}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def exhausted(*cell):
+            raise MemoryError
+
+        monkeypatch.setattr(localization, "poincare_localization", exhausted)
+        code, out, err = run(capsys, "betti", "-k", "2", "-n", "4", "-d", "2")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
 
     def test_range_sweep_skips_empty_cells(self, capsys):
         code, out, _ = run(
@@ -775,8 +808,8 @@ class TestVerify:
     def test_embedding_fault_fails_verify(self, capsys, monkeypatch, fresh_int_families):
         # one zero too many in every edge family in 4 coordinates only: the trees
         # with n = 3 embed wrongly in every case, those with n = 2 rightly
-        orig = localization._edge_h0_ints
-        monkeypatch.setattr(localization, "_edge_h0_ints",
+        orig = embedding._edge_h0_ints
+        monkeypatch.setattr(embedding, "_edge_h0_ints",
                             lambda *args: (*orig(*args), *((0,) if args[-1] == 4 else ())))
         code, out, _ = run(capsys, "verify", "--suite", "embeddings", "--max-n", "3")
         assert code == 1
@@ -786,6 +819,24 @@ class TestVerify:
         assert [(row[0], row[2]) for row in rows] == [
             *[("PASS", "(1,2)")] * 3, *[("FAIL", "(1,3)")] * 3, *[("FAIL", "(2,3)")] * 3]
         assert all(row[4:] == [row[4], "failures", "in", row[4], "cases"] for row in rows[3:])
+
+    @pytest.mark.parametrize("suite,owner,name,cell,want", [
+        ("theorems", closedform, "closed_form_result", (2, 4, 2),
+         "FAIL  theorems (2,4) d=2  first difference at q^3: loc 11, closed 12"),
+        ("symmetry", localization, "poincare_localization", (1, 4, 2),
+         "FAIL  symmetry (1,4)<->(3,4) d=2  first difference at q^3: (1,4) 6, (3,4) 5"),
+        ("families", closedform, "triangle_family_closed_form", (2, 4),
+         "FAIL  families triangle (2,4)  first difference at q^3: index 0, closed 1; "
+         "first difference at q^3: closed 1, loc 0"),
+    ], ids=["theorems", "symmetry", "families"])
+    def test_a_failed_comparison_names_its_first_difference(self, capsys, monkeypatch,
+                                                            suite, owner, name, cell, want):
+        # q^3 added to one cell's polynomial on one side of the comparison
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *c: real(*c) + q_power(3) if c == cell else real(*c))
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--max-n", "4")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [want]
 
     def test_census_suite_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "census", "--max-n", "4")

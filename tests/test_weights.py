@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import grassmap.localization as loc
 from fraction_oracle import edge_h0, embedding_delta, encode, encoded, lift, point_tangent, sign, weight
-from grassmap import weights
+from grassmap import embedding, weights
 from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs
 from grassmap.weights import MAX_SCALED_COEFF, WEIGHT_SCALE, WeightConsistencyError
 from residual_oracle import _embedding_delta_ints, embed_tree
@@ -52,7 +52,7 @@ class TestTorusWeight:
     def test_insert_index(self):
         for m, want in [(1, w(0, 1, -1)), (2, w(1, 0, -1)), (3, w(1, -1, 0))]:
             assert lift(Counter([w(1, -1)]), m) == Counter([want])
-            assert weights._lift(encode(w(1, -1)), m) == encode(want)
+            assert embedding._lift(encode(w(1, -1)), m) == encode(want)
 
     @given(st.integers(1, 8).flatmap(
         lambda n: st.lists(st.integers(-MAX_SCALED_COEFF, MAX_SCALED_COEFF), min_size=n, max_size=n)))
@@ -68,7 +68,7 @@ class TestTorusWeight:
         top = next((digit for digit in reversed(digits) if digit), 0)
         assert (code > 0) - (code < 0) == (top > 0) - (top < 0)
         for m in range(1, n + 2):
-            lifted = weights._lift(code, m)
+            lifted = embedding._lift(code, m)
             assert weights._digits(lifted, n + 1) == (*digits[: m - 1], 0, *digits[m - 1 :])
             assert (lifted > 0) - (lifted < 0) == (code > 0) - (code < 0)
 
@@ -214,7 +214,7 @@ class TestEmbeddings:
 
     def test_surplus_at_each_slot_rotates_the_top_one(self):
         # the surplus at slot m is the one at slot n+1 with each weight's digit
-        # n+1 moved down to slot m: `embedding_verdicts` checks it there only
+        # n+1 moved down to slot m: `embedding.failed_cases` checks it there only
         def rotated(code, n, m):
             digits = list(weights._digits(code, n + 1))
             digits.insert(m - 1, digits.pop())
