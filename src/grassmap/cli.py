@@ -368,7 +368,8 @@ def _census_payload(k: int, n: int, d: int) -> dict:
     shapes = dict.fromkeys(fixedgraphs.census_formula(k, n, d), 0)
     strata: dict[str, int] = {}
     for tree in fixedgraphs.fixed_graphs(k, n, d):
-        shapes[fixedgraphs.shape_of(tree)] += 1
+        shape = fixedgraphs.topology(tree.edges).shape
+        shapes[shape] = shapes.get(shape, 0) + 1  # a shape census_formula lacks is counted too
         k0, n0 = fixedgraphs.minimal_stratum(tree)
         key = f"G({k0},{n0})"
         strata[key] = strata.get(key, 0) + 1

@@ -29,27 +29,27 @@ the right size) at slot n+1 in each mode, which checks it at every slot:
 rotating each weight's digit n+1 down to slot m fixes only 0 and maps that
 surplus onto the one at slot m.
 
-Both checks are sums of local terms too.  Hang the tree from a leaf and
-orient each edge from its parent end p to its child end: a vertex of valence
-v >= 2 is then the parent of exactly v-1 edges, so each of its v-1 tangent
-removals, and each of its v-1 surplus pieces, falls to one edge.  Per
-oriented edge, the base residual is its family less the zero, less the
-domain character at each leaf end and, unless p is the leaf, less T(p); the
-surplus residual in each mode is its piece at slot n+1 less p's piece unless
-p is the leaf.  They are memoized with the edge's misfits (`_edge_share`).
-Clean residuals (no zero, no negative multiplicity) whose sizes, with the
-node count, make the dimension, and nonzero node weights, certify the base
-tangent; clean surplus residuals whose sizes make the size the embedding
-adds certify that mode's surplus (`_certified`).  A sum of clean residuals
-is clean, so a certified check passes exactly.  That is the one rule: a
-tree whose base tangent is not certified raises WeightConsistencyError, a
-surplus residual with a negative multiplicity raises, and a case fails iff
-it is in some misfit set or its mode's surplus is not certified.  No tangent
-or surplus is built.  Without a fault these verdicts equal the tests'
-per-case check, which assembles both tangents; under a fault they may fail a
-case that check passes, since each residual is judged before the residuals
-cancel, but they never pass a case that it fails, and the tests hold them to
-that under each fault they inject.
+Both checks are sums of local terms too.  Hang the tree from its first leaf
+(`fixedgraphs.topology`) and orient each edge from its parent end p to its
+child end: a vertex of valence v >= 2 is the parent of exactly v-1 edges, so
+each of its v-1 tangent removals, and each of its v-1 surplus pieces, falls
+to one edge.  Per oriented edge, the base residual is its family less the
+zero, less the domain character at each leaf end and, unless p is the leaf,
+less T(p); the surplus residual in each mode is its piece at slot n+1 less
+p's piece unless p is the leaf.  They are memoized with the edge's misfits
+(`_edge_share`).  Clean residuals (no zero, no negative multiplicity) whose
+sizes, with the node count, make the dimension, and nonzero node weights,
+certify the base tangent; clean surplus residuals whose sizes make the size
+the embedding adds certify that mode's surplus (`_certified`).  A sum of
+clean residuals is clean, so a certified check passes exactly.  That is the
+one rule: a tree whose base tangent is not certified raises
+WeightConsistencyError, a surplus residual with a negative multiplicity
+raises, and a case fails iff it is in some misfit set or its mode's surplus
+is not certified.  No tangent or surplus is built.  Without a fault these
+verdicts equal the tests' per-case check, which assembles both tangents;
+under a fault they may fail a case that check passes, since each residual is
+judged before the residuals cancel, but they never pass a case that it
+fails, and the tests hold them to that under each fault they inject.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from collections import Counter
 from functools import cache
 from typing import Literal, NamedTuple
 
-from .fixedgraphs import DecoratedTree, _label_frame
+from .fixedgraphs import DecoratedTree, _label_frame, topology
 from .localization import _checked_int_counts, _int_tangent, moduli_dimension
 from .weights import (
     WEIGHT_BASE,
@@ -172,9 +172,9 @@ class _EdgeShare(NamedTuple):
 @cache
 def _edge_share(label_u: tuple[int, ...], label_v: tuple[int, ...], deg: int, n: int,
                 leaf_u: bool, leaf_v: bool, parent: tuple[int, ...] | None) -> _EdgeShare:
-    """An edge's share of every check of its tree, the tree hung from a leaf:
-    `parent` is the label of the edge's end nearer that leaf, or None if that
-    end is the leaf itself.
+    """An edge's share of every check of its tree, the tree hung from its
+    first leaf (`fixedgraphs.topology`): `parent` is the label of the edge's
+    end nearer that leaf, or None if that end is the leaf itself.
 
     Its base residual is its family less the zero, less the domain character
     at each end that is a leaf, and less the parent's Grassmannian tangent;
@@ -206,19 +206,13 @@ def _edge_share(label_u: tuple[int, ...], label_v: tuple[int, ...], deg: int, n:
 
 
 def _edge_shares(tree: DecoratedTree) -> list[_EdgeShare]:
-    """Each edge's `_edge_share`, the tree hung from its first leaf."""
-    valences = tree.valences()
+    """Each edge's `_edge_share`, the tree hung from its first leaf as
+    `fixedgraphs.topology` hangs it."""
+    _, valences, parents = topology(tree.edges)
     labels = tree.vertices
-    parents: dict[int, int] = {}
-    reached = [valences.index(1)]
-    for x in reached:  # breadth first from the leaf; each edge is met first from its parent end
-        for i, (u, v, _) in enumerate(tree.edges):
-            if i not in parents and x in (u, v):
-                parents[i] = x
-                reached.append(v if x == u else u)
     return [_edge_share(labels[u], labels[v], deg, tree.n, valences[u] == 1, valences[v] == 1,
-                        labels[parents[i]] if valences[parents[i]] > 1 else None)
-            for i, (u, v, deg) in enumerate(tree.edges)]
+                        labels[p] if valences[p] > 1 else None)
+            for (u, v, deg), p in zip(tree.edges, parents)]
 
 
 def _certified(tree: DecoratedTree, shares: list[_EdgeShare]) -> tuple[bool, bool, bool]:

@@ -13,7 +13,9 @@ enough to list outright:
             a three-edge star; a three-edge path with unit degrees
 
 Each shape generator yields every isomorphism class exactly once, so
-`fixed_graphs` streams the trees with no dedup and no cache.  The canonical
+`fixed_graphs` streams the trees with no dedup and no cache.  `topology`
+reads what an `edges` tuple decides (shape, valences, the tree hung from a
+leaf) once per tuple; the generators use seven.  The canonical
 form (the minimal relabelled encoding over all vertex orderings) only
 orders output, in `enumerate_fixed_graphs`.  It lists the labels sorted,
 so only orderings within runs of equal labels are tried: one ordering for
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import cache
 from typing import Iterator, NamedTuple
 
@@ -60,17 +63,6 @@ class DecoratedTree(NamedTuple):
     @property
     def d(self) -> int:
         return sum(e.deg for e in self.edges)
-
-    def valences(self) -> tuple[int, ...]:
-        val = [0] * len(self.vertices)
-        for e in self.edges:
-            val[e.u] += 1
-            val[e.v] += 1
-        return tuple(val)
-
-    def edge_frame(self, edge: Edge) -> tuple[tuple[int, ...], int, int]:
-        """(shared (k-1)-set, element only in u's label, element only in v's)."""
-        return _label_frame(self.vertices[edge.u], self.vertices[edge.v])
 
     def canonical_key(self) -> tuple:
         """Isomorphism invariant: minimal encoding over all vertex orderings.
@@ -110,7 +102,7 @@ class DecoratedTree(NamedTuple):
 
 @cache
 def _label_frame(label_u: GrassmannPoint, label_v: GrassmannPoint) -> tuple[tuple[int, ...], int, int]:
-    """`DecoratedTree.edge_frame` of an edge from label_u to label_v, memoized
+    """(shared (k-1)-set, element only in label_u, only in label_v), memoized
     per label pair; ValueError (never cached) if they do not span a fixed line."""
     su = set(label_u)
     sv = set(label_v)
@@ -203,14 +195,31 @@ def _generate(k: int, n: int, d: int) -> Iterator[DecoratedTree]:
                         )
 
 
-def shape_of(tree: DecoratedTree) -> str:
-    """Shape bucket: edge1/edge2/edge3, path, path12, star, path111."""
-    degs = sorted(e.deg for e in tree.edges)
-    if len(tree.edges) == 1:
-        return f"edge{degs[0]}"
-    if len(tree.edges) == 2:
-        return "path" if degs == [1, 1] else "path12"
-    return "star" if max(tree.valences()) == 3 else "path111"
+class Topology(NamedTuple):
+    """What a tree's `edges` tuple decides (`topology`)."""
+
+    shape: str  # edge1/edge2/edge3, path, path12, star or path111
+    valences: tuple[int, ...]  # per vertex
+    parents: tuple[int, ...]  # per edge, its end nearer the first leaf
+
+
+@cache
+def topology(edges: tuple[Edge, ...]) -> Topology:
+    """The tree's shape (from its degrees and, for three edges, its valences),
+    its valences, and each edge's end nearer its first leaf, the tree hung
+    from that leaf breadth first; memoized per `edges` tuple."""
+    valences = [sum(x in (u, v) for u, v, _ in edges) for x in range(len(edges) + 1)]
+    parents: dict[int, int] = {}
+    reached = [valences.index(1)]
+    for x in reached:  # each edge is met first from its end nearer the leaf
+        for i, (u, v, _) in enumerate(edges):
+            if i not in parents and x in (u, v):
+                parents[i] = x
+                reached.append(v if x == u else u)
+    degs = sorted(e.deg for e in edges)
+    shape = (f"edge{degs[0]}" if len(edges) == 1 else ("path" if degs == [1, 1] else "path12") if len(edges) == 2
+             else "star" if max(valences) == 3 else "path111")
+    return Topology(shape, tuple(valences), tuple(parents[i] for i in range(len(edges))))
 
 
 def census_formula(k: int, n: int, d: int) -> dict[str, int]:
@@ -239,11 +248,9 @@ def census_formula(k: int, n: int, d: int) -> dict[str, int]:
 
 
 def count_by_shape(k: int, n: int, d: int) -> dict[str, int]:
-    """Shape census of the actual enumeration (same keys as census_formula)."""
-    counts = dict.fromkeys(census_formula(k, n, d), 0)
-    for tree in fixed_graphs(k, n, d):
-        counts[shape_of(tree)] += 1
-    return counts
+    """Shape census of the enumeration: census_formula's keys, then any it lacks."""
+    counts = Counter(topology(tree.edges).shape for tree in fixed_graphs(k, n, d))
+    return {**dict.fromkeys(census_formula(k, n, d), 0), **counts}
 
 
 def minimal_stratum(tree: DecoratedTree) -> tuple[int, int]:

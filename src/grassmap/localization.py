@@ -50,7 +50,7 @@ from collections import Counter
 from functools import cache
 from typing import Callable
 
-from .fixedgraphs import DecoratedTree, _label_frame, _neighbor_labels, census_formula, fixed_graphs
+from .fixedgraphs import DecoratedTree, _label_frame, _neighbor_labels, census_formula, fixed_graphs, topology
 from .qpoly import QPolynomial
 from .weights import (
     WEIGHT_SCALE,
@@ -82,11 +82,11 @@ def _int_tangent(tree: DecoratedTree) -> Counter:
     """
     n = tree.n
     ws: Counter = Counter()
-    valences = tree.valences()
+    valences = topology(tree.edges).valences
     omegas: list[list[int]] = [[] for _ in tree.vertices]
     removed = []
     for edge in tree.edges:
-        shared, b_u, b_v = tree.edge_frame(edge)
+        shared, b_u, b_v = _label_frame(tree.vertices[edge.u], tree.vertices[edge.v])
         ws.update(_edge_h0_ints(shared, b_u, b_v, edge.deg, n))
         omega = _domain_tangent_int(n, edge.deg, b_u, b_v)  # at the u end; -omega at v
         omegas[edge.u].append(omega)
@@ -258,9 +258,10 @@ def poincare_localization(k: int, n: int, d: int) -> QPolynomial:
 
 def _two_unit_path_legs(tree: DecoratedTree):
     """For a two-edge unit-degree path: (leaf, dropped, added) per leg, else None."""
-    if len(tree.edges) != 2 or any(e.deg != 1 for e in tree.edges):
+    shape, valences, _ = topology(tree.edges)
+    if shape != "path":
         return None
-    center = tree.valences().index(2)
+    center = valences.index(2)
     legs = []
     for edge in tree.edges:
         leaf = edge.v if edge.u == center else edge.u

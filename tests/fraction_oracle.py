@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 
 from grassmap.weights import WEIGHT_BASE, WEIGHT_SCALE
-from residual_oracle import embed_tree
+from residual_oracle import edge_frame, embed_tree, valences
 
 
 def weight(n, *terms):
@@ -79,18 +79,18 @@ def domain_tangent(d, b_here, b_there):
 
 def tangent(tree):
     """The tangent weight multiset at a fixed tree, entries netted to 0 included."""
-    n, valences = tree.n, tree.valences()
+    n, valence = tree.n, valences(tree)
     ws = Counter()
     omegas = [[] for _ in tree.vertices]
     for edge in tree.edges:
-        shared, b_u, b_v = tree.edge_frame(edge)
+        shared, b_u, b_v = edge_frame(tree, edge)
         ws.update(edge_h0(shared, b_u, b_v, edge.deg, n))
         ws[weight(n)] -= 1
         for end, here, there in ((edge.u, b_u, b_v), (edge.v, b_v, b_u)):
             omegas[end].append(domain_tangent(edge.deg, here, there))
-            if valences[end] == 1:
+            if valence[end] == 1:
                 ws[weight(n, *omegas[end][-1])] -= 1
-    for label, v, omega in zip(tree.vertices, valences, omegas):
+    for label, v, omega in zip(tree.vertices, valence, omegas):
         if v == 2:
             ws[weight(n, *omega[0], *omega[1])] += 1
         elif v == 3:
@@ -110,8 +110,8 @@ def embedding_delta(tree, m, mode):
     big = embed_tree(tree, m, mode)
     delta = Counter()
     for edge in big.edges:
-        delta.update(w for w in edge_h0(*big.edge_frame(edge), edge.deg, big.n) if w[m - 1])
-    for label, v in zip(big.vertices, big.valences()):
+        delta.update(w for w in edge_h0(*edge_frame(big, edge), edge.deg, big.n) if w[m - 1])
+    for label, v in zip(big.vertices, valences(big)):
         for w in point_tangent(label, big.n) if v >= 2 else ():
             if w[m - 1]:
                 delta[w] -= v - 1

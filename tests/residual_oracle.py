@@ -22,6 +22,17 @@ import grassmap.localization as loc
 from grassmap.weights import WeightConsistencyError
 
 
+def valences(tree):
+    """Each vertex's valence, counted here rather than read from `fixedgraphs.topology`."""
+    ends = Counter(end for e in tree.edges for end in (e.u, e.v))
+    return tuple(ends[i] for i in range(len(tree.vertices)))
+
+
+def edge_frame(tree, edge):
+    """(shared (k-1)-set, element only in u's label, element only in v's) of a tree's edge."""
+    return embedding._label_frame(tree.vertices[edge.u], tree.vertices[edge.v])
+
+
 def embed_tree(tree, m, mode):
     """Push a fixed tree into the next Grassmannian up.
 
@@ -55,9 +66,9 @@ def _embedding_delta_ints(tree, m, mode):
     """
     n = tree.n
     delta = Counter(chain.from_iterable(
-        embedding._edge_surplus_ints(*tree.edge_frame(edge), edge.deg, n, m, mode) for edge in tree.edges
+        embedding._edge_surplus_ints(*edge_frame(tree, edge), edge.deg, n, m, mode) for edge in tree.edges
     ))
-    for label, v in zip(tree.vertices, tree.valences()):
+    for label, v in zip(tree.vertices, valences(tree)):
         if v >= 2:
             for w in embedding._point_surplus_ints(label, n, m, mode):
                 delta[w] -= v - 1

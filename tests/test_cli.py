@@ -842,6 +842,29 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "census", "--max-n", "4")
         assert code == 0 and "FAIL" not in out
 
+    def test_a_wrong_shape_fails_the_census(self, capsys, monkeypatch):
+        # a generator fault: a degrees-(1,2) path among the d = 2 trees of
+        # (1,2); the census counts the shape its formula lacks and fails with
+        # a detail, and `graphs --count` shows the shape
+        real = fixedgraphs._generate
+        stray = fixedgraphs.DecoratedTree(1, 2, ((1,), (2,), (2,)),
+                                          (fixedgraphs.Edge(0, 1, 1), fixedgraphs.Edge(0, 2, 2)))
+
+        def generate(k, n, d):
+            yield from real(k, n, d)
+            if (k, n, d) == (1, 2, 2):
+                yield stray
+
+        monkeypatch.setattr(fixedgraphs, "_generate", generate)
+        code, out, _ = run(capsys, "verify", "--suite", "census", "--max-n", "3")
+        assert code == 1
+        assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+            "FAIL  census (1,2) d=2  got={'edge2': 1, 'path': 2, 'path12': 1} want={'edge2': 1, 'path': 2}",
+            "CHECKS FAILED"]
+        code, out, _ = run(capsys, "graphs", "-k", "1", "-n", "2", "-d", "2", "--count")
+        assert code == 0
+        assert "total=4" in out and "shapes: edge2=1 path=2 path12=1" in out
+
     def test_families_suite_reports_info(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "families", "--max-n", "4")
         assert code == 0

@@ -9,13 +9,15 @@ from grassmap.fixedgraphs import (
     DecoratedTree,
     Edge,
     UnsupportedDegreeError,
+    _label_frame,
     census_formula,
     count_by_shape,
     enumerate_fixed_graphs,
     fixed_graphs,
     minimal_stratum,
-    shape_of,
+    topology,
 )
+from residual_oracle import edge_frame, valences
 
 
 def tree(k, n, vertices, edges):
@@ -58,7 +60,7 @@ def validate(t):
             raise ValueError(f"edge {e} has non-positive degree")
         adjacency[e.u].append(e.v)
         adjacency[e.v].append(e.u)
-        t.edge_frame(e)  # adjacent labels must share k-1 elements
+        edge_frame(t, e)  # adjacent labels must share k-1 elements
     while frontier:
         v = frontier.pop()
         for w in adjacency[v]:
@@ -67,8 +69,41 @@ def validate(t):
                 frontier.append(w)
     if len(seen) != len(t.vertices):
         raise ValueError("tree is not connected")
-    if any(v > 3 for v in t.valences()):
+    if any(v > 3 for v in valences(t)):
         raise ValueError("vertex valence exceeds 3")
+
+
+def rehung(t):
+    """The tree with its vertices renumbered, one of the highest valence first,
+    and its edges listed in reverse, each from its v end to its u end: vertex 0
+    is no leaf unless the tree is one edge, and edges run child-first."""
+    valence = valences(t)
+    order = sorted(range(len(t.vertices)), key=lambda i: -valence[i])
+    new = {old: i for i, old in enumerate(order)}
+    return t._replace(vertices=tuple(t.vertices[i] for i in order),
+                      edges=tuple(Edge(new[e.v], new[e.u], e.deg) for e in reversed(t.edges)))
+
+
+def slow_topology(t):
+    """`topology` computed tree by tree, its oracle: the valences, the tree
+    hung from its first leaf breadth first (each edge met first from its
+    parent end), and the shape from the degrees and valences."""
+    valence = valences(t)
+    parents = {}
+    reached = [valence.index(1)]
+    for x in reached:
+        for i, (u, v, _) in enumerate(t.edges):
+            if i not in parents and x in (u, v):
+                parents[i] = x
+                reached.append(v if x == u else u)
+    degs = sorted(e.deg for e in t.edges)
+    if len(t.edges) == 1:
+        shape = f"edge{degs[0]}"
+    elif len(t.edges) == 2:
+        shape = "path" if degs == [1, 1] else "path12"
+    else:
+        shape = "star" if max(valence) == 3 else "path111"
+    return shape, valence, tuple(parents[i] for i in range(len(t.edges)))
 
 
 def exhaustive_key(t):
@@ -102,16 +137,14 @@ class TestDecoratedTree:
     def test_valences_and_degree(self):
         t = tree(1, 3, [(1,), (2,), (3,)], [(0, 1, 1), (1, 2, 2)])
         assert t.d == 3
-        assert t.valences() == (1, 2, 1)
+        assert topology(t.edges) == ("path12", (1, 2, 1), (0, 1))
 
     def test_edge_frame(self):
-        t = tree(2, 4, [(1, 2), (2, 3)], [(0, 1, 1)])
-        assert t.edge_frame(t.edges[0]) == ((2,), 1, 3)
-        assert tree(2, 4, [(2, 3), (1, 2)], [(0, 1, 1)]).edge_frame(t.edges[0]) == ((2,), 3, 1)
-        bad = tree(2, 4, [(1, 2), (3, 4)], [(0, 1, 1)])
+        assert _label_frame((1, 2), (2, 3)) == ((2,), 1, 3)
+        assert _label_frame((2, 3), (1, 2)) == ((2,), 3, 1)
         for _ in range(2):  # memoized per label pair, but a refusal every time
             with pytest.raises(ValueError, match="do not span a fixed line"):
-                bad.edge_frame(bad.edges[0])
+                _label_frame((1, 2), (3, 4))
 
     def test_validate_catches_each_break(self):
         good = tree(1, 2, [(1,), (2,)], [(0, 1, 1)])
@@ -160,7 +193,7 @@ class TestEnumeration:
         got = enumerate_fixed_graphs(1, 2, 2)
         assert count_by_shape(1, 2, 2) == {"edge2": 1, "path": 2}
         # the two paths: fold back (1)-(2)-(1) and (2)-(1)-(2)
-        paths = sorted(t.vertices for t in got if shape_of(t) == "path")
+        paths = sorted(t.vertices for t in got if topology(t.edges).shape == "path")
         assert paths == [((1,), (2,), (2,)), ((2,), (1,), (1,))]
 
     def test_degree_three_projective_line(self):
@@ -204,7 +237,7 @@ class TestEnumeration:
     def test_three_edge_paths_run_from_the_smaller_middle_label(self):
         # each path end1 - c1 - c2 - end2 comes out in the one orientation c1 < c2
         for k, n in [(1, 3), (2, 4), (2, 5), (3, 6), (1, 6)]:
-            paths = [t for t in fixed_graphs(k, n, 3) if shape_of(t) == "path111"]
+            paths = [t for t in fixed_graphs(k, n, 3) if topology(t.edges).shape == "path111"]
             assert paths and all(t.vertices[1] < t.vertices[2] for t in paths)
 
     def test_output_sorted_and_deterministic(self):
@@ -251,6 +284,35 @@ class TestEnumeration:
         for cell in [(0, 3, 1), (3, 3, 1), (1, 3, 0)]:
             with pytest.raises(ValueError):
                 fixed_graphs(*cell)
+
+
+class TestTopology:
+    """`topology` against the per-tree code it replaced (`slow_topology`)."""
+
+    def test_matches_the_per_tree_code(self):
+        trees = [t for n in range(2, 6) for k in range(1, n) for d in (1, 2, 3) for t in fixed_graphs(k, n, d)]
+        assert len(trees) == 6406
+        for t in trees:
+            s = rehung(t)
+            assert topology(t.edges) == slow_topology(t), t
+            assert topology(s.edges) == slow_topology(s), s
+            assert topology(s.edges).shape == topology(t.edges).shape, s
+
+    def test_one_entry_per_edges_tuple(self):
+        # the census over every cell with n <= 7 meets seven edges tuples
+        topology.cache_clear()
+        for n in range(2, 8):
+            for k in range(1, n):
+                for d in (1, 2, 3):
+                    count_by_shape(k, n, d)
+        info = topology.cache_info()
+        assert (info.misses, info.hits + info.misses) == (7, 179526)
+        # a re-hung tree is another tuple: its own entry, with the same shape
+        trees = {t.edges: t for d in (1, 2, 3) for t in fixed_graphs(1, 2, d)}
+        assert len(trees) == 7
+        for t in trees.values():
+            assert topology(rehung(t).edges).shape == topology(t.edges).shape
+        assert topology.cache_info().misses == 14
 
 
 class TestMinimalStratum:

@@ -23,11 +23,14 @@ import residual_oracle
 from residual_oracle import (
     _embedding_delta_ints,
     edge_embeds_exactly,
+    edge_frame,
     embed_tree,
     embedding_cross_check,
     point_embeds_exactly,
+    valences,
 )
 from test_acceptance import brute_force_flag_poincare
+from test_fixedgraphs import rehung
 
 SMALL_CELLS = [(k, n, d) for n in range(2, 6) for k in range(1, n) for d in (1, 2, 3)]
 
@@ -557,7 +560,7 @@ class TestMisfitSets:
         frames, labels = set(), set()
         for k, n, d in [(k, n, d) for n in range(2, 5) for k in range(1, n) for d in (1, 2, 3)]:
             for t in enumerate_fixed_graphs(k, n, d):
-                frames.update((*t.edge_frame(edge), edge.deg, n) for edge in t.edges)
+                frames.update((*edge_frame(t, edge), edge.deg, n) for edge in t.edges)
                 labels.update((label, n) for label in t.vertices)
 
         misfits = []
@@ -613,17 +616,6 @@ def _surplus_holds(t, m, mode, size):
     and `size` weights?"""
     surplus = _embedding_delta_ints(t, m, mode)
     return min(surplus.values(), default=0) >= 0 and not surplus[0] and sum(surplus.values()) == size
-
-
-def rehung(t):
-    """The tree with its vertices renumbered, one of the highest valence first,
-    and its edges listed in reverse, each from its v end to its u end: vertex 0
-    is no leaf unless the tree is one edge, and edges run child-first."""
-    valences = t.valences()
-    order = sorted(range(len(t.vertices)), key=lambda i: -valences[i])
-    new = {old: i for i, old in enumerate(order)}
-    return t._replace(vertices=tuple(t.vertices[i] for i in order),
-                      edges=tuple(Edge(new[e.v], new[e.u], e.deg) for e in reversed(t.edges)))
 
 
 class TestCertificate:
@@ -693,7 +685,7 @@ class TestCertificate:
         cells = [(k, n, d) for n in (2, 3) for k in range(1, n) for d in (1, 2, 3)] + [(2, 4, 2)]
         for t in (t for cell in cells for t in fixed_graphs(*cell)):
             s = rehung(t)
-            assert s.valences()[0] > 1 or len(s.edges) == 1
+            assert valences(s)[0] > 1 or len(s.edges) == 1
             failed = failed_cases(s)
             assert failed == failed_cases(t), s
             oracle = oracle_failures(s)
