@@ -32,9 +32,11 @@ Results of `betti` can be cached as JSON files named {k}-{n}-{d}-{method}
 under a directory given by --cache-dir or the GRASSMAP_CACHE environment
 variable; cache writes are atomic (write-then-rename).  A payload holds k, n,
 d, method, dim and the Betti row (and reports, uncached); `_payload_text`
-renders it as `json.dumps(indent=2)` in a fixed field order, `poincare`
-written from the Betti row.  A cache file holds that text and a newline, so
-a fresh payload is rendered once for both.  A hit must be, byte for byte, the
+renders it as `json.dumps(indent=2)` lays it out inside a JSON list (list
+depth), in a fixed field order, `poincare` written from the Betti row.  A
+cache file holds that text and a newline, so a fresh payload is rendered
+once for both, and a sweep prints each text as it is; only a lone payload
+is printed one level shallower.  A hit must be, byte for byte, the
 rendering of this cell and method with the file's Betti row, and that row
 must be sound (`localization.sound_row`: dim+1 non-negative entries,
 palindromic with ends 1, total equal to the fixed-point census); the hit's
@@ -42,11 +44,11 @@ text is that rendering, and no JSON is decoded.  The rendering is made from
 the file's own digit strings, which must already be canonical decimals, so
 the check stays byte-exact with no int-to-str round trip.  Any other file
 (another cell's or method's payload, an unsound row, a truncated,
-hand-edited or differently laid out file, one written by an older version)
-is a miss, recomputed and overwritten.
+hand-edited or differently laid out file, one written by an older version,
+which laid payloads out at depth 0) is a miss, recomputed and overwritten.
 
 `verify --max-n` below 2 is a usage error; `verify --stats` adds one JSON
-line of per-suite timings on stderr.
+line of per-suite timings and the process's own peak RSS on stderr.
 """
 
 from __future__ import annotations
@@ -67,11 +69,11 @@ from .weights import WeightConsistencyError
 CACHE_ENV = "GRASSMAP_CACHE"
 # a cache file's Betti block: its entries as `str(int)` writes them, with no
 # sign, padding or leading zero (compiled by `re` on the first cache read)
-_CANONICAL_ROW = r"(?:0|[1-9][0-9]*)(?:,\n    (?:0|[1-9][0-9]*))*"
+_CANONICAL_ROW = r"(?:0|[1-9][0-9]*)(?:,\n      (?:0|[1-9][0-9]*))*"
 # `_payload_text`'s `poincare` separators by exponent e: each closes the pair
 # before and opens the pair at e up to its coefficient; extended on demand
 _PAIR_SEPS: list[str] = []
-_NO_PAIR_BEFORE = len('"\n      ],\n')  # the first pair's separator closes nothing
+_NO_PAIR_BEFORE = len('"\n        ],\n')  # the first pair's separator closes nothing
 _METHODS = {"loc": ("localization",), "closed": ("closedform",), "both": ("localization", "closedform")}
 
 
@@ -198,31 +200,40 @@ def _betti_payload(k: int, n: int, d: int, method: str) -> dict:
 
 def _read_cached(path: str, k: int, n: int, d: int, method: str) -> tuple[dict, str] | None:
     """The payload stored at `path` with its `_payload_text`, or None unless the
-    file is byte for byte that text and a newline, rendered from this cell and
-    method and the file's Betti row, which must be sound
-    (`localization.sound_row`).  No JSON is decoded: a hit is the program's
-    own output, so any other layout is a miss.  The Betti block must already
-    be canonical decimals (`str(int(s)) == s` for each entry), so the text
-    is rendered from the file's own digit strings, not from the ints."""
+    file is byte for byte that text (at list depth) and a newline, rendered
+    from this cell and method and the file's Betti row, which must be sound
+    (`localization.sound_row`).  The file is read whole by one `os.read`, and
+    no JSON is decoded: a hit is the program's own output, so any other
+    layout is a miss.  The Betti block must already be canonical decimals
+    (`str(int(s)) == s` for each entry), so the text is rendered from the
+    file's own digit strings, not from the ints; and since a canonical row is
+    palindromic exactly when its digit strings are, only its first half is
+    converted to ints and mirrored, for `sound_row` to judge in full."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fd = os.open(path, os.O_RDONLY)
     except FileNotFoundError:
         return None
+    try:
+        data = os.read(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError:
         return None
     # the Betti block, from the end: `betti` is the last field (a file without
     # it reads as junk, which the pattern or the comparison refuses)
-    block = text.rpartition('"betti": [\n    ')[2].partition("\n  ]")[0]
+    block = text.rpartition('"betti": [\n      ')[2].partition("\n    ]")[0]
     if not re.fullmatch(_CANONICAL_ROW, block):
         return None
-    digits = block.split(",\n    ")
+    digits = block.split(",\n      ")
+    if digits != digits[::-1]:  # canonical decimals: the row's own palindrome test
+        return None
     try:
-        betti = list(map(int, digits))
+        half = list(map(int, digits[: (len(digits) + 1) // 2]))
     except ValueError:  # more digits than int() converts
         return None
+    betti = half + half[: len(digits) // 2][::-1]
     if not localization.sound_row(k, n, d, betti):
         return None
     payload = {"k": k, "n": n, "d": d, "method": method,
@@ -233,18 +244,27 @@ def _read_cached(path: str, k: int, n: int, d: int, method: str) -> tuple[dict, 
 
 def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str) -> tuple[dict, str]:
     """A cache hit, or a fresh payload that atomically replaces a missing or
-    bad entry; either way with its `_payload_text`."""
+    bad entry (a temporary file written with no text layer, then renamed; the
+    directory is made when the first write finds it missing); either way
+    with its `_payload_text`."""
     path = os.path.join(cache_dir, f"{k}-{n}-{d}-{method}.json")
     hit = _read_cached(path, k, n, d, method)
     if hit is not None:
         return hit
     payload = _betti_payload(k, n, d, method)
     text = _payload_text(payload)
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    except FileNotFoundError:  # the first write to a new directory
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        try:
+            data = memoryview((text + "\n").encode("ascii"))
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -254,7 +274,9 @@ def _cached_payload(cache_dir: str, k: int, n: int, d: int, method: str) -> tupl
 
 
 def _payload_text(p: dict, digits: list[str] | None = None) -> str:
-    """`json.dumps(indent=2)` of a `_betti_payload` payload, with `reports`
+    """`json.dumps(indent=2)` of a `_betti_payload` payload at list depth,
+    as it stands inside `json.dumps([p], indent=2)`: every line after the
+    first indented two more spaces, the closing brace too.  With `reports`
     if present, in the fixed field order: k, n, d, method, dim, then
     `poincare` (each nonzero Betti number as a string, by exponent), betti
     and reports.  `digits` are the Betti numbers as decimal strings,
@@ -268,7 +290,7 @@ def _payload_text(p: dict, digits: list[str] | None = None) -> str:
     if digits is None:
         digits = list(map(str, p["betti"]))
     if len(_PAIR_SEPS) < len(digits):
-        _PAIR_SEPS.extend(f'"\n      ],\n      [\n        {e},\n        "'
+        _PAIR_SEPS.extend(f'"\n        ],\n        [\n          {e},\n          "'
                           for e in range(len(_PAIR_SEPS), len(digits)))
     seps, coeffs = _PAIR_SEPS[:len(digits)], digits
     if "0" in digits:  # zeros drop out of `poincare`
@@ -280,11 +302,11 @@ def _payload_text(p: dict, digits: list[str] | None = None) -> str:
     pairs[0] = pairs[0][_NO_PAIR_BEFORE:]
     fields = [f'"k": {p["k"]}', f'"n": {p["n"]}', f'"d": {p["d"]}', f'"method": "{p["method"]}"',
               f'"dim": {p["dim"]}',
-              '"poincare": {\n    "coeffs": [\n' + "".join(pairs) + '"\n      ]\n    ]\n  }',
-              '"betti": [\n    ' + ",\n    ".join(digits) + "\n  ]"]
+              '"poincare": {\n      "coeffs": [\n' + "".join(pairs) + '"\n        ]\n      ]\n    }',
+              '"betti": [\n      ' + ",\n      ".join(digits) + "\n    ]"]
     if "reports" in p:
-        fields.append('"reports": ' + json.dumps(p["reports"], indent=2).replace("\n", "\n  "))
-    return "{\n  " + ",\n  ".join(fields) + "\n}"
+        fields.append('"reports": ' + json.dumps(p["reports"], indent=2).replace("\n", "\n    "))
+    return "{\n    " + ",\n    ".join(fields) + "\n  }"
 
 
 def _tree_text(tree: dict, gap: str) -> str:
@@ -295,15 +317,16 @@ def _tree_text(tree: dict, gap: str) -> str:
 
 
 def _print_json(texts: Iterable[str], lone: bool = False) -> None:
-    """Print each JSON text as it comes, laid out as `json.dumps(values,
-    indent=2)` lays out the list of their values; if `lone`, the one text bare."""
+    """Print each JSON text as it comes, each laid out at list depth, as
+    `json.dumps(values, indent=2)` lays out the list of their values; if
+    `lone`, the one text bare, one level shallower."""
     if lone:
         for text in texts:
-            print(text)
+            print(text.replace("\n  ", "\n"))
         return
     sep = "[\n  "
-    for text in texts:  # each one level deeper
-        print(sep + text.replace("\n", "\n  "), end="")
+    for text in texts:
+        print(sep + text, end="")
         sep = ",\n  "
     print("[]" if sep == "[\n  " else "\n]")
 
@@ -388,7 +411,8 @@ def cmd_graphs(args, parser) -> int:
     if args.count:
         payloads = (_census_payload(k, n, d) for k, n, d in cells)
         if args.format == "json":
-            _print_json((json.dumps(p, indent=2) for p in payloads), lone=len(cells) == 1)
+            _print_json((json.dumps(p, indent=2).replace("\n", "\n  ") for p in payloads),
+                        lone=len(cells) == 1)
         elif args.format == "csv":
             for p in payloads:
                 for shape, count in p["shapes"].items():
@@ -406,7 +430,7 @@ def cmd_graphs(args, parser) -> int:
         parser.error("csv output for full trees is not defined; use --count or --format json")
     trees = (t.to_json_dict() for k, n, d in cells for t in fixedgraphs.enumerate_fixed_graphs(k, n, d))
     if args.format == "json":
-        _print_json(json.dumps(t, indent=2) for t in trees)
+        _print_json(json.dumps(t, indent=2).replace("\n", "\n  ") for t in trees)
     else:
         for t in trees:
             print(f"k={t['k']} n={t['n']} d={t['d']}  {_tree_text(t, '  ')}")
@@ -419,8 +443,10 @@ def cmd_graphs(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     """Print one line per check of the chosen suites (see `checks`) and the verdict.
 
-    With --stats, also print `{"suites": {name: {"seconds": s, "checks": c}}}`
-    as one JSON line on stderr, c counting the informational lines too.
+    With --stats, also print `{"suites": {name: {"seconds": s, "checks": c}},
+    "maxrss_mb": m}` as one JSON line on stderr, c counting the informational
+    lines too and m the process's own peak resident set in MB
+    (getrusage of the resource module).
     """
     names = sorted(checks.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
@@ -436,7 +462,11 @@ def cmd_verify(args, parser) -> int:
         stats[name] = {"seconds": round(time.perf_counter() - start, 6), "checks": count}
     print("all checks passed" if all_ok else "CHECKS FAILED")
     if args.stats:
-        print(json.dumps({"suites": stats}), file=sys.stderr)
+        import resource  # only here: no other path reads it
+
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KB; bytes on macOS
+        maxrss_mb = round(maxrss / (1 << (20 if sys.platform == "darwin" else 10)), 1)
+        print(json.dumps({"suites": stats, "maxrss_mb": maxrss_mb}), file=sys.stderr)
     return 0 if all_ok else 1
 
 

@@ -4,14 +4,19 @@ The localization sum of `localization` has, for each degree d <= 3, a
 closed-form companion: a rational expression in q that must collapse to the
 same polynomial.  No evaluation here multiplies two polynomials.  Degree 1
 extends a Gaussian binomial by two strided divisions, as `qbinomial` builds
-one.  Degrees 2 and 3 build the complete numerator as one integer product:
-`_pack` evaluates every factor at q = 2^(8w), w bytes per coefficient from a
-bound on the numerator's, and `_unpack` reads the product's coefficients
-back from its digits (Kronecker substitution; Python integers are exact at
-any size).  A *single* exact division follows at the end; a remainder at
-that point means the formula and the inputs are inconsistent (a
-transcription or reasoning bug, never a user error) and surfaces as
-TheoremViolationError.
+one.  Degrees 2 and 3 evaluate the complete numerator as one integer at
+q = 2^(8w), w bytes per coefficient in whole 64-bit slots (Kronecker
+substitution; Python integers are exact at any size): `_pack` evaluates the
+bracket's blocks and the Gaussian binomial, and each factor 1 - q^e is a
+shift and a subtraction.  One `divmod` by the packed denominator then gives
+the quotient, whose slots are read back at once.  It is accepted only with
+a certificate: no remainder, and the slots wide enough that the quotient
+times the denominator cannot carry from one slot into the next, so the
+quotient times the denominator is the numerator coefficient by coefficient.
+Otherwise the numerator's coefficients are read back (`_unpack`) and divided
+factor by factor (`qpoly.exact_div`); a remainder there means the formula
+and the inputs are inconsistent (a transcription or reasoning bug, never a
+user error) and surfaces as TheoremViolationError.
 
 Degrees:
   1  product of two Gaussian binomials -- the space fibers over the
@@ -30,9 +35,12 @@ six-term form (`repeated_leaf_family_closed_form`).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from math import comb
 from operator import lshift
 
+from .fixedgraphs import census_formula
 from .qpoly import (
     QPolynomial,
     DivisibilityError,
@@ -71,7 +79,7 @@ _D3_CROSS = QPolynomial({0: 2, 2: 3, 3: 1, 4: -1, 5: -3, 7: -2})
 
 
 # Bounds on the L1 norm of each degree's bracket, read term by term off the
-# expressions in `closed_form_result`: each 1 + q^e and each q^a + q^b has
+# expressions in `_numerator`: each 1 + q^e and each q^a + q^b has
 # norm 2, so the degree-2 bracket's norm is at most 2*2 + 2*2, and the
 # degree-3 blocks' norms weigh 2, 2, 2*2*2 and 2*2*2*2.
 _BRACKET_NORM = {2: 8, 3: sum(weight * sum(map(abs, block.coefficient_list())) for weight, block
@@ -86,7 +94,10 @@ def _coefficient_bound(k: int, n: int, d: int) -> int:
 
 
 def _pack(coeffs: list[int], width: int) -> int:
-    """The integer sum(c * 2^(8*width*e)): the polynomial at q = 2^(8*width)."""
+    """The integer sum(c * 2^(8*width*e)): the polynomial at q = 2^(8*width);
+    non-negative coefficients in 64-bit slots are laid out as one array."""
+    if width == 8 and sys.byteorder == "little" and min(coeffs) >= 0:
+        return int.from_bytes(array("Q", coeffs), "little")
     return sum(map(lshift, coeffs, range(0, 8 * width * len(coeffs), 8 * width)))
 
 
@@ -104,6 +115,52 @@ def _unpack(value: int, width: int, slots: int) -> list[int]:
             for at in range(0, len(digits), width)]
 
 
+def _slots(value: int, width: int) -> list[int]:
+    """The digits of value >= 0 in base 2^(8*width), lowest first: one
+    conversion to bytes, and for 64-bit slots one cast of those bytes."""
+    data = value.to_bytes(-(-value.bit_length() // (8 * width)) * width, "little")
+    if width == 8 and sys.byteorder == "little":
+        return memoryview(data).cast("Q").tolist()
+    return [int.from_bytes(data[at : at + width], "little") for at in range(0, len(data), width)]
+
+
+def _slot_width(k: int, n: int, d: int) -> int:
+    """Bytes per coefficient of the packed division at G(k, n): whole 64-bit
+    words holding the numerator (`_coefficient_bound`) and the quotient times
+    the denominator.  The quotient is sized by the fixed-tree census, the sum
+    of the Betti numbers; the census only sizes the slots, and the
+    certificate in `closed_form_result` does not rely on it."""
+    den = _D2_DENOMINATOR if d == 2 else _D3_DENOMINATOR
+    census = sum(census_formula(k, n, d).values())
+    bits = max(_coefficient_bound(k, n, d).bit_length(), census.bit_length() + len(den)) + 1
+    return 8 * -(-bits // 64)
+
+
+def _numerator(k: int, n: int, d: int, width: int) -> int:
+    """The degree-2 or -3 numerator (1-q^k)(1-q^(n-k)) * bracket * [n, k] at
+    q = 2^(8*width): each factor 1 - q^e a shift and a subtraction."""
+    shift = 8 * width
+
+    def q(e: int) -> int:
+        return 1 << (shift * e)
+
+    if d == 2:
+        bracket = (1 + q(n)) * (1 + q(3)) - q(1) * (1 + q(1)) * (q(k) + q(n - k))
+    else:
+        main, split, even, cross = (_pack(block.coefficient_list(), width)
+                                    for block in (_D3_MAIN, _D3_SPLIT, _D3_EVEN, _D3_CROSS))
+        bracket = (
+            main * (1 + q(2 * n))
+            + split * q(2) * (q(2 * k) + q(2 * (n - k)))
+            + (1 + q(1)) * (1 + q(1))
+            * (even * q(n) * (1 + q(2)) - cross * q(1) * (1 + q(n)) * (q(k) + q(n - k)))
+        )
+    value = bracket * _pack(qbinomial(n, k).coefficient_list(), width)
+    for e in (k, n - k):
+        value -= value << (shift * e)
+    return value
+
+
 def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
     """The closed form of degree d at G(k, n).
 
@@ -112,9 +169,16 @@ def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
     [n, k-1], times 1 - q^(n-k-1+i) and divided by 1 - q^i for i = 1, 2,
     each step exact.  Degrees 2 and 3 multiply a bracket by
     (1-q^k)(1-q^(n-k)) and the Grassmannian's Poincare polynomial, then
-    divide once by the degree's fixed denominator.  That numerator is one
-    integer product at q = 2^(8w), w bytes holding `_coefficient_bound`,
-    read back once into coefficients.
+    divide once by the degree's fixed denominator D: the numerator N is one
+    integer at q = 2^(8w), w bytes from `_slot_width`, and the quotient
+    Q = N // D one `divmod`.  Q is accepted when the remainder is 0, Q >= 0
+    and max|q_i| * 2^len(D) < 2^(8w-1), 2^len(D) bounding D's L1 norm, and
+    `_coefficient_bound` < 2^(8w-1): then N and Q * D both have coefficients
+    strictly inside +-2^(8w-1) and equal values at q = 2^(8w), so they are
+    equal coefficient by coefficient, whatever chose w.  Otherwise N is
+    evaluated again in slots that `_coefficient_bound` alone sizes, read back
+    (`_unpack`) and divided factor by factor, which raises
+    TheoremViolationError with the remainder.
     """
     if d not in (1, 2, 3):
         raise ValueError(f"no closed form for degree {d} (supported: 1, 2, 3)")
@@ -125,26 +189,21 @@ def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
         for i in (1, 2):
             result = exact_div(result - result.shifted(n - k - 1 + i), (i,))
         return result
-    # w bytes hold every coefficient strictly inside +-2^(8w-1)
-    width = _coefficient_bound(k, n, d).bit_length() // 8 + 1
-
-    def q(e: int) -> int:
-        return 1 << (8 * width * e)
-
-    if d == 2:
-        bracket = (1 + q(n)) * (1 + q(3)) - q(1) * (1 + q(1)) * (q(k) + q(n - k))
-        den = _D2_DENOMINATOR
-    else:
-        main, split, even, cross = (_pack(block.coefficient_list(), width)
-                                    for block in (_D3_MAIN, _D3_SPLIT, _D3_EVEN, _D3_CROSS))
-        bracket = (
-            main * (1 + q(2 * n))
-            + split * q(2) * (q(2 * k) + q(2 * (n - k)))
-            + (1 + q(1)) * (1 + q(1))
-            * (even * q(n) * (1 + q(2)) - cross * q(1) * (1 + q(n)) * (q(k) + q(n - k)))
-        )
-        den = _D3_DENOMINATOR
-    value = (1 - q(k)) * (1 - q(n - k)) * bracket * _pack(qbinomial(n, k).coefficient_list(), width)
+    den = _D2_DENOMINATOR if d == 2 else _D3_DENOMINATOR
+    bound = _coefficient_bound(k, n, d)
+    width = _slot_width(k, n, d)
+    shift = 8 * width
+    packed_den = 1
+    for e in den:
+        packed_den -= packed_den << (shift * e)
+    quotient, remainder = divmod(_numerator(k, n, d, width), packed_den)
+    if not remainder and quotient >= 0 and bound.bit_length() < shift:
+        coeffs = _slots(quotient, width)
+        if max(coeffs, default=0).bit_length() + len(den) < shift:
+            return _dense(coeffs)
+    # w bytes hold every coefficient of N strictly inside +-2^(8w-1)
+    width = bound.bit_length() // 8 + 1
+    value = _numerator(k, n, d, width)
     num = _dense(_unpack(value, width, value.bit_length() // (8 * width) + 1))
     return _divide_or_die(num, den, f"degree-{d} closed form at (k={k}, n={n})")
 

@@ -31,7 +31,6 @@ numerators with one integer product instead.)
 from __future__ import annotations
 
 import itertools
-from functools import cache
 from typing import Iterator, Mapping
 
 
@@ -180,23 +179,31 @@ def exact_div(numerator: QPolynomial, factors: tuple[int, ...]) -> QPolynomial:
     return quotient
 
 
-@cache
+# [n, k] by (n, min(k, n - k)), filled by `qbinomial`
+_QBINOMIALS: dict[tuple[int, int], QPolynomial] = {}
+
+
 def qbinomial(n: int, k: int) -> QPolynomial:
     """Gaussian binomial coefficient: the q-count of k-subsets of an n-set.
 
-    Computed by the product definition, one factor at a time: multiply by
-    1 - q^(n-k+i), then divide by 1 - q^i as a running sum with stride i
-    (every prefix is itself a Gaussian binomial, so each step divides
-    exactly and no remainder can arise).  Degree k(n-k); palindromic;
-    non-negative coefficients.
+    Memoized, and built from its predecessor by the product definition:
+    [n, k] = [n-1, k-1] * (1 - q^n) / (1 - q^k), a shifted subtraction and
+    one running sum with stride k (each step divides exactly, since every
+    [n, k] is a polynomial).  The chain of predecessors down to a memoized
+    one, or to [n-k, 0] = 1, is walked in a loop, so no recursion grows with
+    k.  Degree k(n-k); palindromic; non-negative coefficients.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"Gaussian binomial undefined for n={n}, k={k}")
-    kk = min(k, n - k)
-    result = ONE
-    for i in range(1, kk + 1):
-        # times (1 - q^m) is a shifted subtraction, cheaper than a product
-        result = exact_div(result - result.shifted(n - kk + i), (i,))
+    k = min(k, n - k)
+    chain = []
+    while k and (n, k) not in _QBINOMIALS:
+        chain.append((n, k))
+        n, k = n - 1, k - 1
+    result = _QBINOMIALS[n, k] if k else ONE
+    for n, k in reversed(chain):
+        # times (1 - q^n) is a shifted subtraction, cheaper than a product
+        result = _QBINOMIALS[n, k] = exact_div(result - result.shifted(n), (k,))
     return result
 
 

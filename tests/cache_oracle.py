@@ -11,11 +11,21 @@ method (keys in any order, any spacing), so it is looser than
 every Betti entry with `int`, renders the payload again from those ints and
 compares bytes.  `_read_cached` renders from the file's own digit strings
 instead, and must agree with it on every file.
+
+`list_depth` is the layout both readers require: `json.dumps(indent=2)` of a
+payload as it stands inside a JSON list.
 """
 
 import json
 
 from grassmap import cli, fixedgraphs, localization
+
+
+def list_depth(value) -> str:
+    """`json.dumps(value, indent=2)` one level deep, as inside
+    `json.dumps([value], indent=2)`: the layout of `_payload_text` and, with a
+    newline, of a cache file."""
+    return json.dumps([value], indent=2)[len("[\n  "):-len("\n]")]
 
 
 def is_consistent(payload: dict, k: int, n: int, d: int, method: str) -> bool:
@@ -71,9 +81,9 @@ def read_rendered(path: str, k: int, n: int, d: int, method: str) -> tuple[dict,
         return None
     # the Betti block, from the end: `betti` is the last field (a file without
     # it reads as junk, which int() or the byte comparison refuses)
-    block = data.rpartition(b'"betti": [\n    ')[2].partition(b"\n  ]")[0]
+    block = data.rpartition(b'"betti": [\n      ')[2].partition(b"\n    ]")[0]
     try:
-        betti = list(map(int, block.decode("ascii").split(",\n    ")))
+        betti = list(map(int, block.decode("ascii").split(",\n      ")))
     except ValueError:  # UnicodeDecodeError too
         return None
     if not localization.sound_row(k, n, d, betti):

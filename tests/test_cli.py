@@ -13,7 +13,7 @@ from grassmap import checks, cli, closedform, embedding, fixedgraphs, localizati
 from grassmap.checks import PUBLISHED_ROWS
 from grassmap.cli import main
 from grassmap.qpoly import QPolynomial, q_power
-from cache_oracle import read_consistent, read_rendered
+from cache_oracle import list_depth, read_consistent, read_rendered
 from test_acceptance import assert_suite
 from test_fixedgraphs import validate
 from test_localization import fresh_int_families  # a fixture, used by name
@@ -307,7 +307,7 @@ class TestCache:
 
     def test_wrong_but_consistent_hit_is_a_route_disagreement(self, capsys, tmp_path):
         # in the fixed layout the wrong row is a hit: --method both catches it
-        (tmp_path / "1-3-2-localization.json").write_text(json.dumps(self.WRONG_PAYLOAD, indent=2) + "\n")
+        (tmp_path / "1-3-2-localization.json").write_text(list_depth(self.WRONG_PAYLOAD) + "\n")
         code, out, err = run(capsys, *self.BOTH_CSV, "--cache-dir", str(tmp_path))
         assert code == 1
         assert out == "1,3,2,2,3,1\n1,2,3,3,2,1\n"
@@ -361,6 +361,64 @@ class TestCache:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("k,n,d,method", [(1, 2, 1, "loc"), (1, 3, 2, "loc"), (2, 4, 3, "closed")])
+    def test_depth_zero_entry_is_rewritten_at_list_depth(self, capsys, tmp_path, monkeypatch,
+                                                         k, n, d, method):
+        # the layout of earlier versions, json.dumps(payload, indent=2), is a
+        # miss: recomputed once, stored at list depth, and a hit from then on
+        argv = ["betti", "-k", str(k), "-n", str(n), "-d", str(d), "--method", method,
+                "--format", "json", "--cache-dir", str(tmp_path)]
+        _, fresh, _ = run(capsys, *argv[:-2])
+        payload = json.loads(fresh)
+        entry = tmp_path / f"{k}-{n}-{d}-{payload['method']}.json"
+        entry.write_text(json.dumps(payload, indent=2) + "\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == fresh
+        assert entry.read_text() == list_depth(payload) + "\n"
+        monkeypatch.setattr(cli, "_betti_payload", None)  # a miss would now raise
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == fresh
+
+    @pytest.mark.parametrize("method", ["loc", "closed", "both"])
+    def test_lone_json_hit_prints_the_fresh_bytes(self, capsys, tmp_path, monkeypatch, method):
+        # a single cell's hits print the fresh bytes: a lone payload one level
+        # shallower than it is stored, the two payloads of `both` as a list
+        argv = ["betti", "-k", "2", "-n", "4", "-d", "2", "--method", method, "--format", "json"]
+        _, fresh, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--cache-dir", str(tmp_path))[1] == fresh
+        monkeypatch.setattr(cli, "_betti_payload", None)  # a miss would now raise
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0 and out == fresh
+        assert fresh == json.dumps(json.loads(fresh), indent=2) + "\n"
+
+    def test_missing_cache_dir_is_made_once(self, capsys, tmp_path, monkeypatch):
+        # the directory is made on the first miss that finds it missing, not on every miss
+        made = []
+        makedirs = os.makedirs
+
+        def counted(path, *args, **kwargs):
+            made.append(path)
+            return makedirs(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "makedirs", counted)
+        cache_dir = tmp_path / "cache"
+        code, _, _ = run(capsys, "betti", "--k-range", "1..3", "-n", "4", "--d-range", "1..3",
+                         "--method", "closed", "--format", "csv", "--cache-dir", str(cache_dir))
+        assert code == 0 and made == [str(cache_dir)]
+        assert len(list(cache_dir.iterdir())) == 9
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_failed_write_leaves_no_temporary_file(self, capsys, tmp_path, monkeypatch, failing):
+        # an I/O fault mid-write exits 2 and removes its temporary file
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.os, failing, fail)
+        code, out, err = run(capsys, "betti", "-k", "1", "-n", "3", "-d", "1",
+                             "--cache-dir", str(tmp_path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "field,change,row",
         [
@@ -400,7 +458,7 @@ class TestCache:
         if row is not None:
             bad["poincare"] = {"coeffs": [[e, str(c)] for e, c in enumerate(row)]}
         if field.endswith("-canonical"):
-            text = json.dumps(bad, indent=2)
+            text = list_depth(bad)
             assert text == cli._payload_text({key: bad[key] for key in bad if key != "poincare"})
             entry.write_text(text + "\n")
         else:
@@ -435,16 +493,17 @@ def edited_entry(data, cold: bytes, edit: str) -> bytes:
     if edit == "relayout":  # keys in any order; indented, spaced or compact
         stored = json.loads(cold)
         keys = data.draw(st.permutations(list(stored)))
-        layout = data.draw(st.sampled_from([{"indent": 2}, {}, {"separators": (",", ":")}]))
-        return (json.dumps({key: stored[key] for key in keys}, **layout) + "\n").encode()
+        dump = data.draw(st.sampled_from([list_depth, lambda v: json.dumps(v, indent=2), json.dumps,
+                                          lambda v: json.dumps(v, separators=(",", ":"))]))
+        return (dump({key: stored[key] for key in keys}) + "\n").encode()
     return cold
 
 
 def digit_edited_entry(data, cold: bytes, edit: str) -> bytes:
     """`cold` with one Betti entry, or it and its mirror, respelled by `edit`
     (one of DIGIT_EDITS): in the Betti block alone, or in `poincare` too."""
-    head, sep, block = cold.rpartition(b'"betti": [\n    ')
-    digits = block.partition(b"\n  ]")[0].decode().split(",\n    ")
+    head, sep, block = cold.rpartition(b'"betti": [\n      ')
+    digits = block.partition(b"\n    ]")[0].decode().split(",\n      ")
     j = data.draw(st.integers(0, len(digits) - 1))
     for at in {j, data.draw(st.sampled_from([j, len(digits) - 1 - j]))}:
         entry = digits[at]
@@ -461,9 +520,9 @@ def digit_edited_entry(data, cold: bytes, edit: str) -> bytes:
             "too-long": "1" + "0" * sys.get_int_max_str_digits(),
         }[edit]
         if data.draw(st.booleans()):  # the pair at this exponent too
-            pair = f'        {at},\n        "'
+            pair = f'          {at},\n          "'
             head = head.replace(f'{pair}{entry}"'.encode(), f'{pair}{digits[at]}"'.encode())
-    return head + sep + ",\n    ".join(digits).encode() + b"\n  ]\n}\n"
+    return head + sep + ",\n      ".join(digits).encode() + b"\n    ]\n  }\n"
 
 
 @pytest.fixture(scope="module")
@@ -572,7 +631,7 @@ class TestByteExactHit:
 
 class TestJsonRendering:
     """JSON output and cache files are `_payload_text`, which must equal
-    json.dumps(payload, indent=2) byte for byte."""
+    json.dumps(payload, indent=2) inside a JSON list byte for byte."""
 
     @pytest.mark.parametrize("workload,argv", [
         ("closed-sweep", ["betti", "--method", "closed", "--format", "json",
@@ -591,7 +650,7 @@ class TestJsonRendering:
         assert entries
         for entry in entries:
             data = entry.read_bytes()
-            assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()
+            assert data == (list_depth(json.loads(data)) + "\n").encode()
 
     def test_full_closed_sweep_matches_benchmark_golden(self, capsys, tmp_path):
         # the exact bytes the closed-sweep workload times, cold then warm
@@ -609,10 +668,10 @@ class TestJsonRendering:
                 "poincare": {"coeffs": [[0, "1"], [2, str(10**40)], [4, "1"]]},
                 "betti": [1, 0, 10**40, 0, 1]}
         payload = {key: value for key, value in want.items() if key != "poincare"}
-        assert cli._payload_text(payload) == json.dumps(want, indent=2)
+        assert "[\n  " + cli._payload_text(payload) + "\n]" == json.dumps([want], indent=2)
         reports = [{"tree": {"edges": []}, "positives": 3, "weights": [["1/2", "-1"]]}]
-        assert (cli._payload_text({**payload, "reports": reports})
-                == json.dumps({**want, "reports": reports}, indent=2))
+        assert ("[\n  " + cli._payload_text({**payload, "reports": reports}) + "\n]"
+                == json.dumps([{**want, "reports": reports}], indent=2))
         # interior zeros, and a row longer than any separator table so far
         longest = len(cli._PAIR_SEPS)
         for row in ([1, 0, 0, 7, 0, 0, 1], [1, 0, 5, 0, 10**30, 0, 5, 0, 1],
@@ -621,7 +680,7 @@ class TestJsonRendering:
             payload = {**head, "betti": row}
             want = {**head, "poincare": {"coeffs": [[e, str(c)] for e, c in enumerate(row) if c]},
                     "betti": row}
-            assert cli._payload_text(payload) == json.dumps(want, indent=2)
+            assert "[\n  " + cli._payload_text(payload) + "\n]" == json.dumps([want], indent=2)
             assert cli._payload_text(payload, list(map(str, row))) == cli._payload_text(payload)
         assert len(cli._PAIR_SEPS) > longest
 
@@ -770,7 +829,9 @@ class TestVerify:
         assert code == 0
         assert err.endswith("\n") and err.count("\n") == 1
         stats = json.loads(err)
-        assert list(stats) == ["suites"]
+        assert list(stats) == ["suites", "maxrss_mb"]
+        # the process's own peak RSS: at least what the interpreter itself takes
+        assert type(stats["maxrss_mb"]) is float and stats["maxrss_mb"] > 1
         assert list(stats["suites"]) == (sorted(checks.SUITES) if suite == "all" else [suite])
         for entry in stats["suites"].values():
             assert entry.keys() == {"seconds", "checks"}
@@ -916,6 +977,14 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
     # `decimal`) belongs to the test oracles
     probe = "import sys, grassmap.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
     assert _fresh_probe(probe) == "[]\n"
+
+
+def test_only_verify_stats_loads_resource():
+    # the peak-RSS probe is imported where it is read, and nowhere else
+    probe = "import sys; from grassmap.cli import main; main({}); print('resource' in sys.modules)"
+    for argv, loaded in ((["verify", "--suite", "tables"], False),
+                         (["verify", "--suite", "tables", "--stats"], True)):
+        assert _fresh_probe(probe.format(argv)).splitlines()[-1] == str(loaded)
 
 
 def test_package_import_loads_no_submodule():

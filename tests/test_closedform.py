@@ -123,6 +123,38 @@ class TestPackedNumerator:
         assert max(map(abs, numerator_oracle(45, 90, 2).coefficient_list())) >= 2**64
 
 
+class TestCertifiedDivision:
+    """Degrees 2 and 3 divide once, in whole 64-bit slots, and accept the
+    quotient only with its certificate; `_unpack` and the factor-by-factor
+    division are the fallback, and the product oracle judges both."""
+
+    def test_every_cell_is_certified(self, monkeypatch):
+        want = [closed_form_oracle(*cell) for cell in CLOSED_SWEEP + WIDE_CELLS]
+
+        def refuse(*_):
+            raise AssertionError("a closed form fell back to the factor-by-factor division")
+
+        monkeypatch.setattr(closedform, "_unpack", refuse)
+        assert [closed_form_result(*cell) for cell in CLOSED_SWEEP + WIDE_CELLS] == want
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_narrow_slots_fall_back(self, monkeypatch, width):
+        # slots too narrow for the quotient (or the numerator) fail the
+        # certificate wherever it matters; the fallback still gets every cell right
+        want = [closed_form_oracle(*cell) for cell in CLOSED_SWEEP]
+        fallbacks = []
+        divide = closedform._divide_or_die
+
+        def counted(*args):
+            fallbacks.append(args[2])
+            return divide(*args)
+
+        monkeypatch.setattr(closedform, "_slot_width", lambda k, n, d: width)
+        monkeypatch.setattr(closedform, "_divide_or_die", counted)
+        assert [closed_form_result(*cell) for cell in CLOSED_SWEEP] == want
+        assert fallbacks
+
+
 class TestClosedForms:
     def test_degree2_projective_line(self):
         assert closed_form_result(1, 2, 2) == QPolynomial({0: 1, 1: 1, 2: 1})

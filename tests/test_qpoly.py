@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassmap import checks
-from grassmap.closedform import _pack, _unpack
+from grassmap import checks, qpoly
+from grassmap.closedform import _pack, _slots, _unpack
 from grassmap.qpoly import (
     ONE,
     ZERO,
@@ -183,6 +183,16 @@ class TestQBinomial:
             for b in range(5):
                 assert partition_sum(a, b) == qbinomial(a + b, a)
 
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_built_from_any_memoized_predecessor(self, monkeypatch, order):
+        # each [n, k] extends [n-1, k-1] by one strided step, from whichever
+        # predecessor is memoized first; the crossing count is the oracle
+        monkeypatch.setattr(qpoly, "_QBINOMIALS", {})
+        cells = [(n, k) for n in range(11) for k in range(n + 1)]
+        for n, k in cells if order == "ascending" else cells[::-1]:
+            assert qbinomial(n, k) == partition_sum(k, n - k), (n, k)
+        assert len(qpoly._QBINOMIALS) == sum(n // 2 for n in range(11))
+
 
 class TestPartitionSum:
     def test_edge_sizes(self):
@@ -276,6 +286,18 @@ def test_pack_round_trips_at_the_slot_edges(width):
     edge = (1 << (8 * width - 1)) - 1
     for coeffs in ([edge, -edge, 0, -1, 1], [-edge] * 4, [0, 0, edge], [-1]):
         assert _unpack(_pack(coeffs, width), width, len(coeffs)) == coeffs
+
+
+@pytest.mark.parametrize("width", [1, 2, 8, 16])
+def test_slots_read_back_non_negative_packs(width):
+    # `_slots` reads the digits of a non-negative pack, the 64-bit case by one
+    # cast, and `_pack` lays such coefficients out as one array there
+    top = (1 << (8 * width)) - 1
+    for coeffs in ([top, 0, 1], [0, top], [1] * 5, [5]):
+        packed = _pack(coeffs, width)
+        assert packed == sum(c << (8 * width * e) for e, c in enumerate(coeffs))
+        assert _slots(packed, width) == coeffs
+    assert _slots(0, width) == []
 
 
 @given(wide_polys, factor_lists, wide_polys)
