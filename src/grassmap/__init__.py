@@ -7,8 +7,8 @@ space of degree-d (d <= 3) genus-0 stable maps to G(k, n):
   summed over the fixed decorated trees (`fixedgraphs`), from per-edge,
   per-end and per-vertex terms of the int-encoded tangent weights
   (`weights`), checked for parity, exponent range and the fixed-point
-  census; the per-tree assembly stays for `--reports` and as the tests'
-  oracle;
+  census, in total and per shape; the per-tree assembly stays for
+  `--reports` and as the tests' oracle;
 * `closedform` -- evaluation of closed-form generating functions.
 
 Both produce exact integer polynomials in q (`qpoly`), with coefficient

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from . import closedform, embedding, fixedgraphs, localization, qpoly
+from . import closedform, fixedgraphs, localization, qpoly
 
 Checks = Iterator[tuple[str, bool | None, str]]
 
@@ -149,6 +149,7 @@ def embeddings(max_n: int | None) -> Checks:
     """Every fixed tree with n<=6, d=1..3, embedded into every m<=n+1 both ways,
     changes its tangent weights by exactly the predicted delta (tree by tree,
     `embedding.failed_cases`)."""
+    from . import embedding  # only this suite reads it
     for k, n, d in _all_degrees(max_n or 6):
         cases = failures = 0
         for tree in fixedgraphs.fixed_graphs(k, n, d):

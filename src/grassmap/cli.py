@@ -54,7 +54,6 @@ line of per-suite timings and the process's own peak RSS on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -305,6 +304,8 @@ def _payload_text(p: dict, digits: list[str] | None = None) -> str:
               '"poincare": {\n      "coeffs": [\n' + "".join(pairs) + '"\n        ]\n      ]\n    }',
               '"betti": [\n      ' + ",\n      ".join(digits) + "\n    ]"]
     if "reports" in p:
+        import json  # only here, in cmd_graphs and under verify --stats: no other path encodes
+
         fields.append('"reports": ' + json.dumps(p["reports"], indent=2).replace("\n", "\n    "))
     return "{\n    " + ",\n    ".join(fields) + "\n  }"
 
@@ -407,6 +408,8 @@ def _census_payload(k: int, n: int, d: int) -> dict:
 
 
 def cmd_graphs(args, parser) -> int:
+    import json
+
     cells = _cells(args)
     if args.count:
         payloads = (_census_payload(k, n, d) for k, n, d in cells)
@@ -462,6 +465,7 @@ def cmd_verify(args, parser) -> int:
         stats[name] = {"seconds": round(time.perf_counter() - start, 6), "checks": count}
     print("all checks passed" if all_ok else "CHECKS FAILED")
     if args.stats:
+        import json
         import resource  # only here: no other path reads it
 
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KB; bytes on macOS

@@ -37,20 +37,24 @@ the localization sum, and `fixed_point_report`, which decodes the weights for
 calls them only to name the fault in a tangent it does not certify.
 `poincare_localization` builds no trees: each family enters with a fixed
 multiplicity, so a tree's positive count is a sum of local terms, and
-`_positive_counts` sums each tree shape from tables of them, under three
-checks of its own (three-edge path parity, exponents in 0..dim, the census
-total); the tests hold it to the per-tree sum.
+`_positive_counts` sums each tree shape from them.  It counts an edge's
+positive section weights in O(1) from three tables per label
+(`_label_counts`, `_leg_count`), never building the family, and sums each
+shape as products of generating functions packed into ints.  Four checks
+back it (three-edge path parity, exponents in 0..dim, the census total, and
+the census count of each shape); the tests hold it to the per-tree sum.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
 from functools import cache
 from typing import Callable
 
-from .fixedgraphs import DecoratedTree, _label_frame, _neighbor_labels, census_formula, fixed_graphs, topology
+from .fixedgraphs import DecoratedTree, _label_frame, census_formula, fixed_graphs, topology
 from .qpoly import QPolynomial
 from .weights import (
     WEIGHT_SCALE,
@@ -170,86 +174,200 @@ def fixed_point_report(tree: DecoratedTree) -> dict:
 # -- the localization sum -----------------------------------------------------
 
 
-def _legs(c: tuple[int, ...], n: int, deg: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """(l, E, omega) per fixed line c - l covered with degree deg: E counts its
-    positive section weights, omega is its domain tangent at c (-omega at l)."""
-    out = []
-    for other in _neighbor_labels(c, n):
-        shared, drop, add = _label_frame(c, other)
-        e = sum(w > 0 for w in _edge_h0_ints(shared, drop, add, deg, n))
-        out.append((other, e, _domain_tangent_int(n, deg, drop, add)))
-    return out
+def _label_counts(c: tuple[int, ...], n: int) -> tuple[int, list[int], list[int]]:
+    """(T, below, above) at label c: T counts the pairs a in c, r outside c with
+    r > a (the positive tangent directions of G(k, n) at c); below[x] counts
+    the a in c under x, above[x] the r outside c over x, for x = 0..n."""
+    below = [0] * (n + 1)
+    above = [0] * (n + 1)
+    for x in range(1, n + 1):
+        below[x] = below[x - 1] + (x - 1 in c)
+        above[n - x] = above[n - x + 1] + (n - x + 1 not in c)
+    return sum(above[a] for a in c), below, above
 
 
-def _positive_counts(k: int, n: int, d: int) -> Counter:
-    """Fixed trees per positive count, each shape summed from local terms.
+def _lines(c: tuple[int, ...], n: int) -> list[tuple[int, int]]:
+    """(b_u, b_v) per fixed line through label c, to the label that drops b_u and adds b_v."""
+    return [(b_u, b_v) for b_u in c for b_v in range(1, n + 1) if b_v not in c]
 
-    A leg c - l (E and omega from `_legs`) ending in a leaf l adds a = E -
-    [omega < 0]; T(c) counts the positive tangent directions of G(k, n) at c.
+
+def _leg_count(counts: tuple[int, list[int], list[int]], b_u: int, b_v: int, deg: int) -> int:
+    """E, the positive section weights of a degree-deg cover of the line from a
+    label c that drops b_u and adds b_v, from c's `_label_counts`, in O(1).
+
+    `weights._edge_h0_ints` counted block by block by the sign rule (the top
+    index decides), with A = c - b_u and R the indices outside both labels:
+    (a) the pairs a in A, r in R with r > a, which are T(c) less the pairs
+    through b_u or b_v; per cover with top index x, (b) the a in A under x
+    and (c) the r in R over x, g(x) together; (d) deg.  The covers' top
+    indices are b_u, b_v and, deg - 1 times, max(b_u, b_v).
+    """
+    t, below, above = counts
+
+    def g(x: int) -> int:  # the a in A under x, and the r in R over x
+        return below[x] - (b_u < x) + above[x] - (b_v > x)
+
+    pairs = t - above[b_u] - below[b_v] + (b_v > b_u)
+    return pairs + g(b_u) + g(b_v) + (deg - 1) * g(max(b_u, b_v)) + deg
+
+
+def _positive_counts(k: int, n: int, d: int) -> dict[str, dict[int, int]]:
+    """Fixed trees per positive count, per shape (`census_formula`'s keys),
+    each shape summed from local terms.
+
+    A leg from a center c over a line covered with degree deg has E =
+    `_leg_count` positive section weights and the domain tangent omega at c;
+    ending in a leaf it adds a = E - [omega < 0].  T(c) is the first of c's
+    `_label_counts`.
 
       edge_d   E - 1 per pair of adjacent labels;
       path     a1 + a2 + [omega1 + omega2 > 0] - T(c) per unordered pair of unit legs;
       path12   the same per (unit leg, degree-2 leg);
-      star     a + [omega > 0] summed over three unit legs, - 2 T(c); a multiset of
-               leg values stands for prod C(mult + r - 1, r) multisets of legs;
+      star     v1 + v2 + v3 - 2 T(c) per multiset of three unit legs, v = a + [omega > 0];
       path111  per ordered middle edge (c1, c2), E(c1, c2) - T(c1) - T(c2) plus
                a + [omega + omega(c1 -> c2) > 0] at each end; halved, since each
                path is seen from both middle ends.
+
+    A distribution over exponents is one int, the count at q^p in the
+    `width`-bit slot p + `offset`, so the product of two is the product of the
+    ints; the slots are wide enough that no count carries.  With P = sum q^a
+    over c's unit legs and S(x) the same sum over those with omega > x (prefix
+    sums over the legs sorted by omega), a unit leg i and a second leg j
+    (omega_j, b_j) gain a q when omega_i + omega_j > 0, so together they give
+    P Q + (q - 1) sum_j q^(b_j) S(-omega_j), Q = sum_j q^(b_j).  Unordered
+    pairs of unit legs are (ordered pairs + diagonal) / 2; the multisets of
+    three are h3 = (p1^3 + 3 p1 p2 + 2 p3) / 6, p_j = sum q^(j v); an end of a
+    three-edge path is P + (q - 1) S(-omega(c1 -> c2)), and the two ends
+    multiply.
+
+    Raises WeightConsistencyError if a count falls below the packing offset,
+    a division by 2 or 6 leaves a remainder, or the three-edge paths count
+    odd from their middle ends.
     """
+    census = census_formula(k, n, d)  # refuses a cell outside 1 <= k < n, d = 1..3
+    width = (6 * sum(census.values())).bit_length()  # 2^width > any count packed, 6 h3 included
+    offset = 2 * k * (n - k) + 4  # a sound sum shifts its products down by at most 2 k(n-k)
+
+    def times_q(x: int, s: int) -> int:
+        """x q^s, x a packed distribution; raises if a count would fall below slot 0."""
+        if s >= 0:
+            return x << s * width
+        if x & ((1 << -s * width) - 1):
+            raise WeightConsistencyError(f"a positive count below the packing offset -{offset} "
+                                         f"in ({k},{n},{d})")
+        return x >> -s * width
+
+    def times_q_less_1(x: int) -> int:  # x (q - 1)
+        return (x << width) - x
+
+    def exact(x: int, m: int) -> int:
+        quotient, remainder = divmod(x, m)
+        if remainder:
+            raise WeightConsistencyError(f"packed counts in ({k},{n},{d}) leave remainder {remainder} "
+                                         f"on division by {m}")
+        return quotient
+
+    def unpacked(x: int) -> dict[int, int]:
+        mask = (1 << width) - 1
+        slots = ((j, (x >> j * width) & mask) for j in range(x.bit_length() // width + 1))
+        return {j - offset: count for j, count in slots if count}
+
     labels = list(itertools.combinations(range(1, n + 1), k))
-    counts = Counter(e - 1 for c in labels for other, e, _ in _legs(c, n, d) if c < other)
+    counts = {c: _label_counts(c, n) for c in labels}
+    lines = {c: _lines(c, n) for c in labels}
+    edges = Counter(_leg_count(counts[c], b_u, b_v, d) - 1
+                    for c in labels for b_u, b_v in lines[c] if b_u < b_v)  # each edge once, from its lower label
+    shapes = {f"edge{d}": dict(edges)}
     if d == 1:
-        return counts
-    tops = {c: sum(w > 0 for w in _point_tangent_ints(c, n)) for c in labels}
-    unit = {c: _legs(c, n, 1) for c in labels}
-    leaves = {c: [(e - (w < 0), w) for _, e, w in unit[c]] for c in labels}
-    for c, t in tops.items():
-        legs = leaves[c]
+        return shapes
+
+    unit = {}  # c -> (omega, E, b_u, b_v) per unit leg, by omega
+    leaves = {}  # c -> (omega, a) per unit leg, by omega
+    omegas = {}  # c -> the omegas of its unit legs, ascending
+    prefixes = {}  # c -> prefix sums of q^a over its unit legs in that order; P last
+    for c in labels:
+        unit[c] = sorted((_domain_tangent_int(n, 1, b_u, b_v), _leg_count(counts[c], b_u, b_v, 1), b_u, b_v)
+                         for b_u, b_v in lines[c])
+        leaves[c] = [(omega, e - (omega < 0)) for omega, e, _, _ in unit[c]]
+        omegas[c] = [omega for omega, _ in leaves[c]]
+        prefixes[c] = [0]
+        for _, a in leaves[c]:
+            prefixes[c].append(prefixes[c][-1] + times_q(1, a))
+
+    def suffix(c: tuple[int, ...], x: int) -> int:  # S(x) at c
+        prefix = prefixes[c]
+        return prefix[-1] - prefix[bisect.bisect_right(omegas[c], x)]
+
+    def pairs(c: tuple[int, ...], seconds: list[tuple[int, int]]) -> int:
+        """q^(a_i + b + [omega_i + omega > 0]) summed over c's unit legs i and the (omega, b) of `seconds`."""
+        q_sum = crossed = 0  # Q, and sum q^b S(-omega)
+        for omega, b in seconds:
+            q_sum += times_q(1, b)
+            crossed += suffix(c, -omega) << b * width
+        return prefixes[c][-1] * q_sum + times_q_less_1(crossed)
+
+    twice = path12 = six_star = doubled = 0
+    for c in labels:
+        t = counts[c][0]
         if d == 2:
-            for i, (a1, w1) in enumerate(legs):
-                counts.update(a1 + a2 + (w1 + w2 > 0) - t for a2, w2 in legs[i:])
+            diagonal = sum(times_q(1, 2 * a + (omega > 0)) for omega, a in leaves[c])
+            twice += times_q(pairs(c, leaves[c]) + diagonal, offset - t)
             continue
-        for _, e, w2 in _legs(c, n, 2):
-            counts.update(a1 + e - (w2 < 0) + (w1 + w2 > 0) - t for a1, w1 in legs)
-        values = Counter(a + (w > 0) for a, w in legs)
-        for combo in itertools.combinations_with_replacement(sorted(values), 3):
-            mult = math.prod(math.comb(values[v] + r - 1, r) for v, r in Counter(combo).items())
-            counts[sum(combo) - 2 * t] += mult
-    if d == 3:
-        ends = {(c, other): Counter(a + (w + w_mid > 0) for a, w in leaves[c])
-                for c in labels for other, _, w_mid in unit[c]}
-        doubled: Counter = Counter()
-        for c1 in labels:
-            for c2, e, _ in unit[c1]:
-                shift = e - tops[c1] - tops[c2]
-                for x, cx in ends[c1, c2].items():
-                    for y, cy in ends[c2, c1].items():
-                        doubled[x + y + shift] += cx * cy
-        for p, twice in doubled.items():
-            if twice % 2:
-                raise WeightConsistencyError(f"three-edge paths at q^{p} in ({k},{n},3) counted "
-                                             f"from both middle ends: {twice}, an odd number")
-            counts[p] += twice // 2
-    return counts
+        seconds = []
+        for b_u, b_v in lines[c]:
+            omega = _domain_tangent_int(n, 2, b_u, b_v)
+            seconds.append((omega, _leg_count(counts[c], b_u, b_v, 2) - (omega < 0)))
+        path12 += times_q(pairs(c, seconds), offset - t)
+        values = [a + (omega > 0) for omega, a in leaves[c]]
+        p1, p2, p3 = (sum(times_q(1, j * v) for v in values) for j in (1, 2, 3))
+        six_star += times_q(p1 * p1 * p1 + 3 * p1 * p2 + 2 * p3, offset - 2 * t)
+        for omega, e, b_u, b_v in unit[c]:
+            far = tuple(sorted((*(a for a in c if a != b_u), b_v)))
+            near_end = prefixes[c][-1] + times_q_less_1(suffix(c, -omega))
+            far_end = prefixes[far][-1] + times_q_less_1(suffix(far, omega))
+            doubled += times_q(near_end * far_end, offset + e - t - counts[far][0])
+    if d == 2:
+        shapes["path"] = unpacked(exact(twice, 2))
+        return shapes
+    shapes["path12"] = unpacked(path12)
+    shapes["star"] = unpacked(exact(six_star, 6))
+    paths = unpacked(doubled)
+    for p, count in paths.items():
+        if count % 2:
+            raise WeightConsistencyError(f"three-edge paths at q^{p} in ({k},{n},3) counted "
+                                         f"from both middle ends: {count}, an odd number")
+        paths[p] = count // 2
+    shapes["path111"] = paths
+    return shapes
 
 
 @cache
 def poincare_localization(k: int, n: int, d: int) -> QPolynomial:
     """q^(positive tangent weights) summed over the fixed trees, from local terms.
 
-    Raises WeightConsistencyError if the three-edge paths count odd from their
-    middle ends, an exponent leaves 0..dim, or the fixed points summed miss
-    `census_formula`'s total.
+    Raises WeightConsistencyError if a packed count falls below its offset, the
+    three-edge paths count odd from their middle ends, an exponent leaves
+    0..dim, or the fixed points summed miss `census_formula`'s total or, shape
+    by shape, its count for that shape.
     """
-    census = sum(census_formula(k, n, d).values())  # refuses a cell outside 1 <= k < n, d = 1..3
-    counts = _positive_counts(k, n, d)
+    census = census_formula(k, n, d)  # refuses a cell outside 1 <= k < n, d = 1..3
+    shapes = _positive_counts(k, n, d)
+    counts: Counter = Counter()
+    for shape_counts in shapes.values():
+        counts.update(shape_counts)
     dim = moduli_dimension(k, n, d)
     stray = sorted(p for p in counts if not 0 <= p <= dim)
     if stray:
         raise WeightConsistencyError(f"positive counts {stray} outside 0..{dim} in ({k},{n},{d})")
-    if sum(counts.values()) != census:
+    total = sum(census.values())
+    if sum(counts.values()) != total:
         raise WeightConsistencyError(f"{sum(counts.values())} fixed points summed in ({k},{n},{d}), "
-                                     f"the census counts {census}")
+                                     f"the census counts {total}")
+    for shape, want in census.items():
+        got = sum(shapes[shape].values())
+        if got != want:
+            raise WeightConsistencyError(f"{got} {shape} trees summed in ({k},{n},{d}), "
+                                         f"its census counts {want}")
     return QPolynomial(dict(counts))
 
 

@@ -600,8 +600,8 @@ class TestByteExactHit:
         def no_decode(*args, **kwargs):
             raise AssertionError("a warm pass decoded JSON")
 
-        monkeypatch.setattr(cli.json, "loads", no_decode)
-        monkeypatch.setattr(cli.json, "load", no_decode)
+        monkeypatch.setattr(json, "loads", no_decode)
+        monkeypatch.setattr(json, "load", no_decode)
         monkeypatch.setattr(cli, "_betti_payload", None)
         code, out, _ = run(capsys, *argv)
         assert code == 0
@@ -976,6 +976,12 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
     # the program computes with ints only; `fractions` (which imports
     # `decimal`) belongs to the test oracles
     probe = "import sys, grassmap.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    assert _fresh_probe(probe) == "[]\n"
+
+
+def test_cli_import_loads_neither_json_nor_the_embedding_check():
+    # json is imported where a path encodes, and the embedding check by its suite
+    probe = "import sys, grassmap.cli; print(sorted({'json', 'grassmap.embedding'} & set(sys.modules)))"
     assert _fresh_probe(probe) == "[]\n"
 
 

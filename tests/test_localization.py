@@ -1,3 +1,5 @@
+import itertools
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -6,10 +8,12 @@ import pytest
 import grassmap.embedding as embedding
 import grassmap.localization as loc
 import grassmap.weights as weights
+import local_sum_oracle
 from fraction_oracle import embedding_delta, encoded, lift, sign_counts, tangent, weight
 from grassmap.checks import SWEEP
+from grassmap.cli import CACHE_ENV, main
 from grassmap.embedding import failed_cases
-from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs, fixed_graphs
+from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs, fixed_graphs, topology
 from grassmap.localization import (
     fixed_point_report,
     moduli_dimension,
@@ -167,8 +171,67 @@ class TestPoincare:
 ORACLE_CELLS = sorted({*SWEEP, *((k, n, 1) for n in range(2, 7) for k in range(1, n)), (3, 7, 3)})
 
 
+@pytest.fixture
+def fresh_sum():
+    """The localization sum recomputed, and not kept, by the test."""
+    poincare_localization.cache_clear()
+    yield
+    poincare_localization.cache_clear()
+
+
+def _one_sided_leg_count(monkeypatch):
+    # one more positive section weight on unit edges read from the lower
+    # label's end only: a middle edge then counts its paths differently
+    # from its two ends
+    orig = loc._leg_count
+    monkeypatch.setattr(loc, "_leg_count", lambda counts, b_u, b_v, deg:
+                        orig(counts, b_u, b_v, deg) + (deg == 1 and b_u < b_v))
+
+
+def _tangent_directions_off(monkeypatch, extra):
+    # every label counts `extra` positive tangent directions too many
+    orig = loc._label_counts
+
+    def off(c, n):
+        t, below, above = orig(c, n)
+        return t + extra, below, above
+
+    monkeypatch.setattr(loc, "_label_counts", off)
+
+
+def _last_line_lost(monkeypatch):
+    # each label loses its last fixed line
+    orig = loc._lines
+    monkeypatch.setattr(loc, "_lines", lambda *a: orig(*a)[:-1])
+
+
+def _tree_moved_between_shapes(monkeypatch):
+    # one star counted as a degrees-(1,2) path: the total still holds
+    orig = loc._positive_counts
+
+    def moved(*cell):
+        shapes = orig(*cell)
+        p = min(shapes["star"])
+        shapes["star"][p] -= 1
+        shapes["path12"][p] = shapes["path12"].get(p, 0) + 1
+        return shapes
+
+    monkeypatch.setattr(loc, "_positive_counts", moved)
+
+
+SUM_FAULTS = [
+    pytest.param((2, 4, 3), _one_sided_leg_count, "three-edge paths .* an odd number", id="parity"),
+    pytest.param((2, 4, 2), lambda mp: _tangent_directions_off(mp, 50), r"outside 0\.\.9", id="above-dim"),
+    pytest.param((2, 4, 2), lambda mp: _tangent_directions_off(mp, -50), "below the packing offset",
+                 id="below-offset"),
+    pytest.param((2, 4, 2), _last_line_lost, "the census counts 72", id="census"),
+    pytest.param((2, 4, 3), _tree_moved_between_shapes, "path12 trees summed", id="shape-census"),
+]
+
+
 class TestLocalSum:
-    """The sum of local terms against the per-tree sum as oracle."""
+    """The sum of local terms against its oracles (the per-tree sum, the
+    `Counter` sum, the materialized section families), and under faults."""
 
     @pytest.mark.parametrize("cell", ORACLE_CELLS, ids=lambda c: "-".join(map(str, c)))
     def test_equals_per_tree_sum(self, cell):
@@ -176,36 +239,65 @@ class TestLocalSum:
         poincare_localization.cache_clear()
         assert poincare_localization(*cell) == QPolynomial(dict(per_tree))
 
-    def test_odd_path111_count_raises(self, monkeypatch):
-        # one more positive section weight on unit edges read from the lower
-        # label's end only: a middle edge then counts its paths differently
-        # from its two ends
-        orig = loc._edge_h0_ints
-
-        def one_sided(shared, b_u, b_v, deg, n):
-            extra = (1,) if deg == 1 and b_u < b_v else ()
-            return (*orig(shared, b_u, b_v, deg, n), *extra)
-
-        monkeypatch.setattr(loc, "_edge_h0_ints", one_sided)
-        poincare_localization.cache_clear()
+    def test_odd_path111_count_raises(self, monkeypatch, fresh_sum):
+        _one_sided_leg_count(monkeypatch)
         with pytest.raises(WeightConsistencyError, match="three-edge paths .* an odd number"):
             poincare_localization(2, 4, 3)
 
-    def test_exponent_outside_dimension_raises(self, monkeypatch):
-        # every vertex of valence >= 2 loses 50 positive directions too many
-        orig = loc._point_tangent_ints
-        monkeypatch.setattr(loc, "_point_tangent_ints", lambda *a: (*orig(*a), *(1,) * 50))
-        poincare_localization.cache_clear()
+    def test_exponent_outside_dimension_raises(self, monkeypatch, fresh_sum):
+        _tangent_directions_off(monkeypatch, 50)
         with pytest.raises(WeightConsistencyError, match=r"outside 0\.\.9"):
             poincare_localization(2, 4, 2)
 
-    def test_fixed_point_total_off_census_raises(self, monkeypatch):
-        # each label loses its last fixed line
-        orig = loc._neighbor_labels
-        monkeypatch.setattr(loc, "_neighbor_labels", lambda *a: orig(*a)[:-1])
-        poincare_localization.cache_clear()
+    def test_count_below_the_packing_offset_raises(self, monkeypatch, fresh_sum):
+        _tangent_directions_off(monkeypatch, -50)
+        with pytest.raises(WeightConsistencyError, match="below the packing offset"):
+            poincare_localization(2, 4, 2)
+
+    def test_fixed_point_total_off_census_raises(self, monkeypatch, fresh_sum):
+        _last_line_lost(monkeypatch)
         with pytest.raises(WeightConsistencyError, match="the census counts 72"):
             poincare_localization(2, 4, 2)
+
+    def test_shape_total_off_its_census_raises(self, monkeypatch, fresh_sum):
+        _tree_moved_between_shapes(monkeypatch)
+        with pytest.raises(WeightConsistencyError, match=r"path12 trees summed in \(2,4,3\), its census counts 96"):
+            poincare_localization(2, 4, 3)
+
+    @pytest.mark.parametrize("cell,fault,message", SUM_FAULTS)
+    def test_a_faulty_sum_exits_1(self, capsys, monkeypatch, fresh_sum, cell, fault, message):
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+        fault(monkeypatch)
+        k, n, d = map(str, cell)
+        assert main(["betti", "-k", k, "-n", n, "-d", d, "--method", "loc"]) == 1
+        assert re.match(f"mathematical inconsistency: .*{message}", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_equals_the_counter_sum(self, n):
+        for k in range(1, n):
+            for d in (1, 2, 3):
+                packed = Counter()
+                for counts in loc._positive_counts(k, n, d).values():
+                    packed.update(counts)
+                assert packed == local_sum_oracle.positive_counts(k, n, d), (k, n, d)
+
+    @pytest.mark.parametrize("cell", SMALL_CELLS, ids=lambda c: "-".join(map(str, c)))
+    def test_each_shape_equals_its_trees(self, cell):
+        per_tree = {}
+        for t in fixed_graphs(*cell):
+            per_tree.setdefault(topology(t.edges).shape, Counter())[tangent_sign_counts(t)[0]] += 1
+        assert loc._positive_counts(*cell) == per_tree
+
+    def test_leg_count_equals_the_materialized_family(self):
+        for n in range(2, 9):
+            for k in range(1, n):
+                for c in itertools.combinations(range(1, n + 1), k):
+                    counts = loc._label_counts(c, n)
+                    for b_u, b_v in loc._lines(c, n):
+                        shared = tuple(a for a in c if a != b_u)
+                        for deg in (1, 2, 3):
+                            family = weights._edge_h0_ints.__wrapped__(shared, b_u, b_v, deg, n)
+                            assert loc._leg_count(counts, b_u, b_v, deg) == sum(w > 0 for w in family)
 
     def test_nothing_comes_from_the_closed_form(self):
         assert all(getattr(v, "__module__", None) != "grassmap.closedform" for v in vars(loc).values())
