@@ -2,25 +2,24 @@
 
 The localization sum of `localization` has, for each degree d <= 3, a
 closed-form companion: a rational expression in q that must collapse to the
-same polynomial.  No evaluation here multiplies two polynomials.  Degree 1
-extends a Gaussian binomial by two strided divisions, as `qbinomial` builds
-one.  Degrees 2 and 3 evaluate the complete numerator as one integer at
+same polynomial.  Every degree is evaluated the same way, and no evaluation
+multiplies two polynomials: the complete numerator is one integer at
 q = 2^(8w), w bytes per coefficient in whole 64-bit slots (Kronecker
-substitution; Python integers are exact at any size): `_pack` evaluates the
-bracket's blocks and the Gaussian binomial, and each factor 1 - q^e is a
-shift and a subtraction.  One `divmod` by the packed denominator then gives
-the quotient, whose slots are read back at once.  It is accepted only with
-a certificate: no remainder, and the slots wide enough that the quotient
-times the denominator cannot carry from one slot into the next, so the
-quotient times the denominator is the numerator coefficient by coefficient.
-Otherwise the numerator's coefficients are read back (`_unpack`) and divided
-factor by factor (`qpoly.exact_div`); a remainder there means the formula
-and the inputs are inconsistent (a transcription or reasoning bug, never a
-user error) and surfaces as TheoremViolationError.
+substitution; Python integers are exact at any size).  `_pack` evaluates the
+Gaussian binomial and the degree-3 bracket's blocks, and each factor 1 - q^e
+is a shift and a subtraction.  One `divmod` by the packed denominator gives
+the quotient, whose slots are read back at once.  It is accepted only with a
+certificate: no remainder, and the slots wide enough that the quotient times
+the denominator cannot carry from one slot into the next, so the quotient
+times the denominator is the numerator coefficient by coefficient.  A failed
+certificate means the formula and the inputs are inconsistent (a
+transcription or reasoning bug, never a user error) and raises
+TheoremViolationError naming the failed clause.
 
 Degrees:
   1  product of two Gaussian binomials -- the space fibers over the
-     two-step flag variety of (k-1)- inside (k+1)-dimensional subspaces;
+     two-step flag variety of (k-1)- inside (k+1)-dimensional subspaces --
+     written as [n, k-1] (1-q^(n-k)) (1-q^(n-k+1)) / ((1-q)(1-q^2));
   2  a single rational expression on top of the Grassmannian's own
      Poincare polynomial;
   3  the same, with four fixed numerator blocks (each vanishing at q = 1,
@@ -41,34 +40,16 @@ from math import comb
 from operator import lshift
 
 from .fixedgraphs import census_formula
-from .qpoly import (
-    QPolynomial,
-    DivisibilityError,
-    _dense,
-    exact_div,
-    q_power,
-    qbinomial,
-    qbinomial_or_zero,
-)
+from .qpoly import QPolynomial, _dense, q_power, qbinomial, qbinomial_or_zero
 
 
 class TheoremViolationError(ArithmeticError):
     """A closed-form evaluation failed to collapse to a polynomial."""
 
 
-def _divide_or_die(numerator: QPolynomial, factors: tuple[int, ...], what: str) -> QPolynomial:
-    try:
-        return exact_div(numerator, factors)
-    except DivisibilityError as exc:
-        raise TheoremViolationError(
-            f"{what} did not divide exactly (remainder {exc.remainder})"
-        ) from exc
-
-
-# The denominators of the degree-2 and degree-3 forms, shared by every cell,
-# as the exponents j of their factors (1 - q^j).
-_D2_DENOMINATOR = (1, 1, 2, 2)
-_D3_DENOMINATOR = (1, 1, 2, 2, 2, 3, 3)
+# The denominator of each degree's form, shared by every cell, as the
+# exponents j of its factors (1 - q^j).
+_DENOMINATORS = {1: (1, 2), 2: (1, 1, 2, 2), 3: (1, 1, 2, 2, 2, 3, 3)}
 
 # The four fixed numerator blocks of the degree-3 form, named by the factor
 # each multiplies.  All four vanish at q = 1.
@@ -87,10 +68,10 @@ _BRACKET_NORM = {2: 8, 3: sum(weight * sum(map(abs, block.coefficient_list())) f
 
 
 def _coefficient_bound(k: int, n: int, d: int) -> int:
-    """A bound on |coefficient| of the degree-2 or -3 numerator at G(k, n):
-    the product of its factors' L1 norms, C(n, k) being the norm of the
-    non-negative Gaussian binomial [n, k]."""
-    return 2 * 2 * _BRACKET_NORM[d] * comb(n, k)
+    """A bound on |coefficient| of the degree-d numerator at G(k, n): the
+    product of its factors' L1 norms, C(n, j) being the norm of the
+    non-negative Gaussian binomial [n, j] (degree 1 has no bracket)."""
+    return 2 * 2 * (comb(n, k - 1) if d == 1 else _BRACKET_NORM[d] * comb(n, k))
 
 
 def _pack(coeffs: list[int], width: int) -> int:
@@ -128,35 +109,42 @@ def _slot_width(k: int, n: int, d: int) -> int:
     """Bytes per coefficient of the packed division at G(k, n): whole 64-bit
     words holding the numerator (`_coefficient_bound`) and the quotient times
     the denominator.  The quotient is sized by the fixed-tree census, the sum
-    of the Betti numbers; the census only sizes the slots, and the
-    certificate in `closed_form_result` does not rely on it."""
-    den = _D2_DENOMINATOR if d == 2 else _D3_DENOMINATOR
+    of the Betti numbers, so a correct formula always passes the certificate
+    in `closed_form_result`; the census only sizes the slots, and the
+    certificate does not rely on it."""
+    den = _DENOMINATORS[d]
     census = sum(census_formula(k, n, d).values())
     bits = max(_coefficient_bound(k, n, d).bit_length(), census.bit_length() + len(den)) + 1
     return 8 * -(-bits // 64)
 
 
 def _numerator(k: int, n: int, d: int, width: int) -> int:
-    """The degree-2 or -3 numerator (1-q^k)(1-q^(n-k)) * bracket * [n, k] at
-    q = 2^(8*width): each factor 1 - q^e a shift and a subtraction."""
+    """The degree-d numerator at q = 2^(8*width): [n, k-1] (1-q^(n-k))
+    (1-q^(n-k+1)) for degree 1, (1-q^k)(1-q^(n-k)) * bracket * [n, k] for
+    degrees 2 and 3, each factor 1 - q^e a shift and a subtraction."""
     shift = 8 * width
 
     def q(e: int) -> int:
         return 1 << (shift * e)
 
-    if d == 2:
-        bracket = (1 + q(n)) * (1 + q(3)) - q(1) * (1 + q(1)) * (q(k) + q(n - k))
+    if d == 1:
+        value = _pack(qbinomial(n, k - 1).coefficient_list(), width)
+        factors = (n - k, n - k + 1)
     else:
-        main, split, even, cross = (_pack(block.coefficient_list(), width)
-                                    for block in (_D3_MAIN, _D3_SPLIT, _D3_EVEN, _D3_CROSS))
-        bracket = (
-            main * (1 + q(2 * n))
-            + split * q(2) * (q(2 * k) + q(2 * (n - k)))
-            + (1 + q(1)) * (1 + q(1))
-            * (even * q(n) * (1 + q(2)) - cross * q(1) * (1 + q(n)) * (q(k) + q(n - k)))
-        )
-    value = bracket * _pack(qbinomial(n, k).coefficient_list(), width)
-    for e in (k, n - k):
+        if d == 2:
+            bracket = (1 + q(n)) * (1 + q(3)) - q(1) * (1 + q(1)) * (q(k) + q(n - k))
+        else:
+            main, split, even, cross = (_pack(block.coefficient_list(), width)
+                                        for block in (_D3_MAIN, _D3_SPLIT, _D3_EVEN, _D3_CROSS))
+            bracket = (
+                main * (1 + q(2 * n))
+                + split * q(2) * (q(2 * k) + q(2 * (n - k)))
+                + (1 + q(1)) * (1 + q(1))
+                * (even * q(n) * (1 + q(2)) - cross * q(1) * (1 + q(n)) * (q(k) + q(n - k)))
+            )
+        value = bracket * _pack(qbinomial(n, k).coefficient_list(), width)
+        factors = (k, n - k)
+    for e in factors:
         value -= value << (shift * e)
     return value
 
@@ -165,47 +153,41 @@ def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
     """The closed form of degree d at G(k, n).
 
     Degree 1 is the Gaussian-binomial product [n, k-1] * [n-k+1, 2] from
-    the flag-variety fibration, built as `qbinomial` builds its own: from
-    [n, k-1], times 1 - q^(n-k-1+i) and divided by 1 - q^i for i = 1, 2,
-    each step exact.  Degrees 2 and 3 multiply a bracket by
-    (1-q^k)(1-q^(n-k)) and the Grassmannian's Poincare polynomial, then
-    divide once by the degree's fixed denominator D: the numerator N is one
+    the flag-variety fibration; degrees 2 and 3 multiply a bracket by
+    (1-q^k)(1-q^(n-k)) and the Grassmannian's Poincare polynomial.  Each
+    divides once by its degree's fixed denominator D: the numerator N is one
     integer at q = 2^(8w), w bytes from `_slot_width`, and the quotient
-    Q = N // D one `divmod`.  Q is accepted when the remainder is 0, Q >= 0
-    and max|q_i| * 2^len(D) < 2^(8w-1), 2^len(D) bounding D's L1 norm, and
+    Q = N // D one `divmod`.  Q is accepted when the remainder is 0, Q >= 0,
+    max|q_i| * 2^len(D) < 2^(8w-1), 2^len(D) bounding D's L1 norm, and
     `_coefficient_bound` < 2^(8w-1): then N and Q * D both have coefficients
     strictly inside +-2^(8w-1) and equal values at q = 2^(8w), so they are
-    equal coefficient by coefficient, whatever chose w.  Otherwise N is
-    evaluated again in slots that `_coefficient_bound` alone sizes, read back
-    (`_unpack`) and divided factor by factor, which raises
-    TheoremViolationError with the remainder.
+    equal coefficient by coefficient, whatever chose w.  Otherwise it raises
+    TheoremViolationError naming the first clause that failed, a remainder
+    read back by `_unpack`.
     """
     if d not in (1, 2, 3):
         raise ValueError(f"no closed form for degree {d} (supported: 1, 2, 3)")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if d == 1:
-        result = qbinomial(n, k - 1)
-        for i in (1, 2):
-            result = exact_div(result - result.shifted(n - k - 1 + i), (i,))
-        return result
-    den = _D2_DENOMINATOR if d == 2 else _D3_DENOMINATOR
-    bound = _coefficient_bound(k, n, d)
+    den = _DENOMINATORS[d]
     width = _slot_width(k, n, d)
     shift = 8 * width
     packed_den = 1
     for e in den:
         packed_den -= packed_den << (shift * e)
     quotient, remainder = divmod(_numerator(k, n, d, width), packed_den)
-    if not remainder and quotient >= 0 and bound.bit_length() < shift:
-        coeffs = _slots(quotient, width)
-        if max(coeffs, default=0).bit_length() + len(den) < shift:
-            return _dense(coeffs)
-    # w bytes hold every coefficient of N strictly inside +-2^(8w-1)
-    width = bound.bit_length() // 8 + 1
-    value = _numerator(k, n, d, width)
-    num = _dense(_unpack(value, width, value.bit_length() // (8 * width) + 1))
-    return _divide_or_die(num, den, f"degree-{d} closed form at (k={k}, n={n})")
+    if remainder:
+        rest = _dense(_unpack(remainder, width, remainder.bit_length() // shift + 2))
+        failed = f"did not divide exactly (remainder {rest})"
+    elif quotient < 0:
+        failed = "divided to a negative quotient"
+    elif max(coeffs := _slots(quotient, width), default=0).bit_length() + len(den) >= shift:
+        failed = f"has a quotient coefficient too wide for {width}-byte slots"
+    elif _coefficient_bound(k, n, d).bit_length() >= shift:
+        failed = f"has a numerator bound too wide for {width}-byte slots"
+    else:
+        return _dense(coeffs)
+    raise TheoremViolationError(f"degree-{d} closed form at (k={k}, n={n}) {failed}")
 
 
 # -- degree-2 sub-family forms ---------------------------------------------------

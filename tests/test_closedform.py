@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 
 import grassmap.closedform as closedform
@@ -38,9 +40,13 @@ def one_plus(e):
     return QPolynomial({0: 1, e: 1})
 
 
+@cache
 def numerator_oracle(k, n, d):
-    """The degree-2 or -3 numerator (1-q^k)(1-q^(n-k)) * bracket * [n,k] as a
-    product of polynomials (the oracle for the one packed integer product)."""
+    """The degree-d numerator as a product of polynomials (the oracle for the
+    one packed integer product): [n,k-1] (1-q^(n-k)) (1-q^(n-k+1)) for
+    degree 1, (1-q^k)(1-q^(n-k)) * bracket * [n,k] for degrees 2 and 3."""
+    if d == 1:
+        return qbinomial(n, k - 1) * (ONE - q_power(n - k)) * (ONE - q_power(n - k + 1))
     if d == 2:
         bracket = one_plus(n) * one_plus(3) - q_power(1) * one_plus(1) * (q_power(k) + q_power(n - k))
     else:
@@ -57,11 +63,11 @@ def numerator_oracle(k, n, d):
     return one_minus * bracket * qbinomial(n, k)
 
 
+@cache
 def closed_form_oracle(k, n, d):
     if d == 1:
         return qbinomial(n, k - 1) * qbinomial(n - k + 1, 2)
-    den = closedform._D2_DENOMINATOR if d == 2 else closedform._D3_DENOMINATOR
-    return exact_div(numerator_oracle(k, n, d), den)
+    return exact_div(numerator_oracle(k, n, d), closedform._DENOMINATORS[d])
 
 
 class TestGrassmannian:
@@ -101,13 +107,12 @@ class TestPackedNumerator:
     def test_width_bound_holds(self, cells):
         # every coefficient is under the bound the byte width is chosen from
         for k, n, d in cells:
-            if d > 1:
-                top = max(map(abs, numerator_oracle(k, n, d).coefficient_list()))
-                assert top <= closedform._coefficient_bound(k, n, d), (k, n, d)
+            top = max(map(abs, numerator_oracle(k, n, d).coefficient_list()))
+            assert top <= closedform._coefficient_bound(k, n, d), (k, n, d)
 
     def test_no_polynomial_product(self, monkeypatch):
-        # every degree is built from Gaussian binomials, strided divisions
-        # and integer products alone
+        # every degree is built from Gaussian binomials and integer
+        # products alone
         want = [closed_form_oracle(*cell) for cell in CLOSED_SWEEP]
 
         def refuse(*_):
@@ -124,9 +129,9 @@ class TestPackedNumerator:
 
 
 class TestCertifiedDivision:
-    """Degrees 2 and 3 divide once, in whole 64-bit slots, and accept the
-    quotient only with its certificate; `_unpack` and the factor-by-factor
-    division are the fallback, and the product oracle judges both."""
+    """Every degree divides once, in whole 64-bit slots, and accepts the
+    quotient only with its certificate; a failed certificate raises, and the
+    product oracle judges every row that is returned."""
 
     def test_every_cell_is_certified(self, monkeypatch):
         want = [closed_form_oracle(*cell) for cell in CLOSED_SWEEP + WIDE_CELLS]
@@ -138,21 +143,65 @@ class TestCertifiedDivision:
         assert [closed_form_result(*cell) for cell in CLOSED_SWEEP + WIDE_CELLS] == want
 
     @pytest.mark.parametrize("width", [1, 2, 4])
-    def test_narrow_slots_fall_back(self, monkeypatch, width):
+    def test_narrow_slots_raise(self, monkeypatch, width):
         # slots too narrow for the quotient (or the numerator) fail the
-        # certificate wherever it matters; the fallback still gets every cell right
-        want = [closed_form_oracle(*cell) for cell in CLOSED_SWEEP]
-        fallbacks = []
-        divide = closedform._divide_or_die
-
-        def counted(*args):
-            fallbacks.append(args[2])
-            return divide(*args)
-
+        # certificate wherever it matters: such a cell raises, and no cell
+        # returns a row other than the oracle's
         monkeypatch.setattr(closedform, "_slot_width", lambda k, n, d: width)
-        monkeypatch.setattr(closedform, "_divide_or_die", counted)
-        assert [closed_form_result(*cell) for cell in CLOSED_SWEEP] == want
-        assert fallbacks
+        raised = 0
+        for cell in CLOSED_SWEEP:
+            try:
+                got = closed_form_result(*cell)
+            except TheoremViolationError:
+                raised += 1
+            else:
+                assert got == closed_form_oracle(*cell), cell
+        assert raised
+
+
+_numerator = closedform._numerator
+
+# per clause of the certificate that can fail with no remainder (a remainder
+# is `TestFailurePath`'s), the message that names it and the patches of
+# `closedform` that fail it at (k, n, d) = (1, 3, 3)
+FAILED_CLAUSES = {
+    # -N = (-Q) * D divides exactly
+    "negative-quotient": ("divided to a negative quotient",
+                          {"_numerator": lambda *args: -_numerator(*args)}),
+    # N = Q * D at q = 2^8 still, but Q's coefficients carry across the slots
+    "wide-quotient": ("has a quotient coefficient too wide for 1-byte slots",
+                      {"_slot_width": lambda k, n, d: 1}),
+    # a bound past the slots, though the numerator itself fits them
+    "numerator-bound": ("has a numerator bound too wide for 8-byte slots",
+                        {"_slot_width": lambda k, n, d: 8, "_coefficient_bound": lambda k, n, d: 1 << 63}),
+}
+
+
+class TestFailedClause:
+    """A failed certificate raises at once and names the clause that failed,
+    never a remainder of 0."""
+
+    @pytest.fixture(params=list(FAILED_CLAUSES))
+    def clause(self, request, monkeypatch):
+        message, patches = FAILED_CLAUSES[request.param]
+        for name, value in patches.items():
+            monkeypatch.setattr(closedform, name, value)
+        monkeypatch.delenv("GRASSMAP_CACHE", raising=False)
+        return message
+
+    def test_raises_naming_the_clause(self, clause):
+        with pytest.raises(TheoremViolationError) as failure:
+            closed_form_result(1, 3, 3)
+        message = str(failure.value)
+        assert message.startswith(f"degree-3 closed form at (k=1, n=3) {clause}")
+        assert "remainder" not in message
+
+    def test_cli_exits_1(self, clause, capsys):
+        code = main(["betti", "-k", "1", "-n", "3", "-d", "3", "--method", "closed"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith(f"mathematical inconsistency: degree-3 closed form at (k=1, n=3) {clause}")
+        assert out == ""
 
 
 class TestClosedForms:
