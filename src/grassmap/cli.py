@@ -13,12 +13,13 @@ Three subcommands:
            `grassmap.checks`, which the acceptance tests assert too; this
            module only renders their results.
 
-Exit codes: 0 success; 1 a mathematical disagreement or failed check
-(among them a fresh Betti row that is not sound, which is neither printed
-nor cached); 2 bad usage (including degrees above 3), an I/O fault (an
-OSError, such as a cache path that cannot be read or written) or running out
-of memory (a MemoryError).  A reader that closes stdout early ends the run
-with exit 2 and nothing on stderr.
+Exit codes: 0 success; 1 a mathematical disagreement or failed check, which
+is every ArithmeticError: among them a fresh Betti row that is not sound
+(neither printed nor cached) and a Gaussian binomial that does not divide
+exactly; 2 bad usage (including degrees above 3), an I/O fault (an OSError,
+such as a cache path that cannot be read or written) or running out of
+memory (a MemoryError).  A reader that closes stdout early ends the run with
+exit 2 and nothing on stderr.
 
 `betti` and `graphs` take exactly one of -k and --k-range a..b (an inclusive,
 non-empty range), and likewise for n and d; argparse refuses any other request
@@ -61,7 +62,7 @@ import tempfile
 import time
 from typing import Iterable, Sequence
 
-from . import checks, closedform, fixedgraphs, localization, qpoly
+from . import checks, closedform, fixedgraphs, localization
 from .qpoly import QPolynomial
 from .weights import WeightConsistencyError
 
@@ -158,7 +159,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    except (closedform.TheoremViolationError, WeightConsistencyError, qpoly.DivisibilityError) as exc:
+    except ArithmeticError as exc:  # each route's own error, and `qpoly.qbinomial`'s
         print(f"mathematical inconsistency: {exc}", file=sys.stderr)
         return 1
 
@@ -194,7 +195,12 @@ def _betti_payload(k: int, n: int, d: int, method: str) -> dict:
     row = poly.coefficient_list()
     if not localization.sound_row(k, n, d, row):
         raise error(f"unsound Betti row {row} at k={k} n={n} d={d} by {method}")
-    return {"k": k, "n": n, "d": d, "method": method, "dim": localization.moduli_dimension(k, n, d), "betti": row}
+    return _payload(k, n, d, method, row)
+
+
+def _payload(k: int, n: int, d: int, method: str, betti: list[int]) -> dict:
+    """The payload of a cell, a method and its Betti row, fields in `_payload_text`'s order."""
+    return {"k": k, "n": n, "d": d, "method": method, "dim": localization.moduli_dimension(k, n, d), "betti": betti}
 
 
 def _read_cached(path: str, k: int, n: int, d: int, method: str) -> tuple[dict, str] | None:
@@ -235,8 +241,7 @@ def _read_cached(path: str, k: int, n: int, d: int, method: str) -> tuple[dict, 
     betti = half + half[: len(digits) // 2][::-1]
     if not localization.sound_row(k, n, d, betti):
         return None
-    payload = {"k": k, "n": n, "d": d, "method": method,
-               "dim": localization.moduli_dimension(k, n, d), "betti": betti}
+    payload = _payload(k, n, d, method, betti)
     rendered = _payload_text(payload, digits)
     return (payload, rendered) if rendered + "\n" == text else None
 

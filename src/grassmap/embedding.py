@@ -1,8 +1,9 @@
 """The embedding self-check: every fixed tree pushed into a larger Grassmannian.
 
 Two coordinate inclusions push a fixed map into a larger Grassmannian: mode
-"iota" adjoins a new ambient coordinate (labels unchanged), mode "kappa"
-adjoins the new coordinate to the ambient space *and* to every label.
+"iota" adjoins a new ambient coordinate (labels unchanged), into G(k, n+1);
+mode "kappa" adjoins the new coordinate to the ambient space *and* to every
+label, into G(k+1, n+1).
 `_lift` reads a weight in n+1 characters, the new one at slot m, by
 inserting a zero digit there: a_i becomes a_{i+1} for i >= m, no lifted
 weight involves the new a_m, and every sign is kept.  The embedded tree's
@@ -46,10 +47,14 @@ one rule: a tree whose base tangent is not certified raises
 WeightConsistencyError, a surplus residual with a negative multiplicity
 raises, and a case fails iff it is in some misfit set or its mode's surplus
 is not certified.  No tangent or surplus is built.  Without a fault these
-verdicts equal the tests' per-case check, which assembles both tangents;
-under a fault they may fail a case that check passes, since each residual is
-judged before the residuals cancel, but they never pass a case that it
-fails, and the tests hold them to that under each fault they inject.
+verdicts equal the tests' per-case check, which pushes the tree into n+1
+coordinates and assembles both tangents and the whole surplus at one slot
+(tests/residual_oracle.py, which also checks the residuals one slot and mode
+at a time, the oracle of the misfit sets).  Under a fault they may fail a
+case that check passes, since each residual is judged before the residuals
+cancel (a wrong top-slot surplus fails every slot of its mode), but they
+never pass a case that it fails, and the tests hold them to that under each
+fault they inject.
 """
 
 from __future__ import annotations

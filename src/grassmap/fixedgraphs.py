@@ -12,15 +12,21 @@ enough to list outright:
     d = 3:  one edge of degree 3; a two-edge path with degrees 1 and 2;
             a three-edge star; a three-edge path with unit degrees
 
-Each shape generator yields every isomorphism class exactly once, so
-`fixed_graphs` streams the trees with no dedup and no cache.  `topology`
-reads what an `edges` tuple decides (shape, valences, the tree hung from a
-leaf) once per tuple; the generators use seven.  The canonical
-form (the minimal relabelled encoding over all vertex orderings) only
-orders output, in `enumerate_fixed_graphs`.  It lists the labels sorted,
-so only orderings within runs of equal labels are tried: one ordering for
-most trees instead of up to 24.  Degrees 4 and above are out of scope and
-raise UnsupportedDegreeError.
+The localization sum builds no trees; they are enumerated for
+`grassmap graphs`, `betti --reports`, the census, the sub-family sums, the
+embedding check and the tests' oracle of that sum.  Each shape generator yields every
+isomorphism class exactly once (an edge from its smaller label, a centre
+with a multiset of leaves, a three-edge path in one orientation), so
+`fixed_graphs` streams the trees with no dedup and no cache; the census and
+duality checks would see a duplicate or a missing tree.  `topology` reads
+what an `edges` tuple decides (shape, valences, the tree hung from a leaf)
+once per tuple; the generators use seven.  The canonical form (the minimal
+relabelled encoding over all vertex orderings) only orders output, in
+`enumerate_fixed_graphs`, where the order is part of the contract:
+`grassmap graphs` and `betti --reports`.  It lists the labels sorted, so
+only orderings within runs of equal labels are tried: one ordering for most
+trees instead of up to 24.  Degrees 4 and above are out of scope and raise
+UnsupportedDegreeError.
 """
 
 from __future__ import annotations

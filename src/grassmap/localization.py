@@ -36,13 +36,20 @@ the localization sum, and `fixed_point_report`, which decodes the weights for
 `grassmap betti --reports`; the embedding check (`grassmap.embedding`)
 calls them only to name the fault in a tangent it does not certify.
 `poincare_localization` builds no trees: each family enters with a fixed
-multiplicity, so a tree's positive count is a sum of local terms, and
-`_positive_counts` sums each tree shape from them.  It counts an edge's
-positive section weights in O(1) from three tables per label
-(`_label_counts`, `_leg_count`), never building the family, and sums each
-shape as products of generating functions packed into ints.  Four checks
+multiplicity, so a tree's positive count is a sum of local terms.  Per edge,
+its positive section weights; per leaf end, minus its positive
+reparametrization weight; per node or valence-3 vertex, its positive
+smoothing weights; per vertex of valence v >= 2, minus v-1 times the
+positive tangent directions of G(k, n) there.  `_positive_counts` sums each
+tree shape from tables of these terms over the labels and their fixed
+lines.  It counts an edge's positive section weights in O(1) from three
+tables per label (`_label_counts`, `_leg_count`), never building the family,
+and sums each shape as products of generating functions packed into ints
+(the star's multisets of three legs by one symmetric-function identity, a
+three-edge path over its middle edge from both ends, halved).  Four checks
 back it (three-edge path parity, exponents in 0..dim, the census total, and
-the census count of each shape); the tests hold it to the per-tree sum.
+the census count of each shape); the tests hold it to the per-tree sum on
+the standard sweep, on degree 1 up to n = 6 and on (3, 7, 3).
 """
 
 from __future__ import annotations

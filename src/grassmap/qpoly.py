@@ -11,35 +11,21 @@ refused.  Arithmetic is exact throughout (arbitrary-precision integers, no
 floating point), so polynomial equality is a trustworthy verification
 primitive.
 
-Division and products deserve a note.  Every denominator in this package is
-a product of factors (1 - q^j), so `exact_div` divides by exactly that: it
-takes the exponents j, and dividing by 1 - q^j is a running sum with stride j
-over the coefficient list (multiplication by 1 + q^j + q^2j + ...).  After
-all the strides the list holds the power-series quotient up to the
-numerator's degree; the division is exact exactly when its top sum(j)
-entries vanish, and the rest is the quotient.  Otherwise the remainder,
-numerator - quotient * prod(1 - q^j), is attached to the raised
-`DivisibilityError`: (1+q)/(1-q) fails with remainder 2q.  A nonzero
-remainder escaping one of the closed-form evaluations is a mathematical
-inconsistency (the rational expression failed to collapse to a polynomial),
-not a user error, and is treated as such by callers.  A product of two
-polynomials is the schoolbook rule: each coefficient pair adds its product
-into the slot of its exponents' sum.  (`closedform` evaluates its large
-numerators with one integer product instead.)
+Products and the one division.  A product of two polynomials is the
+schoolbook rule: each coefficient pair adds its product into the slot of its
+exponents' sum.  (`closedform` evaluates its large numerators with one
+integer product instead.)  The only division is `qbinomial`'s, by one factor
+1 - q^k at a time: a running sum with stride k over the coefficient list
+(multiplication by 1 + q^k + q^2k + ...), exact exactly when its top k
+entries then vanish, the rest being the quotient.  A nonzero top raises
+ArithmeticError naming [n, k]: every Gaussian binomial is a polynomial, so
+that is a mathematical inconsistency, not a user error.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterator, Mapping
-
-
-class DivisibilityError(ArithmeticError):
-    """A polynomial division that had to be exact left a remainder."""
-
-    def __init__(self, remainder: "QPolynomial") -> None:
-        self.remainder = remainder
-        super().__init__(f"non-exact polynomial division (remainder: {remainder})")
 
 
 class QPolynomial:
@@ -154,31 +140,6 @@ def q_power(exponent: int) -> QPolynomial:
     return QPolynomial({exponent: 1})
 
 
-def exact_div(numerator: QPolynomial, factors: tuple[int, ...]) -> QPolynomial:
-    """Divide exactly by prod(1 - q^j) over the exponents j in `factors`.
-
-    Each factor is a running sum with stride j; the division is exact when
-    the top sum(factors) coefficients then vanish, and DivisibilityError
-    carries the remainder numerator - quotient * prod(1 - q^j) otherwise.
-    Example: (1+q)/(1-q) fails with remainder 2q.  An exponent below 1
-    raises ZeroDivisionError, because 1 - q^0 is zero.
-    """
-    if min(factors, default=1) < 1:
-        raise ZeroDivisionError(f"division by 1 - q^0 = 0 (factor exponents {factors})")
-    c = list(numerator._c)
-    for j in factors:
-        for r in range(j):
-            c[r::j] = itertools.accumulate(c[r::j])
-    top = max(len(c) - sum(factors), 0)
-    quotient = _dense(c[:top])
-    if any(c[top:]):
-        denominator = ONE
-        for j in factors:
-            denominator = denominator - denominator.shifted(j)
-        raise DivisibilityError(numerator - quotient * denominator)
-    return quotient
-
-
 # [n, k] by (n, min(k, n - k)), filled by `qbinomial`
 _QBINOMIALS: dict[tuple[int, int], QPolynomial] = {}
 
@@ -188,10 +149,11 @@ def qbinomial(n: int, k: int) -> QPolynomial:
 
     Memoized, and built from its predecessor by the product definition:
     [n, k] = [n-1, k-1] * (1 - q^n) / (1 - q^k), a shifted subtraction and
-    one running sum with stride k (each step divides exactly, since every
-    [n, k] is a polynomial).  The chain of predecessors down to a memoized
-    one, or to [n-k, 0] = 1, is walked in a loop, so no recursion grows with
-    k.  Degree k(n-k); palindromic; non-negative coefficients.
+    one running sum with stride k, exact when its top k entries then vanish
+    (ArithmeticError names [n, k] otherwise).  The chain of predecessors down
+    to a memoized one, or to [n-k, 0] = 1, is walked in a loop, so no
+    recursion grows with k.  Degree k(n-k); palindromic; non-negative
+    coefficients.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"Gaussian binomial undefined for n={n}, k={k}")
@@ -203,7 +165,13 @@ def qbinomial(n: int, k: int) -> QPolynomial:
     result = _QBINOMIALS[n, k] if k else ONE
     for n, k in reversed(chain):
         # times (1 - q^n) is a shifted subtraction, cheaper than a product
-        result = _QBINOMIALS[n, k] = exact_div(result - result.shifted(n), (k,))
+        c = list((result - result.shifted(n))._c)
+        for r in range(k):
+            c[r::k] = itertools.accumulate(c[r::k])
+        if any(c[-k:]):
+            raise ArithmeticError(f"Gaussian binomial [{n}, {k}] is not a polynomial: "
+                                  f"1 - q^{k} does not divide its numerator")
+        result = _QBINOMIALS[n, k] = _dense(c[:-k])
     return result
 
 

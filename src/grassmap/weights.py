@@ -14,7 +14,11 @@ Scaling by 6 clears every denominator, every scaled coefficient lies in
 equal to the weight's sign; `_digits` reads the scaled coefficients back.
 The encoding is linear, so each family below is built from the encoded
 characters (`_characters`) alone, and each division is exact because every
-encoded character is a multiple of 6.
+encoded character is a multiple of 6.  These ints are the program's only
+form of a weight: `grassmap betti --reports` decodes each into its balanced
+base-32 digits, the coefficients times 6, and prints them as exact
+fractions.  The rational form, one `Fraction` vector per weight, lives only
+in the tests (tests/fraction_oracle.py), as the oracle for the int form.
 
 Torus-fixed points of the Grassmannian G(k, n) are the k-subsets of {1..n}
 (coordinate subspaces).  Its tangent space at a label carries the k(n-k)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grassmap
-from grassmap import checks, cli, closedform, embedding, fixedgraphs, localization
+from grassmap import checks, cli, closedform, embedding, fixedgraphs, localization, qpoly
 from grassmap.checks import PUBLISHED_ROWS
 from grassmap.cli import main
 from grassmap.qpoly import QPolynomial, q_power
@@ -113,6 +113,15 @@ class TestBetti:
         assert (code, out) == (1, "")
         assert err == ("mathematical inconsistency: unsound Betti row [1, 3, 7, 12, 14, 14, 11, 7, 3, 1] "
                        f"at k=2 n=4 d=2 by {method}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_exact_gaussian_binomial_exits_1(self, capsys, tmp_path, monkeypatch):
+        # a wrong memoized [4, 1] leaves a remainder when [5, 2] divides by 1 - q^2
+        monkeypatch.setattr(qpoly, "_QBINOMIALS", {(4, 1): QPolynomial({0: 1, 1: 2, 2: 1, 3: 1})})
+        code, out, err = run(capsys, "betti", "-k", "2", "-n", "5", "-d", "2", "--method", "closed",
+                             "--cache-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("mathematical inconsistency: ") and "[5, 2]" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):

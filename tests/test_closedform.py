@@ -17,7 +17,8 @@ from grassmap.closedform import (
     triangle_family_index_sum,
 )
 from grassmap.localization import moduli_dimension, poincare_localization
-from grassmap.qpoly import ONE, QPolynomial, exact_div, q_power, qbinomial
+from grassmap.qpoly import ONE, QPolynomial, q_power, qbinomial
+from division_oracle import dict_long_division, one_minus_product
 
 # the closed-sweep benchmark grid, and cells with Betti numbers past 60 bits
 CLOSED_SWEEP = [(k, n, d) for n in range(2, 29) for k in range(1, n) for d in (1, 2, 3)]
@@ -26,14 +27,14 @@ WIDE_CELLS = [(20, 45, 3), (30, 60, 2), (45, 90, 2)]
 
 def poincare_grassmannian(k, n):
     """Poincare polynomial of G(k, n) from the product form: prod_{i<=n} (1-q^i)
-    over the two complementary factorials, with one exact division at the end
+    over the two complementary factorials, with one long division at the end
     (the oracle for `qbinomial`, which divides one factor at a time)."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     num = ONE
     for i in range(1, n + 1):
         num = num * QPolynomial({0: 1, i: -1})
-    return exact_div(num, (*range(1, k + 1), *range(1, n - k + 1)))
+    return dict_long_division(num, one_minus_product((*range(1, k + 1), *range(1, n - k + 1))))
 
 
 def one_plus(e):
@@ -67,7 +68,7 @@ def numerator_oracle(k, n, d):
 def closed_form_oracle(k, n, d):
     if d == 1:
         return qbinomial(n, k - 1) * qbinomial(n - k + 1, 2)
-    return exact_div(numerator_oracle(k, n, d), closedform._DENOMINATORS[d])
+    return dict_long_division(numerator_oracle(k, n, d), one_minus_product(closedform._DENOMINATORS[d]))
 
 
 class TestGrassmannian:

@@ -10,22 +10,21 @@ from grassmap.closedform import _pack, _slots, _unpack
 from grassmap.qpoly import (
     ONE,
     ZERO,
-    DivisibilityError,
     QPolynomial,
-    exact_div,
     partition_sum,
     q_power,
     qbinomial,
     qbinomial_or_zero,
 )
+from division_oracle import dict_long_division, one_minus_product
 
 
 def P(d):
     return QPolynomial(d)
 
 
-# -- dict algorithms kept as oracles: for the dense product and the packed
-# integer product of `closedform`, and for the strided division
+# -- the dict schoolbook product, kept as the oracle for the dense product and
+# the packed integer product of `closedform`
 
 def schoolbook_mul(a, b):
     out = {}
@@ -33,48 +32,6 @@ def schoolbook_mul(a, b):
         for e2, c2 in b.terms():
             out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
     return QPolynomial(out)
-
-
-def dict_long_division(numerator, denominator):
-    """Lowest-exponent-first long division over a dict remainder: the quotient,
-    or DivisibilityError carrying what was left.  It takes any denominator,
-    and stops at a term that would need a quotient term below q^0."""
-    rem = dict(numerator.terms())
-    den = dict(denominator.terms())
-    den_low = min(den)
-    top = max(rem) - max(den)
-    quot = {}
-    while rem:
-        low = min(rem)
-        e = low - den_low
-        if e < 0 or e > top:
-            break
-        c, leftover = divmod(rem[low], den[den_low])
-        if leftover:
-            break
-        quot[e] = c
-        for de, dc in den.items():
-            rem[de + e] = rem.get(de + e, 0) - dc * c
-            if not rem[de + e]:
-                del rem[de + e]
-    if rem:
-        raise DivisibilityError(QPolynomial(rem))
-    return QPolynomial(quot)
-
-
-def one_minus_product(factors):
-    """prod(1 - q^j) over the exponents j in `factors`, by schoolbook products."""
-    product = ONE
-    for j in factors:
-        product = schoolbook_mul(product, P({0: 1, j: -1}))
-    return product
-
-
-def division_outcome(divide, numerator, denominator):
-    try:
-        return "quotient", divide(numerator, denominator)
-    except DivisibilityError as exc:
-        return "remainder", exc.remainder
 
 
 class TestBasics:
@@ -99,7 +56,6 @@ class TestBasics:
         assert (a + b).coefficient_list() == [2]
         assert (a * ZERO).coefficient_list() == [0]
         assert not a * ZERO and len((a * b).coefficient_list()) - 1 == 6
-        assert exact_div(a - a.shifted(3), (3,)).coefficient_list() == [1, 0, 0, 2]
 
     def test_never_equals_an_int(self):
         assert ONE != 1 and ZERO != 0 and P({0: 5}) != 5
@@ -114,29 +70,6 @@ class TestBasics:
     def test_str(self):
         assert str(P({0: 1, 1: 1, 2: 2, 4: -1})) == "1 + q + 2*q^2 - q^4"
         assert str(ZERO) == "0"
-
-
-class TestExactDiv:
-    def test_simple(self):
-        assert exact_div(P({0: 1, 2: -1}), (1,)) == P({0: 1, 1: 1})
-
-    def test_three_factor(self):
-        num = P({0: 1, 3: -1}) * P({0: 1, 1: 1})
-        assert exact_div(num, (2,)) == P({0: 1, 1: 1, 2: 1})
-
-    def test_remainder_carried(self):
-        with pytest.raises(DivisibilityError) as exc:
-            exact_div(P({0: 1, 1: 1}), (1,))
-        assert exc.value.remainder == P({1: 2})
-
-    def test_zero_divisor(self):
-        # 1 - q^0 is the zero polynomial
-        for factors in [(0,), (2, 0), (1, -1)]:
-            with pytest.raises(ZeroDivisionError):
-                exact_div(ONE, factors)
-
-    def test_zero_numerator(self):
-        assert exact_div(ZERO, (1,)) == ZERO
 
 
 class TestQBinomial:
@@ -193,6 +126,20 @@ class TestQBinomial:
             assert qbinomial(n, k) == partition_sum(k, n - k), (n, k)
         assert len(qpoly._QBINOMIALS) == sum(n // 2 for n in range(11))
 
+    def test_non_exact_step_raises(self, monkeypatch):
+        # a wrong memoized [4, 1] leaves a remainder when [5, 2] divides by 1 - q^2
+        monkeypatch.setattr(qpoly, "_QBINOMIALS", {(4, 1): P({0: 1, 1: 2, 2: 1, 3: 1})})
+        with pytest.raises(ArithmeticError, match=r"\[5, 2\]"):
+            qbinomial(5, 2)
+        assert (5, 2) not in qpoly._QBINOMIALS
+
+
+def test_division_oracle_refuses_a_remainder():
+    # the oracle of `closed_form_result` and `qbinomial` fails a non-exact division
+    assert dict_long_division(P({0: 1, 3: -1}), one_minus_product((1,))) == P({0: 1, 1: 1, 2: 1})
+    with pytest.raises(AssertionError, match=r"remainder 2\*q$"):
+        dict_long_division(P({0: 1, 1: 1}), one_minus_product((1,)))
+
 
 class TestPartitionSum:
     def test_edge_sizes(self):
@@ -226,16 +173,6 @@ class TestIdentities:
 # -- property tests -----------------------------------------------------------
 
 polys = st.dictionaries(st.integers(0, 8), st.integers(-9, 9), max_size=6).map(QPolynomial)
-
-# the exponents j of a denominator prod(1 - q^j); the empty list is the unit
-factor_lists = st.lists(st.integers(1, 6), max_size=7).map(tuple)
-
-
-@given(polys, factor_lists)
-@settings(max_examples=200)
-def test_exact_div_inverts_multiplication(a, factors):
-    assert exact_div(a * one_minus_product(factors), factors) == a
-
 
 @given(polys, polys, polys)
 @settings(max_examples=100)
@@ -298,17 +235,3 @@ def test_slots_read_back_non_negative_packs(width):
         assert packed == sum(c << (8 * width * e) for e, c in enumerate(coeffs))
         assert _slots(packed, width) == coeffs
     assert _slots(0, width) == []
-
-
-@given(wide_polys, factor_lists, wide_polys)
-@settings(max_examples=300)
-def test_exact_div_matches_long_division(quotient, factors, extra):
-    # numerators a multiple of the denominator, or one plus a perturbation
-    denominator = one_minus_product(factors)
-    for numerator in (schoolbook_mul(quotient, denominator),
-                      schoolbook_mul(quotient, denominator) + extra, extra):
-        if not numerator:
-            assert exact_div(numerator, factors) == ZERO
-            continue
-        assert division_outcome(exact_div, numerator, factors) == \
-            division_outcome(dict_long_division, numerator, denominator)
