@@ -173,19 +173,19 @@ def theorems(max_n: int | None) -> Checks:
 def families(max_n: int | None) -> Checks:
     """The degree-2 triangle family, n<=6, by index sum, closed form and
     localization, a failure naming each pair that differs.  The repeated-leaf
-    family is compared too, but only as information (ok None): its family
-    predicate rests on a resolved ambiguity."""
+    family is compared too, but only as information (ok None): its frame
+    rule rests on a resolved ambiguity."""
     cap = max_n or 6
     for n in range(3, cap + 1):
         for k in range(2, n):
             sums = {"index": closedform.triangle_family_index_sum(k, n),
                     "closed": closedform.triangle_family_closed_form(k, n),
-                    "loc": localization.stratum_family_contribution(k, n, localization._is_triangle_config)}
+                    "loc": localization.family_sum(k, n, "triangle")}
             detail = first_differences({name: p.coefficient_list() for name, p in sums.items()})
             yield f"families triangle ({k},{n})", not detail, detail
     for n in range(2, cap + 1):
         for k in range(1, n):
-            loc = localization.stratum_family_contribution(k, n, localization._is_repeated_leaf_config)
+            loc = localization.family_sum(k, n, "repeated-leaf")
             cf = closedform.repeated_leaf_family_closed_form(k, n)
             verdict, detail = ("matches", "") if loc == cf else ("DIFFERS from", f"{loc} vs {cf}")
             yield f"families repeated-leaf ({k},{n}) {verdict} closed form", None, detail

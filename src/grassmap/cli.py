@@ -207,8 +207,8 @@ def _read_cached(path: str, k: int, n: int, d: int, method: str) -> tuple[dict, 
     """The payload stored at `path` with its `_payload_text`, or None unless the
     file is byte for byte that text (at list depth) and a newline, rendered
     from this cell and method and the file's Betti row, which must be sound
-    (`localization.sound_row`).  The file is read whole by one `os.read`, and
-    no JSON is decoded: a hit is the program's own output, so any other
+    (`localization.sound_row`).  The file is read whole by one `os.read`, as
+    ASCII, and no JSON is decoded: a hit is the program's own output, so any other
     layout is a miss.  The Betti block must already be canonical decimals
     (`str(int(s)) == s` for each entry), so the text is rendered from the
     file's own digit strings, not from the ints; and since a canonical row is

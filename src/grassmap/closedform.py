@@ -39,7 +39,7 @@ from array import array
 from math import comb
 from operator import lshift
 
-from .fixedgraphs import census_formula
+from .fixedgraphs import _check_cell, census_formula
 from .qpoly import QPolynomial, _dense, q_power, qbinomial, qbinomial_or_zero
 
 
@@ -163,12 +163,10 @@ def closed_form_result(k: int, n: int, d: int) -> QPolynomial:
     strictly inside +-2^(8w-1) and equal values at q = 2^(8w), so they are
     equal coefficient by coefficient, whatever chose w.  Otherwise it raises
     TheoremViolationError naming the first clause that failed, a remainder
-    read back by `_unpack`.
+    read back by `_unpack`.  A cell is refused as by the localization route
+    (`_check_cell`).
     """
-    if d not in (1, 2, 3):
-        raise ValueError(f"no closed form for degree {d} (supported: 1, 2, 3)")
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_cell(k, n, d)
     den = _DENOMINATORS[d]
     width = _slot_width(k, n, d)
     shift = 8 * width

@@ -12,9 +12,9 @@ enough to list outright:
     d = 3:  one edge of degree 3; a two-edge path with degrees 1 and 2;
             a three-edge star; a three-edge path with unit degrees
 
-The localization sum builds no trees; they are enumerated for
-`grassmap graphs`, `betti --reports`, the census, the sub-family sums, the
-embedding check and the tests' oracle of that sum.  Each shape generator yields every
+The localization and sub-family sums build no trees; they are enumerated
+for `grassmap graphs`, `betti --reports`, the census, the embedding check and
+the tests' oracles of those sums.  Each shape generator yields every
 isomorphism class exactly once (an edge from its smaller label, a centre
 with a multiset of leaves, a three-edge path in one orientation), so
 `fixed_graphs` streams the trees with no dedup and no cache; the census and
@@ -132,6 +132,9 @@ def _neighbor_labels(label: tuple[int, ...], n: int) -> tuple[tuple[int, ...], .
 
 
 def _check_cell(k: int, n: int, d: int) -> None:
+    """Refuse a cell outside 1 <= k < n, 1 <= d <= MAX_DEGREE: ValueError, and
+    UnsupportedDegreeError for a degree above MAX_DEGREE.  The one cell rule
+    of both routes."""
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if d < 1:

@@ -30,11 +30,11 @@ Both facts are enforced, so a miscounted family would abort loudly rather
 than skew a Betti number.
 
 `_int_tangent` assembles the multiset from the int-encoded families of
-`weights`, and `_checked_int_counts` runs the checks.  On them rest
-`tangent_sign_counts`, for the sub-family sums and as the tests' oracle for
-the localization sum, and `fixed_point_report`, which decodes the weights for
-`grassmap betti --reports`; the embedding check (`grassmap.embedding`)
-calls them only to name the fault in a tangent it does not certify.
+`weights`, and `_checked_int_counts` runs the checks.  This per-tree
+assembly serves `fixed_point_report`, which decodes the weights for
+`grassmap betti --reports`, and the embedding check (`grassmap.embedding`),
+which calls it only to name the fault in a tangent it does not certify; the
+tests sum it tree by tree as the oracle of the sums below.
 `poincare_localization` builds no trees: each family enters with a fixed
 multiplicity, so a tree's positive count is a sum of local terms.  Per edge,
 its positive section weights; per leaf end, minus its positive
@@ -49,7 +49,9 @@ and sums each shape as products of generating functions packed into ints
 three-edge path over its middle edge from both ends, halved).  Four checks
 back it (three-edge path parity, exponents in 0..dim, the census total, and
 the census count of each shape); the tests hold it to the per-tree sum on
-the standard sweep, on degree 1 up to n = 6 and on (3, 7, 3).
+the standard sweep, on degree 1 up to n = 6 and on (3, 7, 3).  `family_sum`
+sums the degree-2 sub-families from the same local terms: each family is a
+rule on the frames of a two-edge path's legs (`FAMILIES`).
 """
 
 from __future__ import annotations
@@ -59,9 +61,8 @@ import itertools
 import math
 from collections import Counter
 from functools import cache
-from typing import Callable
 
-from .fixedgraphs import DecoratedTree, _label_frame, census_formula, fixed_graphs, topology
+from .fixedgraphs import DecoratedTree, _check_cell, _label_frame, census_formula, topology
 from .qpoly import QPolynomial
 from .weights import (
     WEIGHT_SCALE,
@@ -149,11 +150,6 @@ def _checked_int_counts(tree: DecoratedTree, ws: Counter) -> tuple[int, int]:
     return pos, neg
 
 
-def tangent_sign_counts(tree: DecoratedTree) -> tuple[int, int]:
-    """(positive, negative) tangent weight counts at a fixed tree, checked."""
-    return _checked_int_counts(tree, _int_tangent(tree))
-
-
 def _sixths(digit: int) -> str:
     """digit / WEIGHT_SCALE as a reduced fraction string ("-1/2", "0", "2")."""
     g = math.gcd(digit, WEIGHT_SCALE)
@@ -216,6 +212,15 @@ def _leg_count(counts: tuple[int, list[int], list[int]], b_u: int, b_v: int, deg
 
     pairs = t - above[b_u] - below[b_v] + (b_v > b_u)
     return pairs + g(b_u) + g(b_v) + (deg - 1) * g(max(b_u, b_v)) + deg
+
+
+def _unit_legs(n: int, counts: tuple[int, list[int], list[int]],
+               lines: list[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
+    """(omega, E, b_u, b_v) per unit leg over `lines` from a label with
+    `_label_counts` `counts`, by omega: its domain tangent at the label and
+    its positive section weights (`_leg_count`)."""
+    return sorted((_domain_tangent_int(n, 1, b_u, b_v), _leg_count(counts, b_u, b_v, 1), b_u, b_v)
+                  for b_u, b_v in lines)
 
 
 def _positive_counts(k: int, n: int, d: int) -> dict[str, dict[int, int]]:
@@ -293,8 +298,7 @@ def _positive_counts(k: int, n: int, d: int) -> dict[str, dict[int, int]]:
     omegas = {}  # c -> the omegas of its unit legs, ascending
     prefixes = {}  # c -> prefix sums of q^a over its unit legs in that order; P last
     for c in labels:
-        unit[c] = sorted((_domain_tangent_int(n, 1, b_u, b_v), _leg_count(counts[c], b_u, b_v, 1), b_u, b_v)
-                         for b_u, b_v in lines[c])
+        unit[c] = _unit_legs(n, counts[c], lines[c])
         leaves[c] = [(omega, e - (omega < 0)) for omega, e, _, _ in unit[c]]
         omegas[c] = [omega for omega, _ in leaves[c]]
         prefixes[c] = [0]
@@ -381,53 +385,31 @@ def poincare_localization(k: int, n: int, d: int) -> QPolynomial:
 # -- degree-2 sub-families -----------------------------------------------------
 
 
-def _two_unit_path_legs(tree: DecoratedTree):
-    """For a two-edge unit-degree path: (leaf, dropped, added) per leg, else None."""
-    shape, valences, _ = topology(tree.edges)
-    if shape != "path":
-        return None
-    center = valences.index(2)
-    legs = []
-    for edge in tree.edges:
-        leaf = edge.v if edge.u == center else edge.u
-        _, dropped, added = _label_frame(tree.vertices[center], tree.vertices[leaf])
-        legs.append((leaf, dropped, added))
-    return legs
+# Each family of degree-2 trees, by the name `checks.families` prints, as a
+# rule on the (b_u, b_v) frames of a two-edge unit path's legs from its
+# centre.
+FAMILIES = {
+    # different dropped elements, the same added one, above both: the family
+    # whose minimal stratum is the triangle of fixed lines in G(2, 3)
+    "triangle": lambda u1, v1, u2, v2: u1 != u2 and v1 == v2 and v1 > max(u1, u2),
+    # the same leaf twice, dropped below added: the family whose minimal
+    # stratum is a doubled line in G(1, 2)
+    "repeated-leaf": lambda u1, v1, u2, v2: (u1, v1) == (u2, v2) and u1 < v1,
+}
 
 
-def _is_triangle_config(tree: DecoratedTree) -> bool:
-    """Two unit edges dropping *different* elements, adding the same one,
-    with the added element larger than both dropped ones: the family whose
-    minimal stratum is the triangle of fixed lines in G(2, 3)."""
-    legs = _two_unit_path_legs(tree)
-    if legs is None:
-        return False
-    (_, drop1, add1), (_, drop2, add2) = legs
-    return drop1 != drop2 and add1 == add2 and add1 > max(drop1, drop2)
-
-
-def _is_repeated_leaf_config(tree: DecoratedTree) -> bool:
-    """Two unit edges to the *same* leaf label, dropped element smaller than
-    the added one: the family whose minimal stratum is a doubled line in
-    G(1, 2)."""
-    legs = _two_unit_path_legs(tree)
-    if legs is None:
-        return False
-    (leaf1, drop1, add1), (leaf2, _, _) = legs
-    return tree.vertices[leaf1] == tree.vertices[leaf2] and drop1 < add1
-
-
-def stratum_family_contribution(k: int, n: int, predicate: Callable[[DecoratedTree], bool]) -> QPolynomial:
-    """Partial localization sum over the degree-2 trees `predicate` selects.
-
-    Each family predicate (`_is_triangle_config`, `_is_repeated_leaf_config`)
-    selects degree-2 fixed trees by the shape of their minimal stratum;
-    summing q^(positive count) over just those trees isolates one block of the
-    full localization sum for independent cross-examination.
-    """
+def family_sum(k: int, n: int, family: str) -> QPolynomial:
+    """q^(positive tangent weights) summed over the two-edge unit paths in
+    G(k, n) whose legs `FAMILIES[family]` selects, from local terms: per
+    unordered pair of unit legs at a centre c, a1 + a2 + [omega1 + omega2 > 0]
+    - T(c), the path rule of `_positive_counts`."""
+    _check_cell(k, n, 2)
+    rule = FAMILIES[family]
     counts: Counter = Counter()
-    for tree in fixed_graphs(k, n, 2):
-        if predicate(tree):
-            counts[tangent_sign_counts(tree)[0]] += 1
+    for c in itertools.combinations(range(1, n + 1), k):
+        label_counts = _label_counts(c, n)
+        legs = _unit_legs(n, label_counts, _lines(c, n))
+        for (w1, e1, u1, v1), (w2, e2, u2, v2) in itertools.combinations_with_replacement(legs, 2):
+            if rule(u1, v1, u2, v2):
+                counts[e1 - (w1 < 0) + e2 - (w2 < 0) + (w1 + w2 > 0) - label_counts[0]] += 1
     return QPolynomial(dict(counts))
-

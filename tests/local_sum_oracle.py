@@ -1,16 +1,28 @@
-"""The localization sum as it was first written, with `Counter`s: the oracle
-for the packed sum of `grassmap.localization._positive_counts`.
+"""The localization sums as they were first written: the oracles for
+`grassmap.localization`'s sums of local terms.
 
-Each leg materializes its edge's section weights (`_edge_h0_ints`, unmemoized
-here) to count the positive ones, and each shape is summed term by term.
+`positive_counts` is the sum of `_positive_counts` with `Counter`s: each leg
+materializes its edge's section weights (`_edge_h0_ints`, unmemoized here) to
+count the positive ones, and each shape is summed term by term.
+`tangent_sign_counts` counts one tree's assembled tangent, and
+`stratum_family_contribution` sums it over the degree-2 trees a tree
+predicate selects (`TREE_PREDICATES`, by the names of `FAMILIES`): the
+oracle of `family_sum`.
 """
 
 import itertools
 import math
 from collections import Counter
 
-from grassmap.fixedgraphs import _label_frame, _neighbor_labels
+from grassmap.fixedgraphs import _label_frame, _neighbor_labels, fixed_graphs, topology
+from grassmap.localization import _checked_int_counts, _int_tangent
+from grassmap.qpoly import QPolynomial
 from grassmap.weights import WeightConsistencyError, _domain_tangent_int, _edge_h0_ints, _point_tangent_ints
+
+
+def tangent_sign_counts(tree):
+    """(positive, negative) tangent weight counts at a fixed tree, checked."""
+    return _checked_int_counts(tree, _int_tangent(tree))
 
 
 def legs(c, n, deg):
@@ -74,3 +86,52 @@ def positive_counts(k, n, d):
                                              f"from both middle ends: {twice}, an odd number")
             counts[p] += twice // 2
     return counts
+
+
+def two_unit_path_legs(tree):
+    """For a two-edge unit-degree path: (leaf, dropped, added) per leg, else None."""
+    shape, valences, _ = topology(tree.edges)
+    if shape != "path":
+        return None
+    center = valences.index(2)
+    legs = []
+    for edge in tree.edges:
+        leaf = edge.v if edge.u == center else edge.u
+        _, dropped, added = _label_frame(tree.vertices[center], tree.vertices[leaf])
+        legs.append((leaf, dropped, added))
+    return legs
+
+
+def is_triangle_config(tree):
+    """Two unit edges dropping *different* elements, adding the same one,
+    with the added element larger than both dropped ones: the family whose
+    minimal stratum is the triangle of fixed lines in G(2, 3)."""
+    legs = two_unit_path_legs(tree)
+    if legs is None:
+        return False
+    (_, drop1, add1), (_, drop2, add2) = legs
+    return drop1 != drop2 and add1 == add2 and add1 > max(drop1, drop2)
+
+
+def is_repeated_leaf_config(tree):
+    """Two unit edges to the *same* leaf label, dropped element smaller than
+    the added one: the family whose minimal stratum is a doubled line in
+    G(1, 2)."""
+    legs = two_unit_path_legs(tree)
+    if legs is None:
+        return False
+    (leaf1, drop1, add1), (leaf2, _, _) = legs
+    return tree.vertices[leaf1] == tree.vertices[leaf2] and drop1 < add1
+
+
+TREE_PREDICATES = {"triangle": is_triangle_config, "repeated-leaf": is_repeated_leaf_config}
+
+
+def stratum_family_contribution(k, n, predicate):
+    """q^(positive count) summed over the degree-2 trees `predicate` selects,
+    tree by tree."""
+    counts = Counter()
+    for tree in fixed_graphs(k, n, 2):
+        if predicate(tree):
+            counts[tangent_sign_counts(tree)[0]] += 1
+    return QPolynomial(dict(counts))

@@ -233,6 +233,15 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             closed_form_result(2, 2, 2)
 
+    @pytest.mark.parametrize("cell", [(1, 3, 4), (1, 3, 0), (0, 3, 2), (3, 3, 2)])
+    def test_both_routes_refuse_a_cell_alike(self, cell):
+        refusals = []
+        for route in (closed_form_result, poincare_localization):
+            with pytest.raises(ValueError) as refused:
+                route(*cell)
+            refusals.append((type(refused.value), str(refused.value)))
+        assert refusals[0] == refusals[1]
+
     def test_matches_localization_small(self):
         for n in range(2, 6):
             for k in range(1, n):

@@ -9,18 +9,13 @@ import grassmap.embedding as embedding
 import grassmap.localization as loc
 import grassmap.weights as weights
 import local_sum_oracle
+from local_sum_oracle import TREE_PREDICATES, stratum_family_contribution, tangent_sign_counts, two_unit_path_legs
 from fraction_oracle import embedding_delta, encoded, lift, sign_counts, tangent, weight
 from grassmap.checks import SWEEP
 from grassmap.cli import CACHE_ENV, main
 from grassmap.embedding import failed_cases
 from grassmap.fixedgraphs import DecoratedTree, Edge, enumerate_fixed_graphs, fixed_graphs, topology
-from grassmap.localization import (
-    fixed_point_report,
-    moduli_dimension,
-    poincare_localization,
-    stratum_family_contribution,
-    tangent_sign_counts,
-)
+from grassmap.localization import FAMILIES, family_sum, fixed_point_report, moduli_dimension, poincare_localization
 from grassmap.qpoly import QPolynomial, qbinomial
 from grassmap.weights import WeightConsistencyError
 import residual_oracle
@@ -133,8 +128,6 @@ class TestIntegerTangent:
         t = tree(2, 3, [(1, 2), (2, 3), (1, 3)], [(0, 1, 1), (0, 2, 1)])
         with pytest.raises(WeightConsistencyError, match=message):
             tangent_sign_counts(t)
-        with pytest.raises(WeightConsistencyError, match=message):
-            stratum_family_contribution(2, 4, loc._is_triangle_config)
         with pytest.raises(WeightConsistencyError, match=message):
             embedding_cross_check(t, 1, "iota")
 
@@ -317,27 +310,56 @@ class TestDegreeOneOracle:
 
 
 class TestFamilies:
+    """`family_sum` against the per-tree sums over the trees the oracle's
+    predicates select, and under a fault in the leg counts."""
+
     def test_triangle_anchor_value(self):
-        assert stratum_family_contribution(2, 3, loc._is_triangle_config) == QPolynomial({4: 1})
+        assert family_sum(2, 3, "triangle") == QPolynomial({4: 1})
 
     def test_triangle_empty_for_lines(self):
-        assert stratum_family_contribution(1, 5, loc._is_triangle_config) == QPolynomial()
+        assert family_sum(1, 5, "triangle") == QPolynomial()
 
     def test_repeated_leaf_anchor_value(self):
-        assert stratum_family_contribution(1, 2, loc._is_repeated_leaf_config) == QPolynomial({2: 1})
+        assert family_sum(1, 2, "repeated-leaf") == QPolynomial({2: 1})
 
     def test_family_members_have_the_right_stratum(self):
         from grassmap.fixedgraphs import minimal_stratum
 
         for t in enumerate_fixed_graphs(2, 4, 2):
-            if loc._is_triangle_config(t):
+            if TREE_PREDICATES["triangle"](t):
                 assert minimal_stratum(t) == (2, 3)
-            if loc._is_repeated_leaf_config(t):
+            if TREE_PREDICATES["repeated-leaf"](t):
                 assert minimal_stratum(t) == (1, 2)
 
     def test_families_are_disjoint(self):
         for t in enumerate_fixed_graphs(2, 4, 2):
-            assert not (loc._is_triangle_config(t) and loc._is_repeated_leaf_config(t))
+            assert not (TREE_PREDICATES["triangle"](t) and TREE_PREDICATES["repeated-leaf"](t))
+
+    def test_the_rules_are_the_tree_predicates(self):
+        assert set(FAMILIES) == set(TREE_PREDICATES)
+        for n in range(2, 7):
+            for k in range(1, n):
+                for t in fixed_graphs(k, n, 2):
+                    legs = two_unit_path_legs(t)
+                    for family, rule in FAMILIES.items():
+                        if legs is None:  # a degree-2 edge is in no family
+                            assert not TREE_PREDICATES[family](t), t
+                            continue
+                        (_, u1, v1), (_, u2, v2) = legs
+                        assert rule(u1, v1, u2, v2) == rule(u2, v2, u1, v1) == TREE_PREDICATES[family](t), t
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_the_per_tree_sum(self, n):
+        for k in range(1, n):
+            for family, predicate in TREE_PREDICATES.items():
+                assert family_sum(k, n, family) == stratum_family_contribution(k, n, predicate), (k, n, family)
+
+    def test_a_faulty_leg_count_fails_the_check(self, capsys, monkeypatch):
+        _one_sided_leg_count(monkeypatch)
+        assert main(["verify", "--suite", "families", "--max-n", "4"]) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"^FAIL  families triangle \(2,3\)", out, re.M), out
+        assert out.endswith("CHECKS FAILED\n")
 
 
 def all_cases(n):
